@@ -46,6 +46,7 @@ from .metrics import (
     demographic_parity,
     diversity,
     equalized_odds,
+    fairness_from_groups,
     fairness_report,
     group_confusion,
     micro_average_accuracy,

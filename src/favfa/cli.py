@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -26,6 +27,11 @@ from .planner import (
 from .report import AnalysisConfig, run_analysis
 from .schema import load_schema
 from .util import named_seed
+
+
+#: Plan entries serialised per write: the JSONL of a DCFace-scale plan
+#: (10,000 identities x 50 styles) is 30 MB, and is never held whole.
+_PLAN_CHUNK = 1000
 
 
 def _fail(error: FavfaError) -> None:
@@ -159,7 +165,10 @@ def cmd_plan(schema_path, ids_path, styles_path, n_identities, samples, seed, ou
         scores = plan_diversity_report(plan, schema)
     except FavfaError as error:
         _fail(error)
-    Path(out_path).write_text(plan_to_jsonl(plan), encoding="utf-8")
+    with open(out_path, "w", encoding="utf-8") as fh:
+        for start in range(0, len(plan.entries), _PLAN_CHUNK):
+            chunk = replace(plan, entries=plan.entries[start : start + _PLAN_CHUNK])
+            fh.write(plan_to_jsonl(chunk))
     click.echo(_diversity_table(scores))
     click.echo(f"wrote {len(plan.entries)} identities × {samples} styles to {out_path}")
 

@@ -218,6 +218,15 @@ def load_images(path: str | Path, schema: AttributeSchema) -> ImageTable:
     return ImageTable(records)
 
 
+def _parse_label(raw: str, pair_id: str, column: str) -> Label:
+    try:
+        return Label(raw)
+    except ValueError as exc:
+        raise ParseError(
+            f"pair {pair_id!r}: {column} must be 'same' or 'different'"
+        ) from exc
+
+
 def load_pairs(path: str | Path, images: ImageTable) -> tuple[PairRecord, ...]:
     """Load the verification-pair CSV and resolve image references."""
     with open(path, newline="", encoding="utf-8") as fh:
@@ -242,17 +251,12 @@ def load_pairs(path: str | Path, images: ImageTable) -> tuple[PairRecord, ...]:
             images.resolve(image_a)
             images.resolve(image_b)
             gt_raw = (row.get("ground_truth") or "").strip().lower()
-            try:
-                ground_truth = Label(gt_raw)
-            except ValueError as exc:
-                raise ParseError(
-                    f"pair {pair_id!r}: ground_truth must be 'same' or 'different'"
-                ) from exc
+            ground_truth = _parse_label(gt_raw, pair_id, "ground_truth")
             distance = _parse_finite(
                 (row.get("distance") or "").strip(), f"pair {pair_id!r} distance"
             )
             pred_raw = (row.get("predicted") or "").strip().lower()
-            predicted = Label(pred_raw) if pred_raw else None
+            predicted = _parse_label(pred_raw, pair_id, "predicted") if pred_raw else None
             pairs.append(
                 PairRecord(pair_id, image_a, image_b, ground_truth, distance, predicted)
             )

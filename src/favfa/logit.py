@@ -204,7 +204,9 @@ def fit_logit(design: DesignMatrix, max_iter: int = 50, tol: float = 1e-8) -> Lo
             candidate = beta + step * delta
             eta_c = X @ candidate
             ll_c = _log_likelihood(eta_c, y)
-            if ll_c >= ll - 1e-12:
+            # relative slack: a log-likelihood summed over many rows carries
+            # rounding noise far above any fixed absolute tolerance
+            if ll_c >= ll - 1e-12 * max(1.0, abs(ll)):
                 break
             step /= 2
         beta, eta, ll = candidate, eta_c, ll_c

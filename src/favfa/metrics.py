@@ -276,6 +276,15 @@ def fairness_report(
     if threshold is None and any(p.predicted is None for p in pairs):
         threshold = optimize_threshold(pairs)
     stats = group_confusion(pairs, covariates, threshold, grouping, min_support=0)
+    return fairness_from_groups(stats, min_support, threshold)
+
+
+def fairness_from_groups(
+    stats: Sequence[GroupStats], min_support: int, threshold: float | None
+) -> FairnessReport:
+    """Fairness summary from the confusion statistics of every group (as
+    ``group_confusion`` returns them with ``min_support=0``) at the
+    threshold they were computed with."""
     included = [g for g in stats if g.n_pos + g.n_neg >= min_support]
     excluded = tuple(g.group for g in stats if g.n_pos + g.n_neg < min_support)
     dpd, dpr = demographic_parity(included)

@@ -236,9 +236,10 @@ def assign_styles(
 
     Donors always share the identity's demographic segment. Within one
     identity styles are distinct and chosen greedily to keep its (age bin,
-    pose bin) cell counts level; across identities donors may repeat. The
-    whole construction is deterministic, so equal inputs give byte-identical
-    plans.
+    pose bin) cell counts level. The fill depends only on the segment's
+    style pool, so every identity of a segment gets the same style list:
+    its entries share one ``styles`` tuple. The whole construction is
+    deterministic, so equal inputs give byte-identical plans.
     """
     age = schema["age"]
     pose = schema["pose"]
@@ -253,9 +254,7 @@ def assign_styles(
         for ids in cells.values():
             ids.sort()
 
-    # Greedy assignment depends only on (segment pool, k); reuse across
-    # identities sharing a segment.
-    fills: dict[tuple[str, ...], list[tuple[str, tuple[int, int]]]] = {}
+    fills: dict[tuple[str, ...], tuple[StyleAssignment, ...]] = {}
     entries = []
     for image_id in plan_ids:
         segment = _record_segment(id_table.resolve(image_id), segment_attrs)
@@ -264,17 +263,11 @@ def assign_styles(
             have = sum(len(ids) for ids in cells.values())
             if have < samples_per_identity:
                 raise InsufficientStyles(segment, have, samples_per_identity)
-            fills[segment] = _greedy_fill(cells, samples_per_identity)
-        entries.append(
-            PlanEntry(
-                id_image=image_id,
-                segment=segment,
-                styles=tuple(
-                    StyleAssignment(style_image=sid, age_bin=cell[0], pose_bin=cell[1])
-                    for sid, cell in fills[segment]
-                ),
+            fills[segment] = tuple(
+                StyleAssignment(style_image=sid, age_bin=cell[0], pose_bin=cell[1])
+                for sid, cell in _greedy_fill(cells, samples_per_identity)
             )
-        )
+        entries.append(PlanEntry(id_image=image_id, segment=segment, styles=fills[segment]))
     return GenerationPlan(tuple(entries), samples_per_identity, tuple(segment_attrs))
 
 
@@ -288,8 +281,16 @@ def plan_diversity_report(
         levels = schema[name].levels
         counts = Counter(e.segment[i] for e in plan.entries)
         out[name] = diversity([counts.get(l, 0) for l in levels], len(levels))
-    age_counts = Counter(s.age_bin for e in plan.entries for s in e.styles)
-    pose_counts = Counter(s.pose_bin for e in plan.entries for s in e.styles)
+    # Entries of one segment share one styles tuple (see assign_styles):
+    # count each distinct tuple once, weighted by the entries holding it.
+    shared = Counter(id(e.styles) for e in plan.entries)
+    styles_of = {id(e.styles): e.styles for e in plan.entries}
+    age_counts: Counter[int] = Counter()
+    pose_counts: Counter[int] = Counter()
+    for key, n_entries in shared.items():
+        for s in styles_of[key]:
+            age_counts[s.age_bin] += n_entries
+            pose_counts[s.pose_bin] += n_entries
     out["age"] = diversity(
         [age_counts.get(i, 0) for i in range(schema["age"].n_bins)],
         schema["age"].n_bins,
@@ -302,13 +303,21 @@ def plan_diversity_report(
 
 
 def plan_to_jsonl(plan: GenerationPlan) -> str:
-    """One JSON object per identity, the handoff format for image generators."""
+    """One JSON object per identity, the handoff format for image generators.
+
+    Each line is the entry encoded with sorted keys: its ``"id_image"``
+    first, then a ``"segment"``/``"styles"`` tail that every entry with the
+    same segment and styles tuple shares, so each tail is encoded once. An
+    empty plan gives a single newline.
+    """
+    tails: dict[tuple[int, tuple[str, ...]], str] = {}
     lines = []
     for entry in plan.entries:
-        lines.append(
-            json.dumps(
+        key = (id(entry.styles), entry.segment)
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = json.dumps(
                 {
-                    "id_image": entry.id_image,
                     "segment": dict(zip(plan.segment_attrs, entry.segment)),
                     "styles": [
                         {
@@ -320,6 +329,6 @@ def plan_to_jsonl(plan: GenerationPlan) -> str:
                     ],
                 },
                 sort_keys=True,
-            )
-        )
-    return "\n".join(lines) + "\n"
+            )[1:]
+        lines.append(f'{{"id_image": {json.dumps(entry.id_image)}, {tail}\n')
+    return "".join(lines) or "\n"

@@ -35,6 +35,7 @@ from .data import (
     load_pairs,
 )
 from .diagnostics import ResidualDiagnostics, simulate_residuals
+from .errors import ParseError
 from .logit import (
     DesignMatrix,
     LogitFit,
@@ -49,7 +50,8 @@ from .logit import (
 )
 from .metrics import (
     FairnessReport,
-    fairness_report,
+    fairness_from_groups,
+    fairness_report,  # unused here; perfbench/spans.py wraps this name
     group_confusion,
     optimize_threshold,
 )
@@ -80,7 +82,10 @@ class AnalysisConfig:
             return max(1, self.threads)
         env = os.environ.get("FAVFA_THREADS")
         if env:
-            return max(1, int(env))
+            try:
+                return max(1, int(env))
+            except ValueError:
+                raise ParseError(f"FAVFA_THREADS must be an integer, got {env!r}") from None
         return min(4, os.cpu_count() or 1)
 
 
@@ -293,22 +298,21 @@ def run_analysis(config: AnalysisConfig) -> AnalysisResult:
     pool (capped by the FAVFA_THREADS environment variable); results and
     files are assembled in a fixed order regardless of scheduling.
     """
+    threads = config.resolved_threads()
     schema = load_schema(config.schema_path)
     images = consolidate_identity_attributes(load_images(config.images_path, schema), schema)
     pairs = load_pairs(config.pairs_path, images)
     covariates = covariates_for_pairs(pairs, images, schema, config.pair_aggregate)
 
     threshold = optimize_threshold(pairs) if any(p.predicted is None for p in pairs) else None
-    report = fairness_report(
-        pairs, covariates, config.grouping, config.min_support, threshold
-    )
     all_groups = group_confusion(pairs, covariates, threshold, config.grouping, 0)
+    report = fairness_from_groups(all_groups, config.min_support, threshold)
 
     def fit_model(model: str):
         design = build_design(pairs, covariates, schema, MODEL_SUBSETS[model], threshold)
         return design, fit_logit(design)
 
-    with ThreadPoolExecutor(max_workers=config.resolved_threads()) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         fit_futures = {m: pool.submit(fit_model, m) for m in sorted(MODEL_SUBSETS)}
         anova_futures = {
             m: pool.submit(

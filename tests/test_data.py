@@ -110,6 +110,13 @@ def test_load_pairs_and_errors(tmp_path, schema):
                   "pair_id,image_a,image_b,ground_truth,distance\np,x1,x2,same,-0.2\n"),
             images,
         )
+    with pytest.raises(ParseError, match="predicted must be 'same' or 'different'"):
+        load_pairs(
+            write(tmp_path, "pred.csv",
+                  "pair_id,image_a,image_b,ground_truth,distance,predicted\n"
+                  "p,x1,x2,same,0.2,maybe\n"),
+            images,
+        )
 
 
 # --- consolidation ---

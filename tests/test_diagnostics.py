@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import favfa
 from favfa.data import Subset
-from favfa.diagnostics import simulate_residuals
+from favfa.diagnostics import ks_uniform, simulate_residuals
 from favfa.errors import NotConverged
 from favfa.logit import DesignMatrix, LogitFit, fit_logit
 
@@ -109,3 +115,29 @@ def test_chi_square_uniformity_harness():
         if p > 0.01:
             hits += 1
     assert hits >= 95, f"chi-square uniformity passed in only {hits}/100 seeds"
+
+
+def test_ks_uniform_equals_scipy_kstest_asymp():
+    from scipy import stats as sps
+
+    rng = np.random.default_rng(17)
+    samples = [np.array([0.0, 1.0, 1.0, 0.5, 0.25]), np.full(7, 0.5)]
+    for i in range(60):
+        n = int(rng.integers(5, 5000))
+        u = rng.random(n)
+        samples.append([u, u**1.5, np.round(u, 2)][i % 3])
+    for u in samples:
+        expected = sps.kstest(u, "uniform", method="asymp")
+        assert ks_uniform(u) == (float(expected.statistic), float(expected.pvalue))
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # importing scipy.stats would add its cost to every invocation's start-up
+    src = str(Path(favfa.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    code = "import sys, favfa.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import image, pair
-from favfa.data import ImageTable, Label, PairCovariates, Subset
+from favfa.data import ImageTable, Label, PairCovariates, Subset, covariates_for_pairs
 from favfa.errors import ConstantColumn, EmptySubset, NotConverged, QuasiSeparation
 from favfa.logit import (
     DesignMatrix,
@@ -21,6 +21,7 @@ from favfa.logit import (
     marginal_effects,
     summarize_fit,
 )
+from favfa.metrics import optimize_threshold
 from favfa.schema import (
     AttributeDef,
     AttributeSchema,
@@ -28,6 +29,7 @@ from favfa.schema import (
     Continuous,
     Scope,
 )
+from favfa.synth import make_verification_dataset
 
 
 def design_2x2(k1=30, n1=40, k0=10, n0=40):
@@ -201,6 +203,24 @@ def test_fit_score_equations_and_monotone_loglik():
     mu = 1 / (1 + np.exp(-(x @ fit.beta)))
     assert np.max(np.abs(x.T @ (y - mu))) < 1e-8
     assert all(b >= a - 1e-12 for a, b in zip(fit.ll_trace, fit.ll_trace[1:]))
+
+
+def test_fit_converges_where_loglik_rounding_exceeds_fixed_slack():
+    # |log-likelihood| is in the thousands here, so near the optimum a
+    # correct Newton step can lower it by more than 1e-12 through rounding
+    # alone; a fixed slack halved every such step and stalled at max_iter
+    dataset = make_verification_dataset(
+        n_identities=400, n_positive=10_000, n_negative=10_000, seed=0,
+        fmr_bias={"African": 0.08},
+    )
+    threshold = optimize_threshold(dataset.pairs)
+    covariates = covariates_for_pairs(dataset.pairs, dataset.images, dataset.schema)
+    design = build_design(
+        dataset.pairs, covariates, dataset.schema, Subset.POSITIVES, threshold
+    )
+    fit = fit_logit(design)
+    assert fit.converged
+    assert fit.iterations < 10
 
 
 def test_fit_invariant_to_row_permutation():

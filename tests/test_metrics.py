@@ -18,6 +18,7 @@ from favfa.metrics import (
     demographic_parity,
     diversity,
     equalized_odds,
+    fairness_from_groups,
     fairness_report,
     group_confusion,
     micro_average_accuracy,
@@ -314,3 +315,7 @@ def test_fairness_report_excludes_small_groups():
     assert report.threshold is not None
     assert 0.0 <= report.dpr <= 1.0
     assert 0.0 <= report.eor <= 1.0
+
+    # the same report from precomputed statistics of every group
+    stats = group_confusion(prs, covs, report.threshold, ["g"], min_support=0)
+    assert fairness_from_groups(stats, 30, report.threshold) == report

@@ -19,6 +19,9 @@ from favfa.errors import (
 )
 from favfa.metrics import diversity
 from favfa.planner import (
+    GenerationPlan,
+    PlanEntry,
+    StyleAssignment,
     assign_styles,
     loss_weights,
     plan_diversity_report,
@@ -277,6 +280,82 @@ def test_plan_outputs_deterministic():
     assert plan_to_jsonl(a) == plan_to_jsonl(b)
     first = json.loads(plan_to_jsonl(a).splitlines()[0])
     assert set(first) == {"id_image", "segment", "styles"}
+
+
+def reference_jsonl(plan):
+    """Every entry encoded on its own, with sorted keys."""
+    return "".join(
+        json.dumps(
+            {
+                "id_image": entry.id_image,
+                "segment": dict(zip(plan.segment_attrs, entry.segment)),
+                "styles": [
+                    {"style_image": s.style_image, "age_bin": s.age_bin, "pose_bin": s.pose_bin}
+                    for s in entry.styles
+                ],
+            },
+            sort_keys=True,
+        )
+        + "\n"
+        for entry in plan.entries
+    )
+
+
+def recount_diversity(plan, schema):
+    """plan_diversity_report's age and pose figures, counted style by style."""
+    out = {}
+    for name, field in (("age", "age_bin"), ("pose", "pose_bin")):
+        counts = Counter(getattr(s, field) for e in plan.entries for s in e.styles)
+        n_bins = schema[name].n_bins
+        out[name] = diversity([counts.get(i, 0) for i in range(n_bins)], n_bins)
+    return out
+
+
+def hand_built_plan():
+    """Two entries of one segment with equal but distinct styles tuples, a
+    third of that segment with other styles, and a fourth of another segment
+    holding the first entry's very tuple."""
+    shared = (StyleAssignment("s1", 0, 0), StyleAssignment("s2", 3, 1))
+    equal = tuple(list(shared))
+    assert equal == shared and equal is not shared
+    other = (StyleAssignment("s3", 5, 4), StyleAssignment("s\u00e9", 5, 4))
+    male_asian, female_african = ("Male", "Asian"), ("Female", "African")
+    return GenerationPlan(
+        (
+            PlanEntry("id1", male_asian, shared),
+            PlanEntry("id2", male_asian, equal),
+            PlanEntry("id3", male_asian, other),
+            PlanEntry('id"4', female_african, shared),
+        ),
+        samples_per_identity=2,
+    )
+
+
+def test_assign_styles_entries_of_a_segment_share_one_styles_tuple():
+    schema_p, ids, styles = make_planner_pools(ids_per_cell=3, styles_per_segment=30)
+    plan = assign_styles(select_id_pool(ids, schema_p, 24, seed=1), ids, styles, schema_p, 6)
+    by_segment = {}
+    for entry in plan.entries:
+        assert entry.styles is by_segment.setdefault(entry.segment, entry.styles)
+    assert len(by_segment) == 8
+
+
+def test_plan_to_jsonl_equals_per_entry_encoding():
+    schema_p, ids, styles = make_planner_pools(ids_per_cell=3, styles_per_segment=30)
+    plan = assign_styles(select_id_pool(ids, schema_p, 24, seed=1), ids, styles, schema_p, 6)
+    assert plan_to_jsonl(plan) == reference_jsonl(plan)
+    hand = hand_built_plan()
+    assert plan_to_jsonl(hand) == reference_jsonl(hand)
+
+
+def test_plan_diversity_equals_per_style_recount():
+    schema_p, ids, styles = make_planner_pools(ids_per_cell=3, styles_per_segment=30)
+    plan = assign_styles(select_id_pool(ids, schema_p, 24, seed=1), ids, styles, schema_p, 7)
+    report = plan_diversity_report(plan, schema_p)
+    assert {k: report[k] for k in ("age", "pose")} == recount_diversity(plan, schema_p)
+    hand = hand_built_plan()
+    report = plan_diversity_report(hand, schema_p)
+    assert {k: report[k] for k in ("age", "pose")} == recount_diversity(hand, schema_p)
 
 
 def test_plan_diversity_cases():

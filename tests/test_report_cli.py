@@ -7,9 +7,14 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import favfa.cli
 from favfa.cli import main
+from favfa.data import consolidate_identity_attributes, load_images
+from favfa.planner import assign_styles, plan_to_jsonl, select_id_pool
 from favfa.report import AnalysisConfig, run_analysis
+from favfa.schema import load_schema
 from favfa.synth import make_verification_dataset, write_dataset
+from favfa.util import named_seed
 
 BUNDLE = [
     "fairness_report.json", "per_group.csv", "logit_tmr.csv", "logit_fmr.csv",
@@ -120,6 +125,44 @@ def test_cli_analyze_domain_error_exit_1(demo_dir, tmp_path):
     assert result.exit_code == 1
     payload = json.loads(result.stderr.strip().splitlines()[-1])
     assert payload["error"] == "DegeneratePairs"
+    assert not (tmp_path / "nope" / "fairness_report.json").exists()
+
+
+def assert_one_json_error(result, error):
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # nothing else escaped
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == error
+    assert "Traceback" not in result.output + result.stderr
+
+
+def test_cli_analyze_bad_predicted_cell_exit_1(demo_dir, tmp_path):
+    pairs_path = tmp_path / "pairs_predicted.csv"
+    lines = (demo_dir / "pairs.csv").read_text().splitlines()
+    pairs_path.write_text(
+        "\n".join([lines[0] + ",predicted", lines[1] + ",maybe"]
+                  + [l + ",same" for l in lines[2:]]) + "\n"
+    )
+    result = CliRunner().invoke(
+        main,
+        ["analyze", "--schema", str(demo_dir / "schema.json"),
+         "--images", str(demo_dir / "images.csv"),
+         "--pairs", str(pairs_path), "--out", str(tmp_path / "nope")],
+    )
+    assert_one_json_error(result, "ParseError")
+    assert not (tmp_path / "nope").exists()
+
+
+def test_cli_analyze_bad_thread_count_exit_1(demo_dir, tmp_path):
+    result = CliRunner().invoke(
+        main,
+        ["analyze", "--schema", str(demo_dir / "schema.json"),
+         "--images", str(demo_dir / "images.csv"),
+         "--pairs", str(demo_dir / "pairs.csv"), "--out", str(tmp_path / "nope")],
+        env={"FAVFA_THREADS": "abc"},
+    )
+    assert_one_json_error(result, "ParseError")
     assert not (tmp_path / "nope" / "fairness_report.json").exists()
 
 
@@ -235,6 +278,28 @@ def test_cli_plan_toy(tmp_path):
     assert len(lines) == 8
     entry = json.loads(lines[0])
     assert len(entry["styles"]) == 8
+
+
+def test_cli_plan_file_equals_plan_to_jsonl(tmp_path, monkeypatch):
+    # two identities per segment, written in chunks of three entries, so
+    # chunk boundaries fall between the two entries of a segment
+    monkeypatch.setattr(favfa.cli, "_PLAN_CHUNK", 3)
+    schema_path, ids_path, styles_path = write_planner_inputs(tmp_path)
+    out = tmp_path / "plan.jsonl"
+    result = CliRunner().invoke(
+        main,
+        ["plan", "--schema", str(schema_path), "--ids", str(ids_path),
+         "--styles", str(styles_path), "--n-identities", "16", "--samples", "5",
+         "--seed", "3", "--out", str(out)],
+    )
+    assert result.exit_code == 0, result.output
+
+    schema = load_schema(schema_path)
+    ids = consolidate_identity_attributes(load_images(ids_path, schema), schema)
+    styles = consolidate_identity_attributes(load_images(styles_path, schema), schema)
+    pool = select_id_pool(ids, schema, 16, named_seed(3, "planner"))
+    plan = assign_styles(pool, ids, styles, schema, 5)
+    assert out.read_bytes() == plan_to_jsonl(plan).encode("utf-8")
 
 
 def test_cli_plan_missing_cell_exit_1(tmp_path):
