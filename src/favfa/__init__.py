@@ -12,10 +12,12 @@ __version__ = "0.1.0"
 from .anova import AnovaTable, FactorResult, anova_distances
 from .data import (
     CROSS_LEVEL,
+    CovariateFrame,
     ImageRecord,
     ImageTable,
     Label,
     PairCovariates,
+    PairFrame,
     PairRecord,
     Subset,
     attribute_frequencies,

@@ -15,7 +15,16 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import CROSS_LEVEL, PairCovariates, PairRecord, Subset, filter_subset
+from .data import (
+    CovariateFrame,
+    PairCovariates,
+    PairFrame,
+    PairRecord,
+    Subset,
+    filter_subset,
+    one_hot,
+    pair_columns,
+)
 from .errors import EmptySubset, SchemaInvalid
 from .schema import AttributeSchema
 
@@ -67,32 +76,31 @@ def _lstsq_rss(x: np.ndarray, d: np.ndarray) -> tuple[float, int]:
 
 def _factor_block(
     attr_name: str,
-    covs: Sequence[PairCovariates],
+    covs: CovariateFrame,
+    rows: np.ndarray,
     schema: AttributeSchema,
 ) -> np.ndarray:
-    """Column block for one factor: dummies against an observed reference
-    level for categorical attributes, the raw value for continuous ones."""
+    """Column block for one factor over the ``rows`` mask: dummies against an
+    observed reference level for categorical attributes, one-hot from the
+    level codes, and the raw value for continuous ones."""
     attr = schema[attr_name]
-    n = len(covs)
-    if attr.is_categorical:
-        observed = sorted(
-            {c.categorical[attr_name] for c in covs},
-            key=lambda l: (
-                attr.levels.index(l) if l in attr.levels else len(attr.levels),
-                l,
-            ),
-        )
-        reference = attr.reference if attr.reference in observed else observed[0]
-        others = [l for l in observed if l != reference]
-        block = np.zeros((n, len(others)))
-        for j, level in enumerate(others):
-            block[:, j] = [c.categorical[attr_name] == level for c in covs]
-        return block
-    return np.array([[c.continuous[attr_name]] for c in covs], dtype=float)
+    if not attr.is_categorical:
+        return covs.continuous[attr_name][rows][:, None]
+    col = covs.categorical[attr_name]
+    codes = col.codes[rows]
+    rank = {level: i for i, level in enumerate(attr.levels)}
+    observed = sorted(
+        np.flatnonzero(np.bincount(codes, minlength=len(col.levels))).tolist(),
+        key=lambda c: (rank.get(col.levels[c], len(attr.levels)), col.levels[c]),
+    )
+    reference = col.code(attr.reference)
+    if reference not in observed:
+        reference = observed[0]
+    return one_hot(codes, [c for c in observed if c != reference])
 
 
 def anova_distances(
-    pairs: Sequence[PairRecord],
+    pairs: PairFrame | Sequence[PairRecord],
     covariates: Mapping[str, PairCovariates],
     schema: AttributeSchema,
     subset: Subset,
@@ -103,16 +111,18 @@ def anova_distances(
 
     Factors are added in ``factor_order`` (schema order by default);
     categorical factors contribute one dummy column per observed non-reference
-    level, continuous factors a single column. With ``interactions`` enabled,
-    pairwise products of the main-effect blocks are appended after the main
-    effects. A factor that adds no rank (constant in the subset, or collinear
-    with its predecessors) is dropped with a warning entry instead of failing.
+    level, one-hot from the attribute's level codes, and continuous factors a
+    single column. With ``interactions`` enabled, pairwise products of the
+    main-effect blocks are appended after the main effects. A factor that
+    adds no rank (constant in the subset, or collinear with its predecessors)
+    is dropped with a warning entry instead of failing.
     """
-    selected = filter_subset(pairs, subset)
-    if not selected:
+    frame, covs = pair_columns(pairs, covariates)
+    rows = filter_subset(frame, subset)
+    if not rows.any():
         raise EmptySubset(f"no pairs with ground truth {subset.ground_truth.value!r}")
-    covs = [covariates[p.pair_id] for p in selected]
-    d = np.array([p.distance for p in selected], dtype=float)
+    d = frame.distance[rows]
+    n = len(d)
 
     names = list(factor_order) if factor_order is not None else list(schema.names)
     if len(set(names)) != len(names):
@@ -122,7 +132,7 @@ def anova_distances(
             raise SchemaInvalid(f"unknown factor {name!r}")
 
     blocks: list[tuple[str, np.ndarray]] = [
-        (name, _factor_block(name, covs, schema)) for name in names
+        (name, _factor_block(name, covs, rows, schema)) for name in names
     ]
     if interactions:
         mains = dict(blocks)
@@ -133,10 +143,10 @@ def anova_distances(
                 for i in range(left.shape[1])
                 for j in range(right.shape[1])
             ]
-            block = np.column_stack(cols) if cols else np.zeros((len(covs), 0))
+            block = np.column_stack(cols) if cols else np.zeros((n, 0))
             blocks.append((f"{a}×{b}", block))
 
-    x = np.ones((len(selected), 1))
+    x = np.ones((n, 1))
     rss_prev, rank_prev = _lstsq_rss(x, d)
     total_ss = rss_prev
 
@@ -169,6 +179,6 @@ def anova_distances(
         total_ss=total_ss,
         r_squared=math.fsum(f.eta_squared for f in factors),
         subset=subset,
-        n=len(selected),
+        n=n,
         warnings=tuple(warnings),
     )

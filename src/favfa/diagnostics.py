@@ -80,10 +80,28 @@ def simulate_residuals(
     prob = expit(x @ fit.beta)
     rng = np.random.default_rng(seed)
 
-    sims = rng.random((n_sim, n)) < prob  # replicate outcomes, one row each
+    sd = np.sqrt(np.clip(prob * (1.0 - prob), 1e-24, None))
+    var_observed = float(((y - prob) / sd).var())
+    var_simulated = np.empty(n_sim)
+    zero_counts = np.empty(n_sim)
+    ones = np.zeros(n, dtype=np.intp)
+    draws = np.empty((min(_SIM_CHUNK, n_sim), n))
+    sims = np.empty(draws.shape, dtype=bool)
+    # replicate outcomes, one row each, drawn block by block: the blocks
+    # consume the generator's stream in the order one (n_sim, n) draw would
+    for start in range(0, n_sim, _SIM_CHUNK):
+        rows = min(_SIM_CHUNK, n_sim - start)
+        block, chunk = draws[:rows], sims[:rows]
+        rng.random(out=block)
+        np.less(block, prob, out=chunk)
+        ones += chunk.sum(axis=0)
+        np.subtract(chunk, prob, out=block)
+        block /= sd
+        var_simulated[start : start + rows] = block.var(axis=1)
+        zero_counts[start : start + rows] = (~chunk).sum(axis=1)
     uniform_draw = rng.random(n)
 
-    ones_frac = sims.mean(axis=0)
+    ones_frac = ones / n_sim
     zeros_frac = 1.0 - ones_frac
     scaled = np.where(
         y > 0.5,
@@ -91,15 +109,6 @@ def simulate_residuals(
         uniform_draw * zeros_frac,
     )
     ks_stat, ks_p = ks_uniform(scaled)
-
-    sd = np.sqrt(np.clip(prob * (1.0 - prob), 1e-24, None))
-    var_observed = float(((y - prob) / sd).var())
-    var_simulated = np.empty(n_sim)
-    zero_counts = np.empty(n_sim)
-    for start in range(0, n_sim, _SIM_CHUNK):
-        chunk = sims[start : start + _SIM_CHUNK]
-        var_simulated[start : start + len(chunk)] = ((chunk - prob) / sd).var(axis=1)
-        zero_counts[start : start + len(chunk)] = (~chunk).sum(axis=1)
 
     dispersion_ratio = var_observed / float(var_simulated.mean())
     zeros_observed = float(np.count_nonzero(y < 0.5))

@@ -46,6 +46,11 @@ class EmptySubset(FavfaError):
     """No pairs are left after filtering by ground truth."""
 
 
+class DegenerateResponse(FavfaError):
+    """A logit model has no variation in its response, or no more rows than
+    design columns, so there is nothing to fit."""
+
+
 class ConstantColumn(FavfaError):
     def __init__(self, label: str):
         super().__init__(f"design column {label!r} is constant")

@@ -20,20 +20,23 @@ from scipy.special import expit
 
 from .data import (
     CROSS_LEVEL,
-    Label,
     PairCovariates,
+    PairFrame,
     PairRecord,
     Subset,
     filter_subset,
+    one_hot,
+    pair_columns,
 )
 from .errors import (
     ConstantColumn,
+    DegenerateResponse,
     EmptySubset,
     NotConverged,
     QuasiSeparation,
     SingularInformation,
 )
-from .metrics import predicted_label
+from .metrics import predicted_same
 from .schema import AttributeSchema
 
 #: Any coefficient beyond this magnitude (log-odds) is treated as separation.
@@ -78,7 +81,7 @@ class MarginalEffect:
 
 
 def build_design(
-    pairs: Sequence[PairRecord],
+    pairs: PairFrame | Sequence[PairRecord],
     covariates: Mapping[str, PairCovariates],
     schema: AttributeSchema,
     subset: Subset,
@@ -88,20 +91,19 @@ def build_design(
 
     Rows are the pairs whose ground truth matches ``subset``; the response is
     1 iff the pair was predicted same-identity. Every non-reference schema
-    level gets a dummy column and must occur in the subset; the ``Cross``
-    sentinel gets a column only when observed. Continuous covariates are
-    standardized to zero mean and unit variance, with the constants kept for
-    reporting effects per original unit.
+    level gets a dummy column, one-hot from the attribute's level codes, and
+    must occur in the subset; the ``Cross`` sentinel gets a column only when
+    observed. Continuous covariates are standardized to zero mean and unit
+    variance, with the constants kept for reporting effects per original
+    unit.
     """
-    selected = filter_subset(pairs, subset)
-    if not selected:
+    frame, covs = pair_columns(pairs, covariates)
+    rows = filter_subset(frame, subset)
+    if not rows.any():
         raise EmptySubset(f"no pairs with ground truth {subset.ground_truth.value!r}")
-    covs = [covariates[p.pair_id] for p in selected]
-    y = np.array(
-        [predicted_label(p, threshold) is Label.SAME for p in selected], dtype=float
-    )
+    y = predicted_same(frame, threshold, rows).astype(float)
 
-    n = len(selected)
+    n = len(y)
     columns = ["intercept"]
     blocks = [np.ones(n)]
     categorical_columns: dict[str, dict[str, int]] = {}
@@ -110,23 +112,23 @@ def build_design(
 
     for attr in schema.attributes:
         if attr.is_categorical:
-            observed = {c.categorical[attr.name] for c in covs}
+            col = covs.categorical[attr.name]
+            codes = col.codes[rows]
             level_order = [l for l in attr.levels if l != attr.reference]
-            if CROSS_LEVEL in observed:
+            cross = col.code(CROSS_LEVEL)
+            if cross >= 0 and (codes == cross).any():
                 level_order.append(CROSS_LEVEL)
+            block = one_hot(codes, [col.code(level) for level in level_order])
             col_map: dict[str, int] = {}
-            for level in level_order:
-                col = np.array(
-                    [c.categorical[attr.name] == level for c in covs], dtype=float
-                )
-                if col.sum() == 0:
+            for level, count in zip(level_order, block.sum(axis=0)):
+                if count == 0:
                     raise ConstantColumn(f"{attr.name}={level}")
                 col_map[level] = len(columns)
                 columns.append(f"{attr.name}={level}")
-                blocks.append(col)
+            blocks.append(block)
             categorical_columns[attr.name] = col_map
         else:
-            raw = np.array([c.continuous[attr.name] for c in covs], dtype=float)
+            raw = covs.continuous[attr.name][rows]
             mean = float(raw.mean())
             std = float(raw.std())
             if std == 0.0:
@@ -176,9 +178,13 @@ def fit_logit(design: DesignMatrix, max_iter: int = 50, tol: float = 1e-8) -> Lo
     X, y = design.X, design.y
     n, p = X.shape
     if n <= p:
-        raise ValueError(f"need more rows ({n}) than columns ({p})")
+        raise DegenerateResponse(
+            f"{design.subset.value}: need more rows ({n}) than columns ({p})"
+        )
     if y.min() == y.max():
-        raise ValueError("response takes a single value; no model to fit")
+        raise DegenerateResponse(
+            f"{design.subset.value}: response takes a single value; no model to fit"
+        )
 
     beta = np.zeros(p)
     eta = X @ beta

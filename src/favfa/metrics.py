@@ -14,7 +14,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import Label, PairCovariates, PairRecord
+from .data import (
+    NO_PREDICTION,
+    PairCovariates,
+    PairFrame,
+    PairRecord,
+    as_pair_frame,
+    pair_columns,
+)
 from .errors import (
     DegeneratePairs,
     DegenerateSupport,
@@ -64,19 +71,28 @@ class FairnessReport:
     excluded_groups: tuple[GroupKey, ...]
 
 
-def predicted_label(pair: PairRecord, threshold: float | None) -> Label:
-    """The pair's own prediction when present, else the threshold rule
-    (predict same-identity iff distance < threshold)."""
-    if pair.predicted is not None:
-        return pair.predicted
+def predicted_same(
+    frame: PairFrame, threshold: float | None, rows: np.ndarray | None = None
+) -> np.ndarray:
+    """Whether each pair (of the ``rows`` mask, when given) is predicted
+    same-identity: the pair's own prediction when present, else the
+    threshold rule (same iff distance < threshold)."""
+    predicted = frame.predicted if rows is None else frame.predicted[rows]
+    missing = predicted == NO_PREDICTION
     if threshold is None:
-        raise ValueError(
-            f"pair {pair.pair_id!r} has no prediction and no threshold was given"
-        )
-    return Label.SAME if pair.distance < threshold else Label.DIFFERENT
+        if missing.any():
+            first = int(np.argmax(missing))
+            if rows is not None:
+                first = int(np.flatnonzero(rows)[first])
+            raise ValueError(
+                f"pair {frame.pair_id[first]!r} has no prediction and no threshold was given"
+            )
+        return predicted == 1
+    distance = frame.distance if rows is None else frame.distance[rows]
+    return np.where(missing, distance < threshold, predicted == 1)
 
 
-def optimize_threshold(pairs: Sequence[PairRecord]) -> float:
+def optimize_threshold(pairs: PairFrame | Sequence[PairRecord]) -> float:
     """Distance threshold maximizing overall pair accuracy.
 
     Predicting same-identity iff distance < t, accuracy is piecewise constant
@@ -85,46 +101,34 @@ def optimize_threshold(pairs: Sequence[PairRecord]) -> float:
     resulting false-match rate, then the wider interval, then the lower
     threshold. The returned value is the interval midpoint (distances live in
     [0, inf), so the leftmost interval starts at 0; a threshold above every
-    observed distance is returned as max distance + 1).
+    observed distance is returned as max distance + 1). Reads only the
+    ``distance`` and ``is_pos`` columns.
     """
-    distances = np.array([p.distance for p in pairs], dtype=float)
-    positive = np.array([p.ground_truth is Label.SAME for p in pairs], dtype=bool)
+    frame = as_pair_frame(pairs)
+    distances, positive = frame.distance, frame.is_pos
     n_pos = int(positive.sum())
-    n_neg = len(pairs) - n_pos
+    n_neg = len(frame) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegeneratePairs("need at least one positive and one negative pair")
 
     uniq = np.unique(distances)
-    pos_sorted = np.sort(distances[positive])
-    neg_sorted = np.sort(distances[~positive])
     # pairs with distance <= uniq[j] are predicted same for a threshold in
-    # the open interval (uniq[j], uniq[j+1])
-    cum_pos = np.searchsorted(pos_sorted, uniq, side="right")
-    cum_neg = np.searchsorted(neg_sorted, uniq, side="right")
-
-    correct = [n_neg]
-    neg_same = [0]
-    width = [float(uniq[0])]
-    tau = [float(uniq[0]) / 2]
-    for j in range(len(uniq) - 1):
-        correct.append(int(cum_pos[j]) + n_neg - int(cum_neg[j]))
-        neg_same.append(int(cum_neg[j]))
-        width.append(float(uniq[j + 1] - uniq[j]))
-        tau.append(float(uniq[j] + uniq[j + 1]) / 2)
-    correct.append(n_pos)
-    neg_same.append(n_neg)
-    width.append(math.inf)
-    tau.append(float(uniq[-1]) + 1.0)
-
-    best = max(
-        range(len(correct)),
-        key=lambda i: (correct[i], -neg_same[i], width[i], -tau[i]),
-    )
-    return tau[best]
+    # the open interval (uniq[j], uniq[j+1]); interval 0 lies below uniq[0]
+    cum_pos = np.searchsorted(np.sort(distances[positive]), uniq, side="right")
+    cum_neg = np.searchsorted(np.sort(distances[~positive]), uniq, side="right")
+    correct = np.concatenate(([n_neg], cum_pos + (n_neg - cum_neg)))
+    neg_same = np.concatenate(([0], cum_neg))
+    width = np.concatenate((uniq[:1], np.diff(uniq), [math.inf]))
+    tau = np.concatenate((uniq[:1] / 2, (uniq[:-1] + uniq[1:]) / 2, uniq[-1:] + 1.0))
+    # lexsort sorts by its last key first: the first entry has the most
+    # correct, then the fewest false matches, then the widest interval, then
+    # the lowest threshold
+    best = np.lexsort((tau, -width, neg_same, -correct))[0]
+    return float(tau[best])
 
 
 def group_confusion(
-    pairs: Sequence[PairRecord],
+    pairs: PairFrame | Sequence[PairRecord],
     covariates: Mapping[str, PairCovariates],
     threshold: float | None,
     grouping: Sequence[str],
@@ -132,34 +136,46 @@ def group_confusion(
 ) -> list[GroupStats]:
     """Confusion counts and rates per observed demographic segment.
 
-    Groups with fewer than ``min_support`` pairs are omitted. Provided
-    predictions are used verbatim; pairs without one are classified by the
-    threshold rule.
+    The segment of a pair is a mixed-radix code over the level codes of the
+    ``grouping`` attributes, and one ``np.bincount`` tallies the four
+    outcomes of every segment. Groups with fewer than ``min_support`` pairs
+    are omitted. Provided predictions are used verbatim; pairs without one
+    are classified by the threshold rule.
     """
-    tallies: dict[GroupKey, list[int]] = {}
-    for pair in pairs:
-        cov = covariates[pair.pair_id]
-        try:
-            key = GroupKey(tuple((a, cov.categorical[a]) for a in grouping))
-        except KeyError as exc:
+    frame, covs = pair_columns(pairs, covariates)
+    if len(frame) == 0:
+        return []
+    columns = []
+    for attr in grouping:
+        if attr not in covs.categorical:
             raise SchemaInvalid(
-                f"grouping attribute {exc.args[0]!r} is not a categorical covariate"
-            ) from None
-        tally = tallies.setdefault(key, [0, 0, 0, 0])  # tp, fp, tn, fn
-        is_pos = pair.ground_truth is Label.SAME
-        said_same = predicted_label(pair, threshold) is Label.SAME
-        if is_pos and said_same:
-            tally[0] += 1
-        elif not is_pos and said_same:
-            tally[1] += 1
-        elif not is_pos and not said_same:
-            tally[2] += 1
-        else:
-            tally[3] += 1
+                f"grouping attribute {attr!r} is not a categorical covariate"
+            )
+        columns.append((attr, covs.categorical[attr]))
+    said_same = predicted_same(frame, threshold)
+
+    segment = np.zeros(len(frame), dtype=np.intp)
+    n_segments = 1
+    for _, col in columns:
+        segment = segment * len(col.levels) + col.codes
+        n_segments *= len(col.levels)
+    # outcome 0 tp, 1 fn, 2 tn, 3 fp: twice "negative" plus "wrong"
+    outcome = 2 * ~frame.is_pos + (said_same != frame.is_pos)
+    counts = np.bincount(segment * 4 + outcome, minlength=4 * n_segments)
+    counts = counts.reshape(n_segments, 4)
+
+    tallies: dict[GroupKey, list[int]] = {}
+    for code in np.flatnonzero(counts.any(axis=1)).tolist():
+        items = []
+        rest = code
+        for attr, col in reversed(columns):
+            rest, digit = divmod(rest, len(col.levels))
+            items.append((attr, col.levels[digit]))
+        tallies[GroupKey(tuple(reversed(items)))] = counts[code].tolist()
 
     out = []
     for key in sorted(tallies):
-        tp, fp, tn, fn = tallies[key]
+        tp, fn, tn, fp = tallies[key]
         n_pos = tp + fn
         n_neg = fp + tn
         n = n_pos + n_neg
@@ -261,7 +277,7 @@ def diversity(frequencies: Sequence[float], n_categories: int) -> float:
 
 
 def fairness_report(
-    pairs: Sequence[PairRecord],
+    pairs: PairFrame | Sequence[PairRecord],
     covariates: Mapping[str, PairCovariates],
     grouping: Sequence[str],
     min_support: int = 30,
@@ -273,9 +289,10 @@ def fairness_report(
     below ``min_support`` pairs are reported as excluded and do not enter the
     aggregate metrics.
     """
-    if threshold is None and any(p.predicted is None for p in pairs):
-        threshold = optimize_threshold(pairs)
-    stats = group_confusion(pairs, covariates, threshold, grouping, min_support=0)
+    frame, covs = pair_columns(pairs, covariates)
+    if threshold is None and (frame.predicted == NO_PREDICTION).any():
+        threshold = optimize_threshold(frame)
+    stats = group_confusion(frame, covs, threshold, grouping, min_support=0)
     return fairness_from_groups(stats, min_support, threshold)
 
 

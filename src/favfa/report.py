@@ -28,6 +28,7 @@ from . import __version__
 from .anova import AnovaTable, anova_distances
 from .charts import eta_squared_svg, marginal_effects_svg, qq_plot_svg
 from .data import (
+    NO_PREDICTION,
     Subset,
     consolidate_identity_attributes,
     covariates_for_pairs,
@@ -304,7 +305,9 @@ def run_analysis(config: AnalysisConfig) -> AnalysisResult:
     pairs = load_pairs(config.pairs_path, images)
     covariates = covariates_for_pairs(pairs, images, schema, config.pair_aggregate)
 
-    threshold = optimize_threshold(pairs) if any(p.predicted is None for p in pairs) else None
+    threshold = (
+        optimize_threshold(pairs) if (pairs.predicted == NO_PREDICTION).any() else None
+    )
     all_groups = group_confusion(pairs, covariates, threshold, config.grouping, 0)
     report = fairness_from_groups(all_groups, config.min_support, threshold)
 

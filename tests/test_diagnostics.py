@@ -141,3 +141,44 @@ def test_cli_import_does_not_load_scipy_stats():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "False"
+
+
+def full_draw_reference(fit, design, n_sim, seed):
+    """The diagnostics with every replicate drawn in one (n_sim, n) call:
+    the reference the block-by-block draws must reproduce to the bit."""
+    from favfa.diagnostics import ResidualDiagnostics, _rank_p
+    from scipy.special import expit
+
+    x, y = design.X, design.y
+    prob = expit(x @ fit.beta)
+    rng = np.random.default_rng(seed)
+    sims = rng.random((n_sim, len(y))) < prob
+    uniform_draw = rng.random(len(y))
+    ones_frac = sims.mean(axis=0)
+    zeros_frac = 1.0 - ones_frac
+    scaled = np.where(y > 0.5, zeros_frac + uniform_draw * ones_frac, uniform_draw * zeros_frac)
+    ks_stat, ks_p = ks_uniform(scaled)
+    sd = np.sqrt(np.clip(prob * (1.0 - prob), 1e-24, None))
+    var_observed = float(((y - prob) / sd).var())
+    var_simulated = ((sims - prob) / sd).var(axis=1)
+    zero_counts = (~sims).sum(axis=1).astype(float)
+    zeros_observed = float(np.count_nonzero(y < 0.5))
+    return ResidualDiagnostics(
+        scaled_residuals=tuple(float(u) for u in scaled),
+        ks_statistic=ks_stat,
+        ks_p_value=ks_p,
+        dispersion_ratio=var_observed / float(var_simulated.mean()),
+        dispersion_p=_rank_p(var_observed, var_simulated),
+        zero_inflation_ratio=zeros_observed / float(zero_counts.mean()),
+        zero_inflation_p=_rank_p(zeros_observed, zero_counts),
+        n_simulations=n_sim,
+        seed=seed,
+    )
+
+
+@pytest.mark.parametrize(("n", "n_sim", "seed"), [(3000, 250, 4), (500, 100, 0), (1200, 193, 8)])
+def test_block_draws_equal_one_full_draw(n, n_sim, seed):
+    fit, design = fitted_on_simulated(seed + 40, n=n)
+    assert simulate_residuals(fit, design, n_sim=n_sim, seed=seed) == full_draw_reference(
+        fit, design, n_sim, seed
+    )

@@ -119,6 +119,63 @@ def test_threshold_invariant_to_increasing_transform(pos_raw, neg_raw, kind):
     assert base == moved
 
 
+def threshold_loop(distances, positive):
+    """The interval sweep as a Python loop over the unique distances, with
+    max() picking the first of the best keys: the reference the vectorised
+    ``optimize_threshold`` must reproduce to the bit."""
+    distances = np.asarray(distances, dtype=float)
+    positive = np.asarray(positive, dtype=bool)
+    n_pos = int(positive.sum())
+    n_neg = len(distances) - n_pos
+    uniq = np.unique(distances)
+    cum_pos = np.searchsorted(np.sort(distances[positive]), uniq, side="right")
+    cum_neg = np.searchsorted(np.sort(distances[~positive]), uniq, side="right")
+    correct, neg_same = [n_neg], [0]
+    width, tau = [float(uniq[0])], [float(uniq[0]) / 2]
+    for j in range(len(uniq) - 1):
+        correct.append(int(cum_pos[j]) + n_neg - int(cum_neg[j]))
+        neg_same.append(int(cum_neg[j]))
+        width.append(float(uniq[j + 1] - uniq[j]))
+        tau.append(float(uniq[j] + uniq[j + 1]) / 2)
+    correct.append(n_pos)
+    neg_same.append(n_neg)
+    width.append(math.inf)
+    tau.append(float(uniq[-1]) + 1.0)
+    best = max(range(len(correct)), key=lambda i: (correct[i], -neg_same[i], width[i], -tau[i]))
+    return tau[best]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(
+                st.integers(0, 6).map(lambda v: v / 4),
+                st.floats(0.0, 3.0, allow_nan=False),
+                # neighbouring floats, whose midpoints round onto each other
+                st.integers(0, 3).map(lambda k: 1.0 + k * 2.0**-52),
+            ),
+            st.booleans(),
+            st.sampled_from([None, True, False]),
+        ),
+        min_size=2,
+        max_size=80,
+    )
+)
+@settings(max_examples=150)
+def test_threshold_equals_loop_reference(rows):
+    distances = [d for d, _, _ in rows]
+    positive = [pos for _, pos, _ in rows]
+    if all(positive) or not any(positive):
+        return
+    prs = [
+        pair(f"p{i}", "a", "b", pos, d, predicted=said)
+        for i, (d, pos, said) in enumerate(rows)
+    ]
+    expected = threshold_loop(distances, positive)
+    got = optimize_threshold(prs)
+    assert type(got) is float and got == expected
+
+
 # --- group confusion ---
 
 

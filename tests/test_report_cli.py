@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import shutil
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -164,6 +168,77 @@ def test_cli_analyze_bad_thread_count_exit_1(demo_dir, tmp_path):
     )
     assert_one_json_error(result, "ParseError")
     assert not (tmp_path / "nope" / "fairness_report.json").exists()
+
+
+REPO = Path(__file__).resolve().parents[1]
+DEMO = REPO / "data" / "demo"
+
+
+def demo_args(pairs_path: Path, out: Path) -> list[str]:
+    return ["analyze", "--schema", str(DEMO / "schema.json"),
+            "--images", str(DEMO / "images.csv"),
+            "--pairs", str(pairs_path), "--out", str(out)]
+
+
+def test_cli_analyze_no_false_match_exit_1(tmp_path):
+    # every negative far above every positive: the FMR model's response is
+    # all zeros, so there is no model to fit
+    shutil.copytree(DEMO, tmp_path / "demo")
+    pairs_path = tmp_path / "demo" / "pairs.csv"
+    lines = pairs_path.read_text().splitlines()
+    moved = [
+        ",".join(cells[:4] + ["0.99"]) if cells[3] == "different" else line
+        for line in lines[1:]
+        for cells in [line.split(",")]
+    ]
+    pairs_path.write_text("\n".join([lines[0]] + moved) + "\n")
+    result = CliRunner().invoke(main, demo_args(pairs_path, tmp_path / "nope"))
+    assert_one_json_error(result, "DegenerateResponse")
+    assert "response takes a single value" in json.loads(result.stderr)["message"]
+    assert not (tmp_path / "nope").exists()
+
+
+#: sha256 of the two bundle files that involve no linear algebra, for
+#: ``favfa analyze`` on data/demo: default flags, and --pair-aggregate absdiff
+#: (which moves only continuous covariates, so neither file changes).
+DEMO_PINS = {
+    "per_group.csv": "662dcb3634b654415a5458b4cc274ddf5adb46ea1ce2e51ac99233eb515c0f5f",
+    "fairness_report.json": "747a04225b33fab942d10413679ee55843a52892a1084efd2d45ccb0164943f8",
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["--pair-aggregate", "absdiff"]])
+def test_demo_bundle_pinned(tmp_path, flags):
+    result = CliRunner().invoke(main, demo_args(DEMO / "pairs.csv", tmp_path / "out") + flags)
+    assert result.exit_code == 0, result.output
+    for name, digest in DEMO_PINS.items():
+        assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_bundle_digest_lists_differing_files(tmp_path):
+    script = REPO / "scripts" / "bundle_digest.py"
+    for side in ("a", "b"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "same.csv").write_text("x\n")
+    (tmp_path / "a" / "moved.json").write_text("1\n")
+    (tmp_path / "b" / "moved.json").write_text("2\n")
+    (tmp_path / "a" / "only_a.svg").write_text("<svg/>\n")
+
+    def run(*dirs):
+        return subprocess.run(
+            [sys.executable, str(script), *map(str, dirs)], capture_output=True, text=True
+        )
+
+    single = run(tmp_path / "a")
+    assert single.returncode == 0
+    assert single.stdout.splitlines()[-1] == (
+        hashlib.sha256(b"x\n").hexdigest() + "  same.csv"
+    )
+    both = run(tmp_path / "a", tmp_path / "b")
+    assert both.returncode == 1
+    assert both.stdout.splitlines()[-1] == "differ (2): moved.json, only_a.svg"
+    assert "only_a.svg  " + hashlib.sha256(b"<svg/>\n").hexdigest() + "  -" in both.stdout
+    assert run(tmp_path / "a", tmp_path / "a").returncode == 0
 
 
 def test_cli_analyze_optional_flags(demo_dir, tmp_path):
