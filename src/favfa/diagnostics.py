@@ -18,7 +18,9 @@ from scipy.special import expit, kolmogorov
 from .errors import NotConverged
 from .logit import DesignMatrix, LogitFit
 
-_SIM_CHUNK = 64  # replicate rows per vectorized block, bounds peak memory
+#: Replicate rows per vectorized block: at most 64, and few enough that a
+#: block holds about this many float64 elements, which bounds peak memory.
+_SIM_ELEMENTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -85,12 +87,13 @@ def simulate_residuals(
     var_simulated = np.empty(n_sim)
     zero_counts = np.empty(n_sim)
     ones = np.zeros(n, dtype=np.intp)
-    draws = np.empty((min(_SIM_CHUNK, n_sim), n))
+    block_rows = max(1, min(64, _SIM_ELEMENTS // max(n, 1)))
+    draws = np.empty((min(block_rows, n_sim), n))
     sims = np.empty(draws.shape, dtype=bool)
     # replicate outcomes, one row each, drawn block by block: the blocks
     # consume the generator's stream in the order one (n_sim, n) draw would
-    for start in range(0, n_sim, _SIM_CHUNK):
-        rows = min(_SIM_CHUNK, n_sim - start)
+    for start in range(0, n_sim, block_rows):
+        rows = min(block_rows, n_sim - start)
         block, chunk = draws[:rows], sims[:rows]
         rng.random(out=block)
         np.less(block, prob, out=chunk)

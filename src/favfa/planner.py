@@ -17,11 +17,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import ImageRecord, ImageTable
+from .data import ImageFrame, ImageTable, as_image_frame, bin_codes
 from .errors import (
     InsufficientCandidates,
     InsufficientStyles,
-    MissingAttribute,
     NotDivisible,
     SchemaInvalid,
 )
@@ -65,58 +64,66 @@ class GenerationPlan:
     segment_attrs: tuple[str, ...] = DEFAULT_SEGMENT_ATTRS
 
 
-def _weight_value(record: ImageRecord, schema: AttributeSchema, name: str) -> object:
-    """Counting key for one attribute: the level, or the bin index."""
+def _weight_key(frame: ImageFrame, schema: AttributeSchema, name: str) -> np.ndarray:
+    """Counting key of every image for one attribute, as a code: the level
+    code, or the bin index; -1 for an image without one."""
     attr = schema[name]
-    if name not in record.values:
-        raise MissingAttribute(record.image_id, name)
-    value = record.values[name]
+    if attr.is_categorical:
+        return frame.codes(attr).codes
+    return bin_codes(attr, frame.floats(name))
+
+
+def _weight_value(frame: ImageFrame, row: int, schema: AttributeSchema, name: str) -> object:
+    """Counting key for one attribute of one image: the level, or the bin
+    index. Raises for an image without a value, or one outside the bins."""
+    attr = schema[name]
+    value = frame.value(row, name)
     if attr.is_categorical:
         return value
     return attr.bin_index(float(value))
 
 
 def _raw_weights(
-    images: ImageTable, schema: AttributeSchema, attrs: Sequence[str]
-) -> dict[str, float]:
+    images: ImageFrame | ImageTable, schema: AttributeSchema, attrs: Sequence[str]
+) -> tuple[ImageFrame, np.ndarray]:
+    """The image columns and each image's weight, in frame order."""
     for name in attrs:
         if name not in schema:
             raise SchemaInvalid(f"unknown attribute {name!r}")
-    keys = {
-        rec.image_id: tuple(_weight_value(rec, schema, a) for a in attrs)
-        for rec in images
-    }
-    counts = [Counter(k[i] for k in keys.values()) for i in range(len(attrs))]
-    weights = {}
-    for image_id, key in keys.items():
-        w = 1.0
-        for i, value in enumerate(key):
-            w *= 1.0 / counts[i][value]
-        weights[image_id] = w
-    return weights
+    frame = as_image_frame(images, schema)
+    keys = [_weight_key(frame, schema, name) for name in attrs]
+    lacking = [codes < 0 for codes in keys]
+    if any(mask.any() for mask in lacking):
+        row = int(np.argmax(np.logical_or.reduce(lacking)))
+        for name in attrs:  # raises for the image's first attribute without a key
+            _weight_value(frame, row, schema, name)
+    weights = np.ones(len(frame))
+    for codes in keys:
+        weights *= 1.0 / np.bincount(codes)[codes]
+    return frame, weights
 
 
 def sampling_weights(
-    images: ImageTable, schema: AttributeSchema, attrs: Sequence[str]
+    images: ImageFrame | ImageTable, schema: AttributeSchema, attrs: Sequence[str]
 ) -> SamplingWeights:
     """Inverse-frequency sampling weights over the image table.
 
     Each image's weight is the product across ``attrs`` of one over the
-    number of images sharing its value; probabilities normalize the weights
-    to unit total. Entries follow table order, but every probability is
-    independent of that order (the normalizer is summed canonically).
+    number of images sharing its value (counted with one ``np.bincount`` of
+    the attribute's level codes or bin indices); probabilities normalize the
+    weights to unit total. Entries follow table order, but every probability
+    is independent of that order (the normalizer is an exactly rounded sum).
     """
-    weights = _raw_weights(images, schema, attrs)
-    denominator = math.fsum(weights[i] for i in sorted(weights))
+    frame, weights = _raw_weights(images, schema, attrs)
+    denominator = math.fsum(weights.tolist())
     entries = tuple(
-        WeightEntry(rec.image_id, weights[rec.image_id], weights[rec.image_id] / denominator)
-        for rec in images
+        map(WeightEntry, frame.ids, weights.tolist(), (weights / denominator).tolist())
     )
     return SamplingWeights(entries, tuple(attrs))
 
 
 def loss_weights(
-    images: ImageTable,
+    images: ImageFrame | ImageTable,
     schema: AttributeSchema,
     attrs: Sequence[str],
     batch: Sequence[str],
@@ -125,11 +132,10 @@ def loss_weights(
     members divided by the batch total, so the weighted mean has unit mass."""
     if not batch:
         raise ValueError("batch must be non-empty")
-    weights = _raw_weights(images, schema, attrs)
-    for image_id in batch:
-        images.resolve(image_id)
-    denominator = math.fsum(weights[i] for i in batch)
-    return [weights[i] / denominator for i in batch]
+    frame, weights = _raw_weights(images, schema, attrs)
+    chosen = weights[[frame.row(image_id) for image_id in batch]].tolist()
+    denominator = math.fsum(chosen)
+    return [w / denominator for w in chosen]
 
 
 def resample_epoch(weights: SamplingWeights, n: int, seed: int) -> list[str]:
@@ -156,19 +162,31 @@ def _segment_levels(
     return cells
 
 
+def _segments(
+    frame: ImageFrame, schema: AttributeSchema, segment_attrs: Sequence[str]
+) -> tuple[np.ndarray, list[tuple[str, ...]]]:
+    """Segment of every image: a code, -1 for an image lacking a segment
+    attribute, and the segment each code stands for."""
+    cols = [frame.codes(schema[name]) for name in segment_attrs]
+    codes = np.zeros(len(frame), dtype=np.intp)
+    held = np.ones(len(frame), dtype=bool)
+    segments: list[tuple[str, ...]] = [()]
+    for col in cols:
+        codes = codes * len(col.levels) + col.codes
+        held &= col.codes >= 0
+        segments = [seg + (str(level),) for seg in segments for level in col.levels]
+    return np.where(held, codes, -1), segments
+
+
 def _record_segment(
-    record: ImageRecord, segment_attrs: Sequence[str]
+    frame: ImageFrame, row: int, segment_attrs: Sequence[str]
 ) -> tuple[str, ...]:
-    values = []
-    for name in segment_attrs:
-        if name not in record.values:
-            raise MissingAttribute(record.image_id, name)
-        values.append(str(record.values[name]))
-    return tuple(values)
+    """Segment of one image; raises for its first missing segment attribute."""
+    return tuple(str(frame.value(row, name)) for name in segment_attrs)
 
 
 def select_id_pool(
-    candidates: ImageTable,
+    candidates: ImageFrame | ImageTable,
     schema: AttributeSchema,
     n_identities: int,
     seed: int,
@@ -187,11 +205,14 @@ def select_id_pool(
         raise NotDivisible(
             f"{n_identities} identities do not divide across {len(cells)} cells"
         )
+    frame = as_image_frame(candidates, schema)
+    codes, segments = _segments(frame, schema, segment_attrs)
+    if (codes < 0).any():
+        _record_segment(frame, int(np.argmin(codes)), segment_attrs)
     pools: dict[tuple[str, ...], list[str]] = {cell: [] for cell in cells}
-    for rec in candidates:
-        segment = _record_segment(rec, segment_attrs)
-        if segment in pools:
-            pools[segment].append(rec.image_id)
+    for code in np.unique(codes).tolist():
+        if segments[code] in pools:
+            pools[segments[code]] += [frame.ids[r] for r in np.flatnonzero(codes == code)]
     for cell in cells:
         if len(pools[cell]) < per_cell:
             raise InsufficientCandidates(cell, len(pools[cell]), per_cell)
@@ -224,10 +245,20 @@ def _greedy_fill(
     return chosen
 
 
+def _style_cell(
+    frame: ImageFrame, row: int, schema: AttributeSchema, segment_attrs: Sequence[str]
+) -> tuple[int, int]:
+    """(age bin, pose bin) of one style image. Raises for a missing segment
+    attribute, then a missing age or pose, then a value outside the bins."""
+    _record_segment(frame, row, segment_attrs)
+    age, pose = (float(frame.value(row, name)) for name in ("age", "pose"))
+    return schema["age"].bin_index(age), schema["pose"].bin_index(pose)
+
+
 def assign_styles(
     plan_ids: Sequence[str],
-    id_table: ImageTable,
-    style_pool: ImageTable,
+    id_table: ImageFrame | ImageTable,
+    style_pool: ImageFrame | ImageTable,
     schema: AttributeSchema,
     samples_per_identity: int,
     segment_attrs: Sequence[str] = DEFAULT_SEGMENT_ATTRS,
@@ -241,23 +272,33 @@ def assign_styles(
     its entries share one ``styles`` tuple. The whole construction is
     deterministic, so equal inputs give byte-identical plans.
     """
-    age = schema["age"]
-    pose = schema["pose"]
+    styles = as_image_frame(style_pool, schema)
+    style_codes, style_segments = _segments(styles, schema, segment_attrs)
+    age_bins = bin_codes(schema["age"], styles.floats("age"))
+    pose_bins = bin_codes(schema["pose"], styles.floats("pose"))
+    ok = (style_codes >= 0) & (age_bins >= 0) & (pose_bins >= 0)
+    if not ok.all():
+        _style_cell(styles, int(np.argmin(ok)), schema, segment_attrs)
     by_segment: dict[tuple[str, ...], dict[tuple[int, int], list[str]]] = {}
-    for rec in style_pool:
-        segment = _record_segment(rec, segment_attrs)
-        if "age" not in rec.values or "pose" not in rec.values:
-            raise MissingAttribute(rec.image_id, "age" if "age" not in rec.values else "pose")
-        cell = (age.bin_index(float(rec.values["age"])), pose.bin_index(float(rec.values["pose"])))
-        by_segment.setdefault(segment, {}).setdefault(cell, []).append(rec.image_id)
+    for code, age_bin, pose_bin, image_id in zip(
+        style_codes.tolist(), age_bins.tolist(), pose_bins.tolist(), styles.ids
+    ):
+        cells = by_segment.setdefault(style_segments[code], {})
+        cells.setdefault((age_bin, pose_bin), []).append(image_id)
     for cells in by_segment.values():
         for ids in cells.values():
             ids.sort()
 
+    frame = as_image_frame(id_table, schema)
+    codes, segments = _segments(frame, schema, segment_attrs)
+    codes = codes.tolist()
     fills: dict[tuple[str, ...], tuple[StyleAssignment, ...]] = {}
     entries = []
     for image_id in plan_ids:
-        segment = _record_segment(id_table.resolve(image_id), segment_attrs)
+        row = frame.row(image_id)
+        if codes[row] < 0:
+            _record_segment(frame, row, segment_attrs)
+        segment = segments[codes[row]]
         if segment not in fills:
             cells = by_segment.get(segment, {})
             have = sum(len(ids) for ids in cells.values())

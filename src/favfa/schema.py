@@ -227,7 +227,10 @@ def load_schema(path: str | Path) -> AttributeSchema:
     A null upper bound means +inf. Continuous attributes named ``age`` or
     ``pose`` receive default bins when none are given.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"schema {path}: not UTF-8 text: {exc.reason}") from None
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -176,9 +176,24 @@ def full_draw_reference(fit, design, n_sim, seed):
     )
 
 
-@pytest.mark.parametrize(("n", "n_sim", "seed"), [(3000, 250, 4), (500, 100, 0), (1200, 193, 8)])
+# 20,000 observations take blocks of 2**20 // 20000 = 52 rows, not 64
+@pytest.mark.parametrize(
+    ("n", "n_sim", "seed"), [(3000, 250, 4), (500, 100, 0), (1200, 193, 8), (20000, 150, 3)]
+)
 def test_block_draws_equal_one_full_draw(n, n_sim, seed):
     fit, design = fitted_on_simulated(seed + 40, n=n)
     assert simulate_residuals(fit, design, n_sim=n_sim, seed=seed) == full_draw_reference(
         fit, design, n_sim, seed
+    )
+
+
+@pytest.mark.parametrize(("n", "budget"), [(500, 3000), (500, 499), (1200, 7000)])
+def test_blocks_sized_by_elements_equal_one_full_draw(monkeypatch, n, budget):
+    # blocks of 6 rows, of 1 row (the budget is below one row) and of 5 rows
+    import favfa.diagnostics
+
+    monkeypatch.setattr(favfa.diagnostics, "_SIM_ELEMENTS", budget)
+    fit, design = fitted_on_simulated(n, n=n)
+    assert simulate_residuals(fit, design, n_sim=101, seed=n) == full_draw_reference(
+        fit, design, 101, n
     )

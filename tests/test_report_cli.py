@@ -415,3 +415,119 @@ def test_cli_weights_stdout(tmp_path):
     assert lines[0] == "image_id,weight,probability"
     assert lines[1].split(",") == ["i1", "0.5", "0.25"]
     assert lines[3].split(",") == ["i3", "1.0", "0.5"]
+
+
+#: sha256 of the outputs of the other consumers of image ingest, pinned to
+#: what the record-based ingest produced: ``favfa weights`` and ``favfa
+#: diversity`` on data/demo, and the ``favfa plan`` JSONL of
+#: write_planner_inputs for two sets of flags.
+WEIGHTS_PIN = "24e99f18fbde3b30509b03f2ba27c604f915b966ef5b4be7dc31e8aeaabd4a0d"
+DIVERSITY_PIN = "04b2332c793127ee9b28b47c669706381e38e803d3cab73243a244073dedf686"
+PLAN_PINS = {
+    ("8", "8", "1"): "0f2489c596b033b4d30005e0bacb51a8eaaeccc38216eb91deea15cd923d2f0a",
+    ("16", "5", "3"): "4762bc3ef218d68949f5cb9ededbf59d5dc50407489c87ea122648f02c19b4ab",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_weights_and_diversity_pinned(tmp_path):
+    schema, images = str(DEMO / "schema.json"), str(DEMO / "images.csv")
+    out = tmp_path / "weights.csv"
+    result = CliRunner().invoke(main, ["weights", "--schema", schema, "--images", images,
+                                       "--attrs", "gender,ethnicity,age,pose", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert sha256(out.read_bytes()) == WEIGHTS_PIN
+    result = CliRunner().invoke(main, ["diversity", "--schema", schema, "--images", images])
+    assert result.exit_code == 0, result.output
+    assert sha256(result.stdout_bytes) == DIVERSITY_PIN
+
+
+@pytest.mark.parametrize(("n_identities", "samples", "seed"), sorted(PLAN_PINS))
+def test_plan_jsonl_pinned(tmp_path, n_identities, samples, seed):
+    schema_path, ids_path, styles_path = write_planner_inputs(tmp_path)
+    out = tmp_path / "plan.jsonl"
+    result = CliRunner().invoke(
+        main,
+        ["plan", "--schema", str(schema_path), "--ids", str(ids_path),
+         "--styles", str(styles_path), "--n-identities", n_identities, "--samples", samples,
+         "--seed", seed, "--out", str(out)],
+    )
+    assert result.exit_code == 0, result.output
+    assert sha256(out.read_bytes()) == PLAN_PINS[(n_identities, samples, seed)]
+
+
+def undecodable(path: Path) -> None:
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+
+
+def overlong(path: Path) -> None:
+    import csv
+
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write("x" * (csv.field_size_limit() + 1) + "\n")
+
+
+def unreadable_cases():
+    plan = ["plan", "--schema", "{schema}", "--ids", "{ids}", "--styles", "{styles}",
+            "--n-identities", "8", "--samples", "4", "--out", "{out}"]
+    analyze = ["analyze", "--schema", "{schema}", "--images", "{images}", "--pairs", "{pairs}",
+               "--out", "{out}"]
+    images_only = ["--schema", "{schema}", "--images", "{images}"]
+    for damage in (undecodable, overlong):
+        for target in ("images", "pairs"):
+            yield analyze, target, damage
+        yield ["diversity", *images_only], "images", damage
+        yield ["weights", *images_only, "--attrs", "gender", "--out", "{out}"], "images", damage
+        for target in ("ids", "styles"):
+            yield plan, target, damage
+    for args in (analyze, plan, ["diversity", *images_only]):
+        yield args, "schema", undecodable
+
+
+@pytest.mark.parametrize(
+    ("args", "target", "damage"),
+    list(unreadable_cases()),
+    ids=lambda v: v.__name__ if callable(v) else (v if isinstance(v, str) else v[0]),
+)
+def test_cli_unreadable_input_exit_1(tmp_path, args, target, damage):
+    shutil.copytree(DEMO, tmp_path / "in")
+    schema_path, ids_path, styles_path = write_planner_inputs(tmp_path / "in")
+    paths = {
+        "images": tmp_path / "in" / "images.csv",
+        "pairs": tmp_path / "in" / "pairs.csv",
+        "ids": ids_path,
+        "styles": styles_path,
+        "schema": schema_path if args[0] == "plan" else tmp_path / "in" / "schema.json",
+        "out": tmp_path / "out",
+    }
+    damage(paths[target])
+    result = CliRunner().invoke(main, [a.format(**paths) for a in args])
+    assert_one_json_error(result, "ParseError")
+    assert str(paths[target]) in json.loads(result.stderr)["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_bundle_digest_compares_two_files(tmp_path):
+    script = REPO / "scripts" / "bundle_digest.py"
+    (tmp_path / "a.jsonl").write_text("1\n")
+    (tmp_path / "b.jsonl").write_text("2\n")
+    (tmp_path / "c.jsonl").write_text("1\n")
+
+    def run(*paths):
+        return subprocess.run(
+            [sys.executable, str(script), *map(str, paths)], capture_output=True, text=True
+        )
+
+    single = run(tmp_path / "a.jsonl")
+    assert (single.returncode, single.stdout) == (0, f"{sha256(b'1' + bytes([10]))}  a.jsonl\n")
+    differ = run(tmp_path / "a.jsonl", tmp_path / "b.jsonl")
+    assert differ.returncode == 1
+    assert differ.stdout.splitlines() == [
+        f"a.jsonl  {sha256(bytes([49, 10]))}  {sha256(bytes([50, 10]))}",
+        "differ (1): a.jsonl",
+    ]
+    same = run(tmp_path / "a.jsonl", tmp_path / "c.jsonl")
+    assert (same.returncode, same.stdout.splitlines()[-1]) == (0, "differ (0): none")
