@@ -12,7 +12,7 @@ nonparametric bootstrap as a cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -37,7 +37,7 @@ from .errors import (
     SingularInformation,
 )
 from .metrics import predicted_same
-from .schema import AttributeSchema
+from .schema import AttributeDef, AttributeSchema
 
 #: Any coefficient beyond this magnitude (log-odds) is treated as separation.
 COEF_LIMIT = 30.0
@@ -258,6 +258,54 @@ def _two_sided_p(estimate: float, std_error: float) -> float:
     return math.erfc(abs(estimate / std_error) / math.sqrt(2))
 
 
+def _effects(
+    X: np.ndarray,
+    beta: np.ndarray,
+    design: DesignMatrix,
+    schema: AttributeSchema,
+    gradients: bool,
+) -> list[tuple[AttributeDef, str | None, float, np.ndarray | None]]:
+    """Mean marginal effects as shifts of one linear predictor ``X @ beta``.
+
+    One ``(attribute, level, estimate, gradient)`` row per effect, in schema
+    order and then design-column order; ``level`` is None for a continuous
+    attribute. The gradient with respect to ``beta`` (for the delta method)
+    is computed only when ``gradients`` is set, and is None otherwise.
+    """
+    n = X.shape[0]
+    eta = X @ beta
+    mu = expit(eta)
+    d1 = mu * (1.0 - mu)
+    out: list[tuple[AttributeDef, str | None, float, np.ndarray | None]] = []
+    for attr in schema.attributes:
+        if attr.is_categorical:
+            # every row at the reference level: drop the attribute's terms
+            col_map = design.categorical_columns[attr.name]
+            idxs = list(col_map.values())
+            eta_ref = eta - X[:, idxs] @ beta[idxs]
+            mu_ref = expit(eta_ref)
+            d_ref = mu_ref * (1.0 - mu_ref)
+            for level, j in col_map.items():
+                mu_lvl = expit(eta_ref + beta[j])
+                grad = None
+                if gradients:
+                    d_lvl = mu_lvl * (1.0 - mu_lvl)
+                    grad = ((d_lvl - d_ref) @ X) / n
+                    grad[idxs] = 0.0
+                    grad[j] = d_lvl.mean()
+                out.append((attr, level, float(np.mean(mu_lvl - mu_ref)), grad))
+        else:
+            j = design.continuous_columns[attr.name]
+            _, scale = design.standardization[attr.name]
+            grad = None
+            if gradients:
+                d2 = d1 * (1.0 - 2.0 * mu)
+                grad = beta[j] * (d2 @ X) / n / scale
+                grad[j] += float(d1.mean()) / scale
+            out.append((attr, None, float(beta[j] * d1.mean() / scale), grad))
+    return out
+
+
 def marginal_effects(
     fit: LogitFit,
     design: DesignMatrix,
@@ -266,73 +314,36 @@ def marginal_effects(
 ) -> list[MarginalEffect]:
     """Mean marginal effects of every covariate, in probability points.
 
-    For a categorical level, the average over rows of sigma(x with the
-    attribute set to that level) - sigma(x with it set to the reference),
-    everything else held fixed. For a continuous attribute, the average
-    derivative of the response probability, rescaled to one original unit.
-    Standard errors come from the delta method on the fit covariance;
-    p-values from the two-sided normal test.
+    Every effect is a shift of the one linear predictor ``eta = X @ beta``.
+    For a categorical level, the average over rows of sigma(eta_ref +
+    beta_level) - sigma(eta_ref), where ``eta_ref`` is ``eta`` less the
+    attribute's own dummy terms: each row moved to that level and to the
+    reference, everything else held fixed. For a continuous attribute, the
+    average derivative of the response probability, rescaled to one original
+    unit. Standard errors come from the delta method on the fit covariance,
+    with the gradient of each effect taken analytically from the same
+    ``eta``; p-values from the two-sided normal test.
     """
     if not fit.converged:
         raise NotConverged("marginal effects need a converged fit")
-    X = design.X
-    beta = fit.beta
     cov = fit.covariance
     out: list[MarginalEffect] = []
-
-    for attr in schema.attributes:
-        if attr.is_categorical:
-            col_map = design.categorical_columns[attr.name]
-            idxs = list(col_map.values())
-            x_ref = X.copy()
-            x_ref[:, idxs] = 0.0
-            eta_ref = x_ref @ beta
-            mu_ref = expit(eta_ref)
-            d_ref = mu_ref * (1.0 - mu_ref)
-            for level, j in col_map.items():
-                x_lvl = x_ref.copy()
-                x_lvl[:, j] = 1.0
-                eta_lvl = x_lvl @ beta
-                mu_lvl = expit(eta_lvl)
-                d_lvl = mu_lvl * (1.0 - mu_lvl)
-                estimate = float(np.mean(mu_lvl - mu_ref))
-                grad = (d_lvl[:, None] * x_lvl - d_ref[:, None] * x_ref).mean(axis=0)
-                std_error = math.sqrt(max(float(grad @ cov @ grad), 0.0))
-                p_value = _two_sided_p(estimate, std_error)
-                out.append(
-                    MarginalEffect(
-                        attribute=attr.name,
-                        level=level,
-                        unit=None,
-                        estimate=estimate,
-                        std_error=std_error,
-                        p_value=p_value,
-                        significant=p_value < alpha,
-                    )
-                )
-        else:
-            j = design.continuous_columns[attr.name]
-            _, scale = design.standardization[attr.name]
-            eta = X @ beta
-            mu = expit(eta)
-            d1 = mu * (1.0 - mu)
-            d2 = d1 * (1.0 - 2.0 * mu)
-            estimate = float(beta[j] * d1.mean() / scale)
-            grad = (beta[j] * (d2[:, None] * X)).mean(axis=0) / scale
-            grad[j] += float(d1.mean()) / scale
-            std_error = math.sqrt(max(float(grad @ cov @ grad), 0.0))
-            p_value = _two_sided_p(estimate, std_error)
-            out.append(
-                MarginalEffect(
-                    attribute=attr.name,
-                    level=None,
-                    unit=attr.kind.unit,
-                    estimate=estimate,
-                    std_error=std_error,
-                    p_value=p_value,
-                    significant=p_value < alpha,
-                )
+    for attr, level, estimate, grad in _effects(
+        design.X, fit.beta, design, schema, gradients=True
+    ):
+        std_error = math.sqrt(max(float(grad @ cov @ grad), 0.0))
+        p_value = _two_sided_p(estimate, std_error)
+        out.append(
+            MarginalEffect(
+                attribute=attr.name,
+                level=level,
+                unit=None if attr.is_categorical else attr.kind.unit,
+                estimate=estimate,
+                std_error=std_error,
+                p_value=p_value,
+                significant=p_value < alpha,
             )
+        )
     return out
 
 
@@ -343,7 +354,6 @@ def effect_key(effect: MarginalEffect) -> tuple[str, str | None]:
 def bootstrap_marginal_effects(
     design: DesignMatrix,
     schema: AttributeSchema,
-    alpha: float = 0.05,
     n_boot: int = 500,
     seed: int = 0,
     max_iter: int = 50,
@@ -352,12 +362,16 @@ def bootstrap_marginal_effects(
     """Bootstrap standard errors for the mean marginal effects.
 
     Rows are resampled with replacement ``n_boot`` times on independent
-    seed-derived streams; the model is refitted and the effects recomputed on
-    each resample. Resamples that lose a dummy level, lose the response
-    variation, or hit separation are skipped. Returns the per-effect standard
-    deviations (ddof=1) and the number of resamples actually used.
+    seed-derived streams; the model is refitted on each resample and only
+    the effect estimates are recomputed, as shifts of the refit's ``X @
+    beta`` (no gradients or standard errors per resample). Resamples that
+    lose a dummy level, lose the response variation, or hit separation are
+    skipped. Returns the per-effect standard deviations (ddof=1) and the
+    number of resamples actually used; an effect with fewer than two usable
+    resamples has no standard error and is left out.
     """
     children = np.random.SeedSequence(seed).spawn(n_boot)
+    dummy_cols = [j for cols in design.categorical_columns.values() for j in cols.values()]
     samples: dict[tuple[str, str | None], list[float]] = {}
     used = 0
     n = design.n
@@ -367,35 +381,23 @@ def bootstrap_marginal_effects(
         xb, yb = design.X[idx], design.y[idx]
         if yb.min() == yb.max():
             continue
-        if any(
-            xb[:, j].sum() == 0
-            for cols in design.categorical_columns.values()
-            for j in cols.values()
-        ):
+        if (xb[:, dummy_cols].sum(axis=0) == 0).any():
             continue
-        design_b = DesignMatrix(
-            X=xb,
-            y=yb,
-            columns=design.columns,
-            categorical_columns=design.categorical_columns,
-            continuous_columns=design.continuous_columns,
-            standardization=design.standardization,
-            subset=design.subset,
-        )
         try:
-            fit_b = fit_logit(design_b, max_iter=max_iter, tol=tol)
+            fit_b = fit_logit(replace(design, X=xb, y=yb), max_iter=max_iter, tol=tol)
         except (QuasiSeparation, SingularInformation):
             continue
         if not fit_b.converged:
             continue
-        for effect in marginal_effects(fit_b, design_b, schema, alpha):
-            samples.setdefault(effect_key(effect), []).append(effect.estimate)
+        for attr, level, estimate, _ in _effects(xb, fit_b.beta, design, schema, gradients=False):
+            samples.setdefault((attr.name, level), []).append(estimate)
         used += 1
 
-    ses = {}
-    for key, values in samples.items():
-        arr = np.array(values)
-        ses[key] = float(arr.std(ddof=1)) if len(arr) > 1 else math.nan
+    ses = {
+        key: float(np.array(values).std(ddof=1))
+        for key, values in samples.items()
+        if len(values) > 1
+    }
     return ses, used
 
 

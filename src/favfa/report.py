@@ -344,7 +344,6 @@ def run_analysis(config: AnalysisConfig) -> AnalysisResult:
             ses, _ = bootstrap_marginal_effects(
                 designs[m],
                 schema,
-                config.alpha,
                 n_boot=config.bootstrap,
                 seed=named_seed(config.seed, f"bootstrap:{m}"),
             )

@@ -172,8 +172,17 @@ def _parse_bins(name: str, raw: object) -> tuple[tuple[float, float], ...]:
         if not isinstance(entry, list) or len(entry) != 2:
             raise ParseError(f"attribute {name!r}: each bin must be a [lo, hi] pair")
         lo, hi = entry
-        out.append((float(lo), math.inf if hi is None else float(hi)))
+        out.append((_bound(name, lo), math.inf if hi is None else _bound(name, hi)))
     return tuple(out)
+
+
+def _bound(name: str, value: object) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(
+            f"attribute {name!r}: bin bound {value!r} cannot be read as a number"
+        ) from None
 
 
 def _parse_attribute(entry: object) -> AttributeDef:

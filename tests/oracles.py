@@ -13,6 +13,7 @@ import math
 
 import mpmath as mp
 import numpy as np
+from scipy.special import expit
 
 
 def tally_groups(rows):
@@ -143,6 +144,43 @@ def ame_categorical_fd(x, beta, column_indices, level_column):
         eta_lvl = float(np.dot(lvl, beta))
         diffs.append(1.0 / (1.0 + math.exp(-eta_lvl)) - 1.0 / (1.0 + math.exp(-eta_ref)))
     return math.fsum(diffs) / len(diffs)
+
+
+def marginal_effects_copy(design, beta, cov, schema):
+    """Mean marginal effects and delta-method SEs from counterfactual copies
+    of the whole design: for each categorical attribute a copy with its
+    dummies zeroed (the reference) and, per level, a copy with that dummy
+    set; continuous effects from the average derivative. Returns
+    ``[((attribute, level), estimate, std_error)]`` in schema order, level
+    None for a continuous attribute."""
+    x = design.X
+    out = []
+    for attr in schema.attributes:
+        if attr.is_categorical:
+            col_map = design.categorical_columns[attr.name]
+            x_ref = x.copy()
+            x_ref[:, list(col_map.values())] = 0.0
+            mu_ref = expit(x_ref @ beta)
+            d_ref = mu_ref * (1.0 - mu_ref)
+            for level, j in col_map.items():
+                x_lvl = x_ref.copy()
+                x_lvl[:, j] = 1.0
+                mu_lvl = expit(x_lvl @ beta)
+                d_lvl = mu_lvl * (1.0 - mu_lvl)
+                estimate = float(np.mean(mu_lvl - mu_ref))
+                grad = (d_lvl[:, None] * x_lvl - d_ref[:, None] * x_ref).mean(axis=0)
+                out.append(((attr.name, level), estimate, math.sqrt(max(grad @ cov @ grad, 0.0))))
+        else:
+            j = design.continuous_columns[attr.name]
+            _, scale = design.standardization[attr.name]
+            mu = expit(x @ beta)
+            d1 = mu * (1.0 - mu)
+            d2 = d1 * (1.0 - 2.0 * mu)
+            estimate = float(beta[j] * d1.mean() / scale)
+            grad = (beta[j] * (d2[:, None] * x)).mean(axis=0) / scale
+            grad[j] += float(d1.mean()) / scale
+            out.append(((attr.name, None), estimate, math.sqrt(max(grad @ cov @ grad, 0.0))))
+    return out
 
 
 def ame_continuous_fd(x, beta, column, scale, h=1e-6):

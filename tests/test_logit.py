@@ -9,13 +9,27 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import image, pair
-from favfa.data import ImageTable, Label, PairCovariates, Subset, covariates_for_pairs
-from favfa.errors import ConstantColumn, EmptySubset, NotConverged, QuasiSeparation
+from favfa.data import (
+    CROSS_LEVEL,
+    ImageTable,
+    Label,
+    PairCovariates,
+    Subset,
+    covariates_for_pairs,
+)
+from favfa.errors import (
+    ConstantColumn,
+    EmptySubset,
+    NotConverged,
+    QuasiSeparation,
+    SingularInformation,
+)
 from favfa.logit import (
     DesignMatrix,
     LogitFit,
     bootstrap_marginal_effects,
     build_design,
+    effect_key,
     fit_logit,
     interpret,
     marginal_effects,
@@ -395,6 +409,144 @@ def test_bootstrap_deterministic():
     first, _ = bootstrap_marginal_effects(design, X_SCHEMA, n_boot=120, seed=3)
     second, _ = bootstrap_marginal_effects(design, X_SCHEMA, n_boot=120, seed=3)
     assert first == second
+
+
+def test_bootstrap_single_resample_has_no_standard_errors():
+    # one usable resample gives no spread: every effect is left out, not NaN
+    ses, used = bootstrap_marginal_effects(design_2x2(25, 40, 15, 40), X_SCHEMA, n_boot=1)
+    assert (ses, used) == ({}, 1)
+
+
+# --- marginal effects against the copy-based oracle ---
+
+
+def random_design(seed, n, a_levels, b_levels, n_continuous, coef_scale):
+    """A design as build_design lays it out: intercept; attribute ``a``'s
+    non-reference levels and ``Cross``; attribute ``b``'s non-reference
+    levels; standardized continuous columns. Every level occurs. The
+    response is drawn from the logit with coefficients ``coef_scale`` times
+    standard normals, which are returned with a random covariance."""
+    rng = np.random.default_rng(seed)
+    a_names = tuple(f"a{i}" for i in range(a_levels))
+    b_names = tuple(f"b{i}" for i in range(b_levels))
+    continuous = tuple(f"z{k}" for k in range(n_continuous))
+    schema = AttributeSchema(
+        (
+            AttributeDef("a", Categorical(a_names, "a0"), Scope.IDENTITY),
+            AttributeDef("b", Categorical(b_names, "b0"), Scope.IMAGE),
+            *(AttributeDef(name, Continuous("units"), Scope.IMAGE) for name in continuous),
+        )
+    )
+    columns, blocks = ["intercept"], [np.ones(n)]
+    categorical_columns = {}
+    for name, levels in (("a", a_names[1:] + (CROSS_LEVEL,)), ("b", b_names[1:])):
+        codes = rng.integers(0, len(levels) + 1, n)  # 0 is the reference
+        codes[: len(levels) + 1] = np.arange(len(levels) + 1)
+        col_map = {}
+        for code, level in enumerate(levels, start=1):
+            col_map[level] = len(columns)
+            columns.append(f"{name}={level}")
+            blocks.append((codes == code).astype(float))
+        categorical_columns[name] = col_map
+    continuous_columns, standardization = {}, {}
+    for name in continuous:
+        raw = rng.normal(rng.uniform(-50, 50), rng.uniform(0.1, 20), n)
+        mean, std = float(raw.mean()), float(raw.std())
+        continuous_columns[name] = len(columns)
+        standardization[name] = (mean, std)
+        columns.append(name)
+        blocks.append((raw - mean) / std)
+    X = np.column_stack(blocks)
+    p = X.shape[1]
+    beta = coef_scale * rng.normal(size=p)
+    root = rng.normal(size=(p, p))
+    cov = root @ root.T / (p * n)
+    y = (rng.random(n) < 1 / (1 + np.exp(-(X @ beta)))).astype(float)
+    design = DesignMatrix(
+        X=X, y=y, columns=tuple(columns), categorical_columns=categorical_columns,
+        continuous_columns=continuous_columns, standardization=standardization,
+        subset=Subset.NEGATIVES,
+    )
+    return schema, design, beta, cov
+
+
+def assert_close(got, want):
+    # the two formulas sum the same terms in another order
+    assert abs(got - want) <= max(1e-12 * abs(want), 1e-15), (got, want)
+
+
+design_params = (
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 4),
+    st.integers(2, 3),
+    st.integers(1, 2),
+)
+
+
+@given(*design_params, st.integers(20, 400), st.floats(0.0, 3.0))
+@settings(max_examples=80, deadline=None)
+def test_marginal_effects_equal_copy_oracle(seed, a_levels, b_levels, n_continuous, n, coef_scale):
+    schema, design, beta, cov = random_design(
+        seed, n, a_levels, b_levels, n_continuous, coef_scale
+    )
+    fit = LogitFit(
+        beta=beta, covariance=cov, log_likelihood=0.0, iterations=0, converged=True,
+        columns=design.columns, ll_trace=(),
+    )
+    effects = marginal_effects(fit, design, schema)
+    want = oracles.marginal_effects_copy(design, beta, cov, schema)
+    assert [effect_key(e) for e in effects] == [key for key, _, _ in want]
+    for effect, (_, estimate, std_error) in zip(effects, want):
+        assert_close(effect.estimate, estimate)
+        assert_close(effect.std_error, std_error)
+
+
+def bootstrap_copy_oracle(design, schema, n_boot, seed):
+    """bootstrap_marginal_effects' resampling loop, with each resample's
+    estimates from the copy-based oracle."""
+    samples, used, n = {}, 0, design.n
+    for child in np.random.SeedSequence(seed).spawn(n_boot):
+        idx = np.random.default_rng(child).integers(0, n, size=n)
+        xb, yb = design.X[idx], design.y[idx]
+        if yb.min() == yb.max() or any(
+            xb[:, j].sum() == 0
+            for cols in design.categorical_columns.values()
+            for j in cols.values()
+        ):
+            continue
+        design_b = DesignMatrix(
+            X=xb, y=yb, columns=design.columns,
+            categorical_columns=design.categorical_columns,
+            continuous_columns=design.continuous_columns,
+            standardization=design.standardization, subset=design.subset,
+        )
+        try:
+            fit_b = fit_logit(design_b)
+        except (QuasiSeparation, SingularInformation):
+            continue
+        if not fit_b.converged:
+            continue
+        for key, estimate, _ in oracles.marginal_effects_copy(
+            design_b, fit_b.beta, fit_b.covariance, schema
+        ):
+            samples.setdefault(key, []).append(estimate)
+        used += 1
+    ses = {key: float(np.std(v, ddof=1)) for key, v in samples.items() if len(v) > 1}
+    return ses, used
+
+
+@given(*design_params, st.integers(60, 200), st.floats(0.0, 1.5), st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_bootstrap_equals_copy_oracle_loop(
+    seed, a_levels, b_levels, n_continuous, n, coef_scale, boot_seed
+):
+    schema, design, _, _ = random_design(seed, n, a_levels, b_levels, n_continuous, coef_scale)
+    ses, used = bootstrap_marginal_effects(design, schema, n_boot=10, seed=boot_seed)
+    want, want_used = bootstrap_copy_oracle(design, schema, 10, boot_seed)
+    assert used == want_used
+    assert ses.keys() == want.keys()
+    for key, se in ses.items():
+        assert_close(se, want[key])
 
 
 # --- reporting helpers ---

@@ -215,6 +215,52 @@ def test_demo_bundle_pinned(tmp_path, flags):
         assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest, name
 
 
+#: sha256 of marginal_effects.csv for ``favfa analyze --bootstrap 20`` on
+#: data/demo: the delta-method and bootstrap columns, pinned for determinism.
+BOOTSTRAP_EFFECTS_PIN = "521d699e87f14f84cc20d1389c1e8c8bfcabd628fa2b46883ddd548ec2739e1d"
+
+
+def test_demo_bootstrap_effects_pinned(tmp_path):
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, demo_args(DEMO / "pairs.csv", out) + ["--bootstrap", "20"])
+    assert result.exit_code == 0, result.output
+    assert sha256((out / "marginal_effects.csv").read_bytes()) == BOOTSTRAP_EFFECTS_PIN
+
+
+def test_cli_analyze_single_bootstrap_resample(tmp_path):
+    # one resample gives no spread, so no bootstrap SE: null, as with no bootstrap
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, demo_args(DEMO / "pairs.csv", out) + ["--bootstrap", "1"])
+    assert result.exit_code == 0, result.output
+    assert "Traceback" not in result.output + result.stderr
+    effects = json.loads((out / "marginal_effects.json").read_text())
+    rows = [row for model in effects.values() for row in model]
+    assert rows and all(row["bootstrap_se"] is None for row in rows)
+    lines = (out / "marginal_effects.csv").read_text().splitlines()
+    assert lines[0].endswith(",bootstrap_se")
+    assert all(line.endswith(",") for line in lines[1:])
+
+
+def bad_bins_schema(tmp_path: Path) -> Path:
+    payload = json.loads((DEMO / "schema.json").read_text())
+    age = next(a for a in payload["attributes"] if a["name"] == "age")
+    age["bins"] = [["a", 1]]
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize("command", ["analyze", "diversity"])
+def test_cli_non_numeric_bins_exit_1(tmp_path, command):
+    args = ["--schema", str(bad_bins_schema(tmp_path)), "--images", str(DEMO / "images.csv")]
+    if command == "analyze":
+        args += ["--pairs", str(DEMO / "pairs.csv"), "--out", str(tmp_path / "out")]
+    result = CliRunner().invoke(main, [command, *args])
+    assert_one_json_error(result, "ParseError")
+    assert "'age'" in json.loads(result.stderr)["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_bundle_digest_lists_differing_files(tmp_path):
     script = REPO / "scripts" / "bundle_digest.py"
     for side in ("a", "b"):
@@ -531,3 +577,33 @@ def test_bundle_digest_compares_two_files(tmp_path):
     ]
     same = run(tmp_path / "a.jsonl", tmp_path / "c.jsonl")
     assert (same.returncode, same.stdout.splitlines()[-1]) == (0, "differ (0): none")
+
+
+def test_bundle_digest_reports_numeric_differences(tmp_path):
+    script = REPO / "scripts" / "bundle_digest.py"
+    for side, se, flag in (("a", "0.25", "yes"), ("b", "0.2500000000000001", "yes"),
+                           ("c", "0.2500000000000001", "no")):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "effects.csv").write_text(f"x,se,significant\n-0.0,{se},{flag}\n")
+        (tmp_path / side / "effects.json").write_text(
+            json.dumps({"se": [float(se), None], "significant": flag == "yes"})
+        )
+    (tmp_path / "c" / "effects.json").write_text(json.dumps({"se": [0.25]}))
+
+    def lines(first, second):
+        result = subprocess.run(
+            [sys.executable, str(script), str(tmp_path / first), str(tmp_path / second)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 1
+        return {line.split()[0]: line.split("  ", 3)[3] for line in result.stdout.splitlines()[:-1]}
+
+    rel = f"{(0.2500000000000001 - 0.25) / 0.2500000000000001:.2e}"
+    assert lines("a", "b") == {
+        "effects.csv": f"max relative difference {rel}, non-numeric differences 0",
+        "effects.json": f"max relative difference {rel}, non-numeric differences 0",
+    }
+    assert lines("a", "c") == {
+        "effects.csv": f"max relative difference {rel}, non-numeric differences 1",
+        "effects.json": "layouts differ",
+    }

@@ -87,6 +87,19 @@ def test_noncontiguous_bins_invalid():
         AttributeDef("age", Continuous("years"), Scope.IMAGE, ((0.0, 10.0), (20.0, 30.0)))
 
 
+@pytest.mark.parametrize(
+    ("bins", "shown"),
+    [([["a", 1]], "'a'"), ([[0, "b"]], "'b'"), ([[None, 1]], "None"),
+     ([[[0], 1]], "[0]"), ([[0, {}]], "{}"), ([[0, 10**400]], "cannot be read")],
+)
+def test_non_numeric_bin_bound_parse_error(tmp_path, bins, shown):
+    payload = json.loads(json.dumps(VALID))
+    payload["attributes"][2]["bins"] = bins
+    with pytest.raises(ParseError, match="attribute 'age'") as info:
+        load_schema(write_schema(tmp_path, payload))
+    assert shown in str(info.value)
+
+
 def test_bins_on_categorical_invalid():
     with pytest.raises(SchemaInvalid):
         AttributeDef(
