@@ -9,9 +9,10 @@ weights CSV. With two paths, each line reads ``<name>  <sha256 in PATH>
 <sha256 in PATH2>``, with ``-`` for a file that one side lacks, and the last
 line lists the files whose bytes differ; two files are compared with each
 other under the first one's name. The exit code is 0 when both sides are
-byte-identical and 1 otherwise. ``run_manifest.json`` records the input
-paths, so it differs between runs that read the same inputs from different
-places.
+byte-identical, 1 otherwise, and 2 on a usage error (a wrong number of
+arguments, or a PATH that does not exist). ``run_manifest.json`` records the
+input paths, so it differs between runs that read the same inputs from
+different places.
 
 For a ``.csv`` or ``.json`` file whose bytes differ, the line goes on with
 the largest relative difference ``|a - b| / max(|a|, |b|)`` between the
@@ -31,6 +32,9 @@ import json
 import math
 import sys
 from pathlib import Path
+
+
+USAGE = "usage: bundle_digest.py PATH [PATH2]"
 
 
 def digests(path: Path) -> dict[str, str]:
@@ -110,8 +114,12 @@ def numeric_difference(a: Path, b: Path) -> str:
 def main(argv: list[str]) -> int:
     if len(argv) not in (1, 2):
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
-        print("usage: bundle_digest.py PATH [PATH2]", file=sys.stderr)
+        print(USAGE, file=sys.stderr)
         return 2
+    for arg in argv:
+        if not Path(arg).exists():
+            print(f"{USAGE}: no such file or directory: {arg}", file=sys.stderr)
+            return 2
     first = digests(Path(argv[0]))
     if len(argv) == 1:
         for name, digest in first.items():

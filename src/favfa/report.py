@@ -97,6 +97,7 @@ class AnalysisResult:
     designs: dict[str, DesignMatrix]
     effects: dict[str, list[MarginalEffect]]
     bootstrap_se: dict[str, dict[tuple[str, str | None], float]]
+    bootstrap_used: dict[str, int]  # resamples used per model, empty without a bootstrap
     anova: dict[str, AnovaTable]
     diagnostics: dict[str, ResidualDiagnostics]
     outputs: dict[str, Path] = field(default_factory=dict)
@@ -263,8 +264,10 @@ def _diagnostics_json(diag: ResidualDiagnostics) -> dict:
     }
 
 
-def _manifest(config: AnalysisConfig, outputs: list[str]) -> dict:
-    return {
+def _manifest(
+    config: AnalysisConfig, outputs: list[str], bootstrap_used: dict[str, int]
+) -> dict:
+    manifest = {
         "inputs": {
             "schema": {"path": str(config.schema_path), "sha256": sha256_hex(config.schema_path)},
             "images": {"path": str(config.images_path), "sha256": sha256_hex(config.images_path)},
@@ -290,6 +293,9 @@ def _manifest(config: AnalysisConfig, outputs: list[str]) -> dict:
             "python": platform.python_version(),
         },
     }
+    if config.bootstrap > 0:
+        manifest["bootstrap"] = {"requested": config.bootstrap, "used": bootstrap_used}
+    return manifest
 
 
 def run_analysis(config: AnalysisConfig) -> AnalysisResult:
@@ -339,15 +345,15 @@ def run_analysis(config: AnalysisConfig) -> AnalysisResult:
         for m in sorted(fits)
     }
     bootstrap_se: dict[str, dict[tuple[str, str | None], float]] = {}
+    bootstrap_used: dict[str, int] = {}
     if config.bootstrap > 0:
         for m in sorted(fits):
-            ses, _ = bootstrap_marginal_effects(
+            bootstrap_se[m], bootstrap_used[m] = bootstrap_marginal_effects(
                 designs[m],
                 schema,
                 n_boot=config.bootstrap,
                 seed=named_seed(config.seed, f"bootstrap:{m}"),
             )
-            bootstrap_se[m] = ses
     diagnostics = {
         m: simulate_residuals(
             fits[m], designs[m], seed=named_seed(config.seed, f"diagnostics:{m}")
@@ -361,6 +367,7 @@ def run_analysis(config: AnalysisConfig) -> AnalysisResult:
         designs=designs,
         effects=effects,
         bootstrap_se=bootstrap_se,
+        bootstrap_used=bootstrap_used,
         anova=anova_tables,
         diagnostics=diagnostics,
     )
@@ -385,7 +392,7 @@ def run_analysis(config: AnalysisConfig) -> AnalysisResult:
         ),
     }
     files["run_manifest.json"] = canonical_json(
-        _manifest(config, [*files.keys(), "run_manifest.json"])
+        _manifest(config, [*files.keys(), "run_manifest.json"], bootstrap_used)
     )
 
     out_dir = Path(config.out_dir)

@@ -4,16 +4,22 @@ Everything here is written from the definitions, without reusing library
 code paths: plain dict tallies, loop-based sweeps, mpmath for high-precision
 constants, and pinv-projection regressions. Group metrics mirror the library
 formulas term by term (over canonically sorted groups) so integer-count
-inputs reproduce exactly.
+inputs reproduce exactly. The logit fit and its bootstrap are kept as they
+were computed on row copies of each resample, before frequency weights.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, replace
 
 import mpmath as mp
 import numpy as np
 from scipy.special import expit
+
+from favfa.errors import DegenerateResponse, QuasiSeparation, SingularInformation
+
+COEF_LIMIT = 30.0
 
 
 def tally_groups(rows):
@@ -146,13 +152,13 @@ def ame_categorical_fd(x, beta, column_indices, level_column):
     return math.fsum(diffs) / len(diffs)
 
 
-def marginal_effects_copy(design, beta, cov, schema):
-    """Mean marginal effects and delta-method SEs from counterfactual copies
-    of the whole design: for each categorical attribute a copy with its
-    dummies zeroed (the reference) and, per level, a copy with that dummy
-    set; continuous effects from the average derivative. Returns
-    ``[((attribute, level), estimate, std_error)]`` in schema order, level
-    None for a continuous attribute."""
+def effect_gradients_copy(design, beta, schema):
+    """Mean marginal effects and their gradients with respect to ``beta``
+    from counterfactual copies of the whole design: for each categorical
+    attribute a copy with its dummies zeroed (the reference) and, per level,
+    a copy with that dummy set; continuous effects from the average
+    derivative. Returns ``[((attribute, level), estimate, gradient)]`` in
+    schema order, level None for a continuous attribute."""
     x = design.X
     out = []
     for attr in schema.attributes:
@@ -169,7 +175,7 @@ def marginal_effects_copy(design, beta, cov, schema):
                 d_lvl = mu_lvl * (1.0 - mu_lvl)
                 estimate = float(np.mean(mu_lvl - mu_ref))
                 grad = (d_lvl[:, None] * x_lvl - d_ref[:, None] * x_ref).mean(axis=0)
-                out.append(((attr.name, level), estimate, math.sqrt(max(grad @ cov @ grad, 0.0))))
+                out.append(((attr.name, level), estimate, grad))
         else:
             j = design.continuous_columns[attr.name]
             _, scale = design.standardization[attr.name]
@@ -179,8 +185,159 @@ def marginal_effects_copy(design, beta, cov, schema):
             estimate = float(beta[j] * d1.mean() / scale)
             grad = (beta[j] * (d2[:, None] * x)).mean(axis=0) / scale
             grad[j] += float(d1.mean()) / scale
-            out.append(((attr.name, None), estimate, math.sqrt(max(grad @ cov @ grad, 0.0))))
+            out.append(((attr.name, None), estimate, grad))
     return out
+
+
+def marginal_effects_copy(design, beta, cov, schema):
+    """``effect_gradients_copy`` with delta-method SEs in place of the
+    gradients: ``[((attribute, level), estimate, std_error)]``."""
+    return [
+        (key, estimate, math.sqrt(max(grad @ cov @ grad, 0.0)))
+        for key, estimate, grad in effect_gradients_copy(design, beta, schema)
+    ]
+
+
+@dataclass
+class RowCopyFit:
+    beta: np.ndarray
+    covariance: np.ndarray
+    log_likelihood: float
+    iterations: int
+    converged: bool
+    ll_trace: tuple[float, ...]
+
+
+def _solve_spd(hessian, rhs):
+    try:
+        chol = np.linalg.cholesky(hessian)
+    except np.linalg.LinAlgError as exc:
+        raise SingularInformation("weighted normal equations are rank-deficient") from exc
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+
+
+def fit_logit_rowcopy(X, y, subset="positives", max_iter=50, tol=1e-8):
+    """The logit fit as it was before frequency weights: one Newton-IRLS
+    loop over the rows of one (possibly resampled and copied) design, with
+    step halving, the separation tests and the same exceptions and
+    messages."""
+    n, p = X.shape
+    if n <= p:
+        raise DegenerateResponse(f"{subset}: need more rows ({n}) than columns ({p})")
+    if y.min() == y.max():
+        raise DegenerateResponse(f"{subset}: response takes a single value; no model to fit")
+
+    def log_likelihood(eta):
+        return float(np.dot(y, eta) - np.sum(np.logaddexp(0.0, eta)))
+
+    beta = np.zeros(p)
+    eta = X @ beta
+    mu = expit(eta)
+    ll = log_likelihood(eta)
+    trace = [ll]
+    converged, iterations, prev_norm, growing = False, 0, 0.0, False
+    for _ in range(max_iter):
+        grad = X.T @ (y - mu)
+        if np.max(np.abs(grad)) < tol:
+            converged = True
+            break
+        w = mu * (1.0 - mu)
+        delta = _solve_spd((X * w[:, None]).T @ X, grad)
+        step = 1.0
+        for _ in range(40):
+            candidate = beta + step * delta
+            eta_c = X @ candidate
+            ll_c = log_likelihood(eta_c)
+            if ll_c >= ll - 1e-12 * max(1.0, abs(ll)):
+                break
+            step /= 2
+        beta, eta, ll = candidate, eta_c, ll_c
+        mu = expit(eta)
+        iterations += 1
+        trace.append(ll)
+        if np.max(np.abs(beta)) > COEF_LIMIT:
+            raise QuasiSeparation(
+                f"coefficient magnitude exceeded {COEF_LIMIT} after {iterations} iterations"
+            )
+        norm = float(np.linalg.norm(beta))
+        growing = norm > prev_norm
+        prev_norm = norm
+    else:
+        grad = X.T @ (y - mu)
+        if np.max(np.abs(grad)) < tol:
+            converged = True
+        elif growing:
+            raise QuasiSeparation(
+                f"no convergence after {max_iter} iterations with growing coefficients"
+            )
+    w = mu * (1.0 - mu)
+    covariance = _solve_spd((X * w[:, None]).T @ X, np.eye(p))
+    return RowCopyFit(
+        beta=beta,
+        covariance=(covariance + covariance.T) / 2,
+        log_likelihood=ll,
+        iterations=iterations,
+        converged=converged,
+        ll_trace=tuple(trace),
+    )
+
+
+def bootstrap_rowcopy(design, schema, n_boot, seed, max_iter=50, tol=1e-8):
+    """The bootstrap as it was before frequency weights: each resample's rows
+    copied, refitted with ``fit_logit_rowcopy`` and its effects taken from
+    the copy-based oracle. Returns the per-effect standard deviations, the
+    number of resamples used, and per effect the rounding allowance of its
+    standard deviation.
+
+    The allowance bounds, to first order, how far the standard deviation
+    can move when every resample's sums are taken in another order, as a
+    fit on frequency weights takes them. At a resample's estimate, rounding
+    its score ``X_b' (y_b - mu)`` moves the coefficients by ``cov @ dg``,
+    where ``|dg|`` is at most ``u * colsum(|X_b| * r)`` with, per row,
+    ``r = (n + 1)|y - mu|`` for the n-term sum, plus 2 for the rounding of
+    ``mu`` and ``w (p + 1) |x| @ |beta|`` for that of the linear predictor
+    (``w = mu (1 - mu)``). An effect with gradient ``a`` then moves by at
+    most ``|cov @ a| @ |dg|``, and the standard deviation over the resamples
+    by at most the norm of those moves over ``sqrt(used - 1)``, counted once
+    for each of the two fits. Over well-conditioned resamples the allowance
+    is near 1e-12 of the standard deviation; a near-separated resample,
+    whose information matrix has a condition number near 1e10, allows far
+    more, and only for the effects that depend on its ill-determined
+    coefficients."""
+    unit_roundoff = 2.0**-53
+    samples, moves, used, n = {}, {}, 0, design.n
+    for child in np.random.SeedSequence(seed).spawn(n_boot):
+        idx = np.random.default_rng(child).integers(0, n, size=n)
+        design_b = replace(design, X=design.X[idx], y=design.y[idx])
+        if design_b.y.min() == design_b.y.max() or any(
+            design_b.X[:, j].sum() == 0
+            for cols in design.categorical_columns.values()
+            for j in cols.values()
+        ):
+            continue
+        try:
+            fit = fit_logit_rowcopy(
+                design_b.X, design_b.y, design.subset.value, max_iter=max_iter, tol=tol
+            )
+        except (QuasiSeparation, SingularInformation):
+            continue
+        if not fit.converged:
+            continue
+        abs_x, p = np.abs(design_b.X), design_b.X.shape[1]
+        mu = expit(design_b.X @ fit.beta)
+        w = mu * (1.0 - mu)
+        per_row = (n + 1) * np.abs(design_b.y - mu) + 2.0 + w * (p + 1) * (abs_x @ np.abs(fit.beta))
+        score_rounding = unit_roundoff * (per_row @ abs_x)
+        for key, estimate, grad in effect_gradients_copy(design_b, fit.beta, schema):
+            samples.setdefault(key, []).append(estimate)
+            moves.setdefault(key, []).append(float(np.abs(fit.covariance @ grad) @ score_rounding))
+        used += 1
+    ses, allowances = {}, {}
+    for key, values in samples.items():
+        if len(values) > 1:
+            ses[key] = float(np.std(values, ddof=1))
+            allowances[key] = 2.0 * float(np.linalg.norm(moves[key])) / math.sqrt(len(values) - 1)
+    return ses, used, allowances
 
 
 def ame_continuous_fd(x, beta, column, scale, h=1e-6):

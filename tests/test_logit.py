@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import image, pair
+from favfa import logit
 from favfa.data import (
     CROSS_LEVEL,
     ImageTable,
@@ -19,7 +22,9 @@ from favfa.data import (
 )
 from favfa.errors import (
     ConstantColumn,
+    DegenerateResponse,
     EmptySubset,
+    FavfaError,
     NotConverged,
     QuasiSeparation,
     SingularInformation,
@@ -470,9 +475,10 @@ def random_design(seed, n, a_levels, b_levels, n_continuous, coef_scale):
     return schema, design, beta, cov
 
 
-def assert_close(got, want):
-    # the two formulas sum the same terms in another order
-    assert abs(got - want) <= max(1e-12 * abs(want), 1e-15), (got, want)
+def assert_close(got, want, allowance=0.0):
+    # the two formulas sum the same terms in another order; ``allowance`` is
+    # a bound on what that order can move when the value is ill-conditioned
+    assert abs(got - want) <= max(1e-12 * abs(want), allowance, 1e-15), (got, want, allowance)
 
 
 design_params = (
@@ -501,38 +507,7 @@ def test_marginal_effects_equal_copy_oracle(seed, a_levels, b_levels, n_continuo
         assert_close(effect.std_error, std_error)
 
 
-def bootstrap_copy_oracle(design, schema, n_boot, seed):
-    """bootstrap_marginal_effects' resampling loop, with each resample's
-    estimates from the copy-based oracle."""
-    samples, used, n = {}, 0, design.n
-    for child in np.random.SeedSequence(seed).spawn(n_boot):
-        idx = np.random.default_rng(child).integers(0, n, size=n)
-        xb, yb = design.X[idx], design.y[idx]
-        if yb.min() == yb.max() or any(
-            xb[:, j].sum() == 0
-            for cols in design.categorical_columns.values()
-            for j in cols.values()
-        ):
-            continue
-        design_b = DesignMatrix(
-            X=xb, y=yb, columns=design.columns,
-            categorical_columns=design.categorical_columns,
-            continuous_columns=design.continuous_columns,
-            standardization=design.standardization, subset=design.subset,
-        )
-        try:
-            fit_b = fit_logit(design_b)
-        except (QuasiSeparation, SingularInformation):
-            continue
-        if not fit_b.converged:
-            continue
-        for key, estimate, _ in oracles.marginal_effects_copy(
-            design_b, fit_b.beta, fit_b.covariance, schema
-        ):
-            samples.setdefault(key, []).append(estimate)
-        used += 1
-    ses = {key: float(np.std(v, ddof=1)) for key, v in samples.items() if len(v) > 1}
-    return ses, used
+# --- the frequency-weighted IRLS kernel against the row-copy oracle ---
 
 
 @given(*design_params, st.integers(60, 200), st.floats(0.0, 1.5), st.integers(0, 2**32 - 1))
@@ -542,11 +517,78 @@ def test_bootstrap_equals_copy_oracle_loop(
 ):
     schema, design, _, _ = random_design(seed, n, a_levels, b_levels, n_continuous, coef_scale)
     ses, used = bootstrap_marginal_effects(design, schema, n_boot=10, seed=boot_seed)
-    want, want_used = bootstrap_copy_oracle(design, schema, 10, boot_seed)
+    want, want_used, allowances = oracles.bootstrap_rowcopy(design, schema, 10, boot_seed)
     assert used == want_used
     assert ses.keys() == want.keys()
     for key, se in ses.items():
-        assert_close(se, want[key])
+        assert_close(se, want[key], allowances[key])
+
+
+@given(
+    *design_params, st.integers(8, 80), st.floats(0.0, 4.0), st.integers(1, 50), st.booleans()
+)
+@settings(max_examples=80, deadline=None)
+def test_fit_logit_equals_rowcopy_oracle(
+    seed, a_levels, b_levels, n_continuous, n, coef_scale, max_iter, collinear
+):
+    # small samples and large coefficients: separation, growth until
+    # max_iter, too few rows; a doubled column makes the information singular
+    _, design, _, _ = random_design(seed, n, a_levels, b_levels, n_continuous, coef_scale)
+    if collinear:
+        design = replace(
+            design,
+            X=np.column_stack([design.X, 2.0 * design.X[:, -1]]),
+            columns=(*design.columns, "twice"),
+        )
+    try:
+        want = oracles.fit_logit_rowcopy(design.X, design.y, design.subset.value, max_iter)
+    except FavfaError as exc:
+        with pytest.raises(type(exc)) as raised:
+            fit_logit(design, max_iter=max_iter)
+        assert str(raised.value) == str(exc)
+        return
+    fit = fit_logit(design, max_iter=max_iter)
+    assert (fit.iterations, fit.converged) == (want.iterations, want.converged)
+    assert len(fit.ll_trace) == len(want.ll_trace)
+    for got, ref in ((fit.beta, want.beta), (fit.covariance, want.covariance)):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@given(
+    *design_params,
+    st.integers(8, 40),
+    st.floats(0.0, 4.0),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 13),
+    st.integers(1, 5),
+    st.sampled_from([2, 4, 50]),
+)
+@settings(max_examples=60, deadline=None)
+def test_bootstrap_blocks_equal_rowcopy_oracle(
+    seed, a_levels, b_levels, n_continuous, n, coef_scale, boot_seed, n_boot, block, max_iter
+):
+    # resamples that lose a level or the response variation, separate, or
+    # stop at max_iter, refitted in blocks of ``block`` resamples that need
+    # not divide n_boot, with and without the column-product table
+    schema, design, _, _ = random_design(seed, n, a_levels, b_levels, n_continuous, coef_scale)
+
+    def outcome(bootstrap):
+        try:
+            return bootstrap(design, schema, n_boot=n_boot, seed=boot_seed, max_iter=max_iter)
+        except DegenerateResponse as exc:
+            return str(exc)
+
+    with patch.object(logit, "_BOOT_ELEMENTS", block * n):
+        got = outcome(bootstrap_marginal_effects)
+    want = outcome(oracles.bootstrap_rowcopy)
+    if isinstance(want, str):
+        assert got == want
+        return
+    (ses, used), (want_ses, want_used, allowances) = got, want
+    assert used == want_used
+    assert ses.keys() == want_ses.keys()
+    for key, se in ses.items():
+        assert_close(se, want_ses[key], allowances[key])
 
 
 # --- reporting helpers ---

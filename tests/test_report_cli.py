@@ -82,6 +82,25 @@ def test_run_analysis_threads_do_not_change_bytes(demo_dir, tmp_path, monkeypatc
         assert (tmp_path / "single" / name).read_bytes() == (tmp_path / "multi" / name).read_bytes()
 
 
+def test_run_analysis_threads_do_not_change_bootstrap_bytes(demo_dir, tmp_path, monkeypatch):
+    for threads in ("1", "4"):
+        monkeypatch.setenv("FAVFA_THREADS", threads)
+        run_analysis(config_for(demo_dir, tmp_path / threads, bootstrap=30))
+    for name in BUNDLE:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "4" / name).read_bytes(), name
+
+
+def test_manifest_records_bootstrap_counts(demo_dir, tmp_path):
+    result = run_analysis(config_for(demo_dir, tmp_path / "boot", bootstrap=25))
+    manifest = json.loads((tmp_path / "boot" / "run_manifest.json").read_text())
+    assert manifest["bootstrap"] == {"requested": 25, "used": result.bootstrap_used}
+    assert sorted(result.bootstrap_used) == ["fmr", "tmr"]
+    assert all(0 < used <= 25 for used in result.bootstrap_used.values())
+    run_analysis(config_for(demo_dir, tmp_path / "plain"))
+    manifest = json.loads((tmp_path / "plain" / "run_manifest.json").read_text())
+    assert "bootstrap" not in manifest
+
+
 def test_run_analysis_bootstrap_column(demo_dir, tmp_path):
     result = run_analysis(config_for(demo_dir, tmp_path / "boot", bootstrap=60))
     text = (tmp_path / "boot" / "marginal_effects.csv").read_text()
@@ -217,7 +236,7 @@ def test_demo_bundle_pinned(tmp_path, flags):
 
 #: sha256 of marginal_effects.csv for ``favfa analyze --bootstrap 20`` on
 #: data/demo: the delta-method and bootstrap columns, pinned for determinism.
-BOOTSTRAP_EFFECTS_PIN = "521d699e87f14f84cc20d1389c1e8c8bfcabd628fa2b46883ddd548ec2739e1d"
+BOOTSTRAP_EFFECTS_PIN = "81ed7a3676c9c0bd60651c1a4cdd686b0bb0aeab0975973a97fef54500291bb5"
 
 
 def test_demo_bootstrap_effects_pinned(tmp_path):
@@ -554,6 +573,21 @@ def test_cli_unreadable_input_exit_1(tmp_path, args, target, damage):
     assert_one_json_error(result, "ParseError")
     assert str(paths[target]) in json.loads(result.stderr)["message"]
     assert not (tmp_path / "out").exists()
+
+
+def test_bundle_digest_missing_path_is_a_usage_error(tmp_path):
+    script = REPO / "scripts" / "bundle_digest.py"
+    (tmp_path / "a").mkdir()
+    missing = tmp_path / "nope"
+    for args in ([missing], [tmp_path / "a", missing], [missing, tmp_path / "a"]):
+        result = subprocess.run(
+            [sys.executable, str(script), *map(str, args)], capture_output=True, text=True
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            f"usage: bundle_digest.py PATH [PATH2]: no such file or directory: {missing}"
+        ]
 
 
 def test_bundle_digest_compares_two_files(tmp_path):
