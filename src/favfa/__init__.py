@@ -13,17 +13,14 @@ from .anova import AnovaTable, FactorResult, anova_distances
 from .data import (
     CROSS_LEVEL,
     CovariateFrame,
-    ImageRecord,
-    ImageTable,
+    ImageFrame,
     Label,
-    PairCovariates,
+    LevelCodes,
     PairFrame,
-    PairRecord,
     Subset,
     attribute_frequencies,
     consolidate_identity_attributes,
     covariates_for_pairs,
-    derive_pair_covariates,
     load_images,
     load_pairs,
 )

@@ -11,20 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .data import (
-    CovariateFrame,
-    PairCovariates,
-    PairFrame,
-    PairRecord,
-    Subset,
-    filter_subset,
-    one_hot,
-    pair_columns,
-)
+from .data import CovariateFrame, PairFrame, Subset, filter_subset, one_hot
 from .errors import EmptySubset, SchemaInvalid
 from .schema import AttributeSchema
 
@@ -82,17 +73,13 @@ def _factor_block(
 ) -> np.ndarray:
     """Column block for one factor over the ``rows`` mask: dummies against an
     observed reference level for categorical attributes, one-hot from the
-    level codes, and the raw value for continuous ones."""
+    level codes in code order, and the raw value for continuous ones."""
     attr = schema[attr_name]
     if not attr.is_categorical:
         return covs.continuous[attr_name][rows][:, None]
     col = covs.categorical[attr_name]
     codes = col.codes[rows]
-    rank = {level: i for i, level in enumerate(attr.levels)}
-    observed = sorted(
-        np.flatnonzero(np.bincount(codes, minlength=len(col.levels))).tolist(),
-        key=lambda c: (rank.get(col.levels[c], len(attr.levels)), col.levels[c]),
-    )
+    observed = np.flatnonzero(np.bincount(codes, minlength=len(col.levels))).tolist()
     reference = col.code(attr.reference)
     if reference not in observed:
         reference = observed[0]
@@ -100,8 +87,8 @@ def _factor_block(
 
 
 def anova_distances(
-    pairs: PairFrame | Sequence[PairRecord],
-    covariates: Mapping[str, PairCovariates],
+    frame: PairFrame,
+    covs: CovariateFrame,
     schema: AttributeSchema,
     subset: Subset,
     factor_order: Sequence[str] | None = None,
@@ -117,7 +104,6 @@ def anova_distances(
     adds no rank (constant in the subset, or collinear with its predecessors)
     is dropped with a warning entry instead of failing.
     """
-    frame, covs = pair_columns(pairs, covariates)
     rows = filter_subset(frame, subset)
     if not rows.any():
         raise EmptySubset(f"no pairs with ground truth {subset.ground_truth.value!r}")

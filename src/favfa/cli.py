@@ -15,7 +15,7 @@ from pathlib import Path
 import click
 
 from .data import attribute_frequencies, consolidate_identity_attributes, load_images
-from .errors import FavfaError
+from .errors import FavfaError, ParseError
 from .metrics import diversity
 from .planner import (
     assign_styles,
@@ -134,6 +134,8 @@ def cmd_diversity(schema_path, images_path):
     try:
         schema = load_schema(schema_path)
         images = consolidate_identity_attributes(load_images(images_path, schema), schema)
+        if len(images) == 0:
+            raise ParseError(f"{images_path}: the image table is empty")
         scores = {}
         for attr in schema.attributes:
             freqs = attribute_frequencies(images, schema, attr.name)

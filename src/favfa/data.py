@@ -4,16 +4,14 @@ Tables are immutable after construction; operations that "update" them return
 new tables. CSV files are UTF-8 with a header row, comma delimiter and ``.``
 decimal point. Soft-score columns are named ``attr:level``.
 
-Images and pairs are held as columns. An :class:`ImageFrame` has an identity
-code per image, level codes per categorical attribute, a score matrix per
-soft-scored attribute and a float array per continuous one; a
-:class:`PairFrame` has numpy arrays per pair field, with covariates in a
-:class:`CovariateFrame` of level codes and float arrays. Every statistic
-reads those columns. :class:`ImageRecord`, :class:`PairRecord` and
-:class:`PairCovariates` are the per-row view of the same data: indexing a
-frame gives a record, and functions handed an :class:`ImageTable` of records,
-a sequence of pair records or a ``pair_id -> PairCovariates`` mapping
-convert them into columns first.
+Images and pairs are held as columns, and every stage reads and returns
+those columns. An :class:`ImageFrame` has an identity code per image, level
+codes per categorical attribute, a score matrix per soft-scored attribute
+and a float array per continuous one; a :class:`PairFrame` has numpy arrays
+per pair field, its image columns rows of the image frame it was loaded
+against; a :class:`CovariateFrame` has the pairs' covariates as level codes
+and float arrays. Level codes follow the schema's level order, with the
+``Cross`` sentinel of pair covariates last.
 """
 
 from __future__ import annotations
@@ -22,15 +20,14 @@ import csv
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
 from itertools import islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import MissingAttribute, ParseError, SchemaInvalid, UnresolvedImage
+from .errors import MissingAttribute, ParseError, UnresolvedImage
 from .schema import AttributeDef, AttributeSchema, Scope
 
 #: Sentinel level assigned to a pair whose two sides disagree on an attribute.
@@ -63,38 +60,6 @@ class Subset(str, Enum):
         return Label.SAME if self is Subset.POSITIVES else Label.DIFFERENT
 
 
-@dataclass(frozen=True)
-class ImageRecord:
-    image_id: str
-    identity_id: str
-    values: dict[str, str | float]
-    soft_scores: dict[str, tuple[float, ...]] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class PairRecord:
-    pair_id: str
-    image_a: str
-    image_b: str
-    ground_truth: Label
-    distance: float
-    predicted: Label | None = None
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.distance) or self.distance < 0:
-            raise ParseError(
-                f"pair {self.pair_id!r}: distance must be finite and >= 0, "
-                f"got {self.distance}"
-            )
-
-
-@dataclass(frozen=True)
-class PairCovariates:
-    pair_id: str
-    categorical: dict[str, str]
-    continuous: dict[str, float]
-
-
 @dataclass(frozen=True, eq=False)
 class LevelCodes:
     """One categorical column: row ``i`` has level ``levels[codes[i]]``, or
@@ -118,7 +83,7 @@ class ImageFrame:
     soft-scored attribute an ``(n, k)`` float64 matrix of per-level scores,
     with NaN rows for images that carry none; each continuous attribute a
     float64 array, NaN where the image holds no value. ``index`` maps image
-    ids to rows. ``frame[i]`` is image ``i`` as an :class:`ImageRecord`.
+    ids to rows.
     """
 
     ids: tuple[str, ...]
@@ -129,95 +94,14 @@ class ImageFrame:
     continuous: dict[str, np.ndarray]
     index: dict[str, int] = field(repr=False)
 
-    @classmethod
-    def from_records(
-        cls, records: Sequence[ImageRecord], schema: AttributeSchema
-    ) -> ImageFrame:
-        """Columns of the schema's attributes over a sequence of records with
-        distinct image ids. A categorical value outside the schema's levels
-        gets a code past them, in order of first appearance."""
-        n = len(records)
-        identities: dict[str, int] = {}
-        identity = np.fromiter(
-            (identities.setdefault(r.identity_id, len(identities)) for r in records), np.intp, n
-        )
-        categorical: dict[str, LevelCodes] = {}
-        scores: dict[str, np.ndarray] = {}
-        continuous: dict[str, np.ndarray] = {}
-        for attr in schema.attributes:
-            name = attr.name
-            if attr.is_categorical:
-                levels = {level: i for i, level in enumerate(attr.levels)}
-                codes = np.fromiter(
-                    (
-                        levels.setdefault(r.values[name], len(levels)) if name in r.values else -1
-                        for r in records
-                    ),
-                    np.intp,
-                    n,
-                )
-                categorical[name] = LevelCodes(codes, tuple(levels))
-                if any(name in r.soft_scores for r in records):
-                    absent = (math.nan,) * len(attr.levels)
-                    scores[name] = np.array(
-                        [r.soft_scores.get(name, absent) for r in records], dtype=float
-                    ).reshape(n, len(attr.levels))
-            else:
-                continuous[name] = np.fromiter(
-                    (float(r.values[name]) if name in r.values else math.nan for r in records),
-                    float,
-                    n,
-                )
-        ids = tuple(r.image_id for r in records)
-        return cls(
-            ids, identity, tuple(identities), categorical, scores, continuous,
-            dict(zip(ids, range(n))),
-        )
-
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __getitem__(self, i: int) -> ImageRecord:
-        values: dict[str, str | float] = {}
-        for name, col in self.categorical.items():
-            if col.codes[i] >= 0:
-                values[name] = col.levels[col.codes[i]]
-        for name, column in self.continuous.items():
-            if not math.isnan(column[i]):
-                values[name] = float(column[i])
-        soft = {
-            name: tuple(matrix[i].tolist())
-            for name, matrix in self.scores.items()
-            if not math.isnan(matrix[i, 0])
-        }
-        return ImageRecord(self.ids[i], self.identities[self.identity[i]], values, soft)
-
-    def __iter__(self) -> Iterator[ImageRecord]:
-        return map(self.__getitem__, range(len(self)))
-
-    @cached_property
-    def records(self) -> tuple[ImageRecord, ...]:
-        return tuple(self)
-
-    @cached_property
-    def by_id(self) -> dict[str, ImageRecord]:
-        return dict(zip(self.ids, self.records))
-
-    @cached_property
-    def by_identity(self) -> dict[str, tuple[ImageRecord, ...]]:
-        groups: dict[str, list[ImageRecord]] = {}
-        for rec in self.records:
-            groups.setdefault(rec.identity_id, []).append(rec)
-        return {k: tuple(v) for k, v in groups.items()}
 
     def row(self, image_id: str) -> int:
         try:
             return self.index[image_id]
         except KeyError:
             raise UnresolvedImage(f"unknown image_id {image_id!r}") from None
-
-    def resolve(self, image_id: str) -> ImageRecord:
-        return self[self.row(image_id)]
 
     def codes(self, attr: AttributeDef) -> LevelCodes:
         """The level codes of a categorical attribute, all -1 when the frame
@@ -250,72 +134,16 @@ class ImageFrame:
         raise MissingAttribute(self.ids[row], name)
 
 
-class ImageTable:
-    """Immutable collection of image records with id and identity indexes.
-
-    The record form of an :class:`ImageFrame`: functions given a table read
-    ``table.frame(schema)``, built on first use for each schema.
-    """
-
-    def __init__(self, records: Iterable[ImageRecord]):
-        self.records: tuple[ImageRecord, ...] = tuple(records)
-        by_id: dict[str, ImageRecord] = {}
-        by_identity: dict[str, list[ImageRecord]] = {}
-        for rec in self.records:
-            if rec.image_id in by_id:
-                raise ParseError(f"duplicate image_id {rec.image_id!r}")
-            by_id[rec.image_id] = rec
-            by_identity.setdefault(rec.identity_id, []).append(rec)
-        self.by_id = by_id
-        self.by_identity = {k: tuple(v) for k, v in by_identity.items()}
-        self._frames: dict[AttributeSchema, ImageFrame] = {}
-
-    @cached_property
-    def ids(self) -> tuple[str, ...]:
-        """Image ids in record order."""
-        return tuple(self.by_id)
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        """Row of each image id in ``ids``."""
-        return dict(zip(self.ids, range(len(self.ids))))
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def resolve(self, image_id: str) -> ImageRecord:
-        try:
-            return self.by_id[image_id]
-        except KeyError:
-            raise UnresolvedImage(f"unknown image_id {image_id!r}") from None
-
-    def frame(self, schema: AttributeSchema) -> ImageFrame:
-        frame = self._frames.get(schema)
-        if frame is None:
-            frame = self._frames[schema] = ImageFrame.from_records(self.records, schema)
-        return frame
-
-
-def as_image_frame(images: ImageFrame | ImageTable, schema: AttributeSchema) -> ImageFrame:
-    return images if isinstance(images, ImageFrame) else images.frame(schema)
-
-
 @dataclass(frozen=True, eq=False)
 class PairFrame:
     """Verification pairs as columns, one entry per pair in input order.
 
-    ``image_a`` and ``image_b`` index ``image_ids``, which for a frame from
-    :func:`load_pairs` is the image table's own ``ids``. ``predicted`` holds
-    1 (same), 0 (different) or ``NO_PREDICTION``. ``pair_id`` names pairs in
-    error messages and in the record view: ``frame[i]`` is pair ``i`` as a
-    :class:`PairRecord`.
+    ``image_a`` and ``image_b`` are rows of the :class:`ImageFrame` the
+    pairs were loaded against. ``predicted`` holds 1 (same), 0 (different)
+    or ``NO_PREDICTION``. ``pair_id`` names pairs in error messages.
     """
 
     pair_id: tuple[str, ...]
-    image_ids: tuple[str, ...]
     image_a: np.ndarray
     image_b: np.ndarray
     is_pos: np.ndarray
@@ -325,128 +153,15 @@ class PairFrame:
     def __len__(self) -> int:
         return len(self.pair_id)
 
-    def __getitem__(self, i: int) -> PairRecord:
-        predicted = int(self.predicted[i])
-        return PairRecord(
-            self.pair_id[i],
-            self.image_ids[self.image_a[i]],
-            self.image_ids[self.image_b[i]],
-            Label.SAME if self.is_pos[i] else Label.DIFFERENT,
-            float(self.distance[i]),
-            None if predicted == NO_PREDICTION else (Label.SAME if predicted else Label.DIFFERENT),
-        )
 
-    def __iter__(self) -> Iterator[PairRecord]:
-        return map(self.__getitem__, range(len(self)))
+@dataclass(frozen=True, eq=False)
+class CovariateFrame:
+    """Pair covariates as columns, entry ``i`` belonging to pair ``i`` of its
+    :class:`PairFrame`: a :class:`LevelCodes` column per categorical
+    attribute and a float64 array per continuous one."""
 
-    @classmethod
-    def from_records(cls, pairs: Sequence[PairRecord]) -> PairFrame:
-        """Columns of a sequence of records; image ids are numbered in order
-        of first appearance."""
-        n = len(pairs)
-        ids: dict[str, int] = {}
-        image_a = [ids.setdefault(p.image_a, len(ids)) for p in pairs]
-        image_b = [ids.setdefault(p.image_b, len(ids)) for p in pairs]
-        return cls(
-            pair_id=tuple(p.pair_id for p in pairs),
-            image_ids=tuple(ids),
-            image_a=np.array(image_a, dtype=np.intp),
-            image_b=np.array(image_b, dtype=np.intp),
-            is_pos=np.fromiter((p.ground_truth is Label.SAME for p in pairs), bool, n),
-            distance=np.fromiter((p.distance for p in pairs), float, n),
-            predicted=np.fromiter(
-                (
-                    NO_PREDICTION if p.predicted is None else int(p.predicted is Label.SAME)
-                    for p in pairs
-                ),
-                np.int8,
-                n,
-            ),
-        )
-
-
-class CovariateFrame(Mapping[str, PairCovariates]):
-    """Pair covariates as columns, entry ``i`` belonging to ``pair_id[i]``.
-
-    Categorical attributes are :class:`LevelCodes`, continuous ones float64
-    arrays. As a mapping it is a ``pair_id -> PairCovariates`` view over
-    those columns.
-    """
-
-    def __init__(
-        self,
-        pair_id: tuple[str, ...],
-        categorical: dict[str, LevelCodes],
-        continuous: dict[str, np.ndarray],
-    ):
-        self.pair_id = pair_id
-        self.categorical = categorical
-        self.continuous = continuous
-
-    @classmethod
-    def from_mapping(
-        cls, pair_id: Sequence[str], covariates: Mapping[str, PairCovariates]
-    ) -> CovariateFrame:
-        """Columns of the covariates of the listed pairs. The attributes are
-        those of the first pair; every other pair must carry them too."""
-        covs = [covariates[pid] for pid in pair_id]
-        first = covs[0] if covs else PairCovariates("", {}, {})
-        categorical: dict[str, LevelCodes] = {}
-        continuous: dict[str, np.ndarray] = {}
-        try:
-            for name in first.categorical:
-                levels: dict[str, int] = {}
-                codes = np.fromiter(
-                    (levels.setdefault(c.categorical[name], len(levels)) for c in covs),
-                    np.intp,
-                    len(covs),
-                )
-                categorical[name] = LevelCodes(codes, tuple(levels))
-            for name in first.continuous:
-                continuous[name] = np.fromiter(
-                    (c.continuous[name] for c in covs), float, len(covs)
-                )
-        except KeyError as exc:
-            raise SchemaInvalid(
-                f"pair covariates disagree on attribute {exc.args[0]!r}"
-            ) from None
-        return cls(tuple(pair_id), categorical, continuous)
-
-    @cached_property
-    def _row(self) -> dict[str, int]:
-        return {pid: i for i, pid in enumerate(self.pair_id)}
-
-    def __getitem__(self, pair_id: str) -> PairCovariates:
-        i = self._row[pair_id]
-        return PairCovariates(
-            pair_id,
-            {name: col.levels[col.codes[i]] for name, col in self.categorical.items()},
-            {name: float(values[i]) for name, values in self.continuous.items()},
-        )
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.pair_id)
-
-    def __len__(self) -> int:
-        return len(self.pair_id)
-
-
-def as_pair_frame(pairs: PairFrame | Sequence[PairRecord]) -> PairFrame:
-    return pairs if isinstance(pairs, PairFrame) else PairFrame.from_records(pairs)
-
-
-def pair_columns(
-    pairs: PairFrame | Sequence[PairRecord],
-    covariates: Mapping[str, PairCovariates],
-) -> tuple[PairFrame, CovariateFrame]:
-    """The pairs and their covariates as aligned columns: passed through when
-    they already are, converted from records and a mapping otherwise."""
-    frame = as_pair_frame(pairs)
-    if isinstance(covariates, CovariateFrame) and (
-        covariates.pair_id is frame.pair_id or covariates.pair_id == frame.pair_id
-    ):
-        return frame, covariates
-    return frame, CovariateFrame.from_mapping(frame.pair_id, covariates)
+    categorical: dict[str, LevelCodes]
+    continuous: dict[str, np.ndarray]
 
 
 def filter_subset(frame: PairFrame, subset: Subset) -> np.ndarray:
@@ -834,7 +549,7 @@ def _check_pair_row(
     row: list[str],
     path: str | Path,
     cols: tuple[int, int, int, int, int, int | None],
-    images: ImageFrame | ImageTable,
+    images: ImageFrame,
     seen: Mapping[str, None],
 ) -> None:
     """Raise the error of the first bad cell of ``row``, checking the cells
@@ -846,8 +561,8 @@ def _check_pair_row(
         raise ParseError(f"{path}: row with empty pair_id")
     if pair_id in seen:
         raise ParseError(f"duplicate pair_id {pair_id!r}")
-    images.resolve(row[a_col].strip())
-    images.resolve(row[b_col].strip())
+    images.row(row[a_col].strip())
+    images.row(row[b_col].strip())
     _label_code(row[truth_col].strip().lower(), pair_id, "ground_truth")
     dist = _parse_finite(row[dist_col].strip(), "pair {!r} distance", pair_id)
     pred_raw = row[pred_col].strip().lower() if pred_col is not None else ""
@@ -857,7 +572,7 @@ def _check_pair_row(
         raise ParseError(f"pair {pair_id!r}: distance must be finite and >= 0, got {dist}")
 
 
-def load_pairs(path: str | Path, images: ImageFrame | ImageTable) -> PairFrame:
+def load_pairs(path: str | Path, images: ImageFrame) -> PairFrame:
     """Load the verification-pair CSV into a :class:`PairFrame`.
 
     Image references are resolved against ``images`` and stored as rows of
@@ -928,7 +643,6 @@ def load_pairs(path: str | Path, images: ImageFrame | ImageTable) -> PairFrame:
 
     return PairFrame(
         pair_id=tuple(seen),
-        image_ids=images.ids,
         image_a=_joined(parts["image_a"], np.empty(0, dtype=np.intp)),
         image_b=_joined(parts["image_b"], np.empty(0, dtype=np.intp)),
         is_pos=_joined(parts["is_pos"], np.empty(0, dtype=bool)),
@@ -952,9 +666,7 @@ def _consolidation_error(
             raise MissingAttribute(min(lacking) if soft_identity[first] else lacking[0], attr.name)
 
 
-def consolidate_identity_attributes(
-    images: ImageFrame | ImageTable, schema: AttributeSchema
-) -> ImageFrame:
+def consolidate_identity_attributes(frame: ImageFrame, schema: AttributeSchema) -> ImageFrame:
     """Average identity-scoped soft scores per identity and write the argmax.
 
     For each identity and each identity-scoped categorical attribute, the
@@ -972,7 +684,6 @@ def consolidate_identity_attributes(
     is the argmax of the exactly rounded averages: idempotent, and
     independent of the image order within an identity.
     """
-    frame = as_image_frame(images, schema)
     attrs = [a for a in schema.attributes if a.is_categorical and a.scope is Scope.IDENTITY]
     n_identities = len(frame.identities)
     work = []
@@ -1019,8 +730,8 @@ def consolidate_identity_attributes(
 
 
 def covariates_for_pairs(
-    pairs: PairFrame | Sequence[PairRecord],
-    images: ImageFrame | ImageTable,
+    pairs: PairFrame,
+    images: ImageFrame,
     schema: AttributeSchema,
     aggregate: str = "mean",
 ) -> CovariateFrame:
@@ -1031,66 +742,38 @@ def covariates_for_pairs(
     sentinel when the sides differ. Continuous attributes aggregate with the
     mean of the two values (``aggregate="mean"``) or their absolute
     difference (``aggregate="absdiff"``). Symmetric in the two images. The
-    first pair, in order, with an unknown image or an attribute missing on a
-    side raises ``UnresolvedImage`` or ``MissingAttribute`` for it.
+    first pair, in order, with an attribute missing on a side raises
+    ``MissingAttribute`` for it.
     """
     if aggregate not in ("mean", "absdiff"):
         raise ValueError(f"unknown aggregate {aggregate!r}")
-    frame = as_pair_frame(pairs)
-    table = as_image_frame(images, schema)
-    n_images = len(table)
-    if frame.image_ids is table.ids or frame.image_ids == table.ids:
-        rows_a, rows_b = frame.image_a, frame.image_b
-    else:
-        # images the table lacks point at the slot past its end, which holds
-        # no attribute values
-        table_rows = np.fromiter(
-            (table.index.get(i, n_images) for i in frame.image_ids),
-            np.intp,
-            len(frame.image_ids),
-        )
-        rows_a, rows_b = table_rows[frame.image_a], table_rows[frame.image_b]
-
-    failed = np.zeros(len(frame), dtype=bool)
+    rows_a, rows_b = pairs.image_a, pairs.image_b
+    failed = np.zeros(len(pairs), dtype=bool)
     held_by: dict[str, np.ndarray] = {}
     categorical: dict[str, LevelCodes] = {}
     continuous: dict[str, np.ndarray] = {}
     for attr in schema.attributes:
-        held = held_by[attr.name] = np.append(table.held(attr), False)
+        held = held_by[attr.name] = images.held(attr)
         failed |= ~held[rows_a] | ~held[rows_b]
         if attr.is_categorical:
-            col = table.codes(attr)
-            levels = {level: i for i, level in enumerate(attr.levels)}
-            cross = levels.setdefault(CROSS_LEVEL, len(levels))
-            recode = np.array([levels.setdefault(level, len(levels)) for level in col.levels] + [-1])
-            codes = np.append(recode[col.codes], -1)
+            levels = attr.levels if CROSS_LEVEL in attr.levels else attr.levels + (CROSS_LEVEL,)
+            codes = images.codes(attr).codes
             code_a, code_b = codes[rows_a], codes[rows_b]
             categorical[attr.name] = LevelCodes(
-                np.where(code_a == code_b, code_a, cross), tuple(levels)
+                np.where(code_a == code_b, code_a, levels.index(CROSS_LEVEL)), levels
             )
         else:
-            values = np.append(table.floats(attr.name), math.nan)
+            values = images.floats(attr.name)
             va, vb = values[rows_a], values[rows_b]
             continuous[attr.name] = (va + vb) / 2 if aggregate == "mean" else np.abs(va - vb)
 
     if failed.any():
         i = int(np.argmax(failed))
-        sides = [table.row(frame.image_ids[side[i]]) for side in (frame.image_a, frame.image_b)]
         for attr in schema.attributes:
-            for side in sides:
+            for side in (rows_a[i], rows_b[i]):
                 if not held_by[attr.name][side]:
-                    raise MissingAttribute(table.ids[side], attr.name)
-    return CovariateFrame(frame.pair_id, categorical, continuous)
-
-
-def derive_pair_covariates(
-    pair: PairRecord,
-    images: ImageFrame | ImageTable,
-    schema: AttributeSchema,
-    aggregate: str = "mean",
-) -> PairCovariates:
-    """The covariates of one pair, as :func:`covariates_for_pairs` derives them."""
-    return covariates_for_pairs((pair,), images, schema, aggregate)[pair.pair_id]
+                    raise MissingAttribute(images.ids[side], attr.name)
+    return CovariateFrame(categorical, continuous)
 
 
 def _identity_holders(frame: ImageFrame) -> np.ndarray:
@@ -1104,9 +787,7 @@ def _identity_holders(frame: ImageFrame) -> np.ndarray:
     return order[first]
 
 
-def attribute_frequencies(
-    images: ImageFrame | ImageTable, schema: AttributeSchema, name: str
-) -> list[float]:
+def attribute_frequencies(frame: ImageFrame, schema: AttributeSchema, name: str) -> list[float]:
     """Observed frequency table for one attribute, aligned with its levels
     (categorical) or bins (continuous).
 
@@ -1116,7 +797,6 @@ def attribute_frequencies(
     The first holder without a value, or with one outside the bins, raises.
     """
     attr = schema[name]
-    frame = as_image_frame(images, schema)
     holders = _identity_holders(frame) if attr.scope is Scope.IDENTITY else np.arange(len(frame))
     if attr.is_categorical:
         size = len(attr.levels)

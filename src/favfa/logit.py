@@ -13,21 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.special import expit
 
-from .data import (
-    CROSS_LEVEL,
-    PairCovariates,
-    PairFrame,
-    PairRecord,
-    Subset,
-    filter_subset,
-    one_hot,
-    pair_columns,
-)
+from .data import CROSS_LEVEL, CovariateFrame, PairFrame, Subset, filter_subset, one_hot
 from .errors import (
     ConstantColumn,
     DegenerateResponse,
@@ -81,8 +71,8 @@ class MarginalEffect:
 
 
 def build_design(
-    pairs: PairFrame | Sequence[PairRecord],
-    covariates: Mapping[str, PairCovariates],
+    frame: PairFrame,
+    covs: CovariateFrame,
     schema: AttributeSchema,
     subset: Subset,
     threshold: float | None = None,
@@ -97,7 +87,6 @@ def build_design(
     variance, with the constants kept for reporting effects per original
     unit.
     """
-    frame, covs = pair_columns(pairs, covariates)
     rows = filter_subset(frame, subset)
     if not rows.any():
         raise EmptySubset(f"no pairs with ground truth {subset.ground_truth.value!r}")

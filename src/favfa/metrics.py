@@ -10,18 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .data import (
-    NO_PREDICTION,
-    PairCovariates,
-    PairFrame,
-    PairRecord,
-    as_pair_frame,
-    pair_columns,
-)
+from .data import NO_PREDICTION, CovariateFrame, PairFrame
 from .errors import (
     DegeneratePairs,
     DegenerateSupport,
@@ -92,7 +85,7 @@ def predicted_same(
     return np.where(missing, distance < threshold, predicted == 1)
 
 
-def optimize_threshold(pairs: PairFrame | Sequence[PairRecord]) -> float:
+def optimize_threshold(frame: PairFrame) -> float:
     """Distance threshold maximizing overall pair accuracy.
 
     Predicting same-identity iff distance < t, accuracy is piecewise constant
@@ -104,7 +97,6 @@ def optimize_threshold(pairs: PairFrame | Sequence[PairRecord]) -> float:
     observed distance is returned as max distance + 1). Reads only the
     ``distance`` and ``is_pos`` columns.
     """
-    frame = as_pair_frame(pairs)
     distances, positive = frame.distance, frame.is_pos
     n_pos = int(positive.sum())
     n_neg = len(frame) - n_pos
@@ -128,8 +120,8 @@ def optimize_threshold(pairs: PairFrame | Sequence[PairRecord]) -> float:
 
 
 def group_confusion(
-    pairs: PairFrame | Sequence[PairRecord],
-    covariates: Mapping[str, PairCovariates],
+    frame: PairFrame,
+    covs: CovariateFrame,
     threshold: float | None,
     grouping: Sequence[str],
     min_support: int = 0,
@@ -142,7 +134,6 @@ def group_confusion(
     are omitted. Provided predictions are used verbatim; pairs without one
     are classified by the threshold rule.
     """
-    frame, covs = pair_columns(pairs, covariates)
     if len(frame) == 0:
         return []
     columns = []
@@ -277,8 +268,8 @@ def diversity(frequencies: Sequence[float], n_categories: int) -> float:
 
 
 def fairness_report(
-    pairs: PairFrame | Sequence[PairRecord],
-    covariates: Mapping[str, PairCovariates],
+    frame: PairFrame,
+    covs: CovariateFrame,
     grouping: Sequence[str],
     min_support: int = 30,
     threshold: float | None = None,
@@ -289,7 +280,6 @@ def fairness_report(
     below ``min_support`` pairs are reported as excluded and do not enter the
     aggregate metrics.
     """
-    frame, covs = pair_columns(pairs, covariates)
     if threshold is None and (frame.predicted == NO_PREDICTION).any():
         threshold = optimize_threshold(frame)
     stats = group_confusion(frame, covs, threshold, grouping, min_support=0)

@@ -13,11 +13,11 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .data import ImageFrame, ImageTable, as_image_frame, bin_codes
+from .data import ImageFrame, bin_codes
 from .errors import (
     InsufficientCandidates,
     InsufficientStyles,
@@ -25,7 +25,7 @@ from .errors import (
     SchemaInvalid,
 )
 from .metrics import diversity
-from .schema import AttributeSchema, Scope
+from .schema import AttributeSchema
 
 DEFAULT_SEGMENT_ATTRS = ("gender", "ethnicity")
 
@@ -84,13 +84,12 @@ def _weight_value(frame: ImageFrame, row: int, schema: AttributeSchema, name: st
 
 
 def _raw_weights(
-    images: ImageFrame | ImageTable, schema: AttributeSchema, attrs: Sequence[str]
-) -> tuple[ImageFrame, np.ndarray]:
-    """The image columns and each image's weight, in frame order."""
+    frame: ImageFrame, schema: AttributeSchema, attrs: Sequence[str]
+) -> np.ndarray:
+    """Each image's weight, in frame order."""
     for name in attrs:
         if name not in schema:
             raise SchemaInvalid(f"unknown attribute {name!r}")
-    frame = as_image_frame(images, schema)
     keys = [_weight_key(frame, schema, name) for name in attrs]
     lacking = [codes < 0 for codes in keys]
     if any(mask.any() for mask in lacking):
@@ -100,11 +99,11 @@ def _raw_weights(
     weights = np.ones(len(frame))
     for codes in keys:
         weights *= 1.0 / np.bincount(codes)[codes]
-    return frame, weights
+    return weights
 
 
 def sampling_weights(
-    images: ImageFrame | ImageTable, schema: AttributeSchema, attrs: Sequence[str]
+    frame: ImageFrame, schema: AttributeSchema, attrs: Sequence[str]
 ) -> SamplingWeights:
     """Inverse-frequency sampling weights over the image table.
 
@@ -114,7 +113,7 @@ def sampling_weights(
     weights to unit total. Entries follow table order, but every probability
     is independent of that order (the normalizer is an exactly rounded sum).
     """
-    frame, weights = _raw_weights(images, schema, attrs)
+    weights = _raw_weights(frame, schema, attrs)
     denominator = math.fsum(weights.tolist())
     entries = tuple(
         map(WeightEntry, frame.ids, weights.tolist(), (weights / denominator).tolist())
@@ -123,7 +122,7 @@ def sampling_weights(
 
 
 def loss_weights(
-    images: ImageFrame | ImageTable,
+    frame: ImageFrame,
     schema: AttributeSchema,
     attrs: Sequence[str],
     batch: Sequence[str],
@@ -132,7 +131,7 @@ def loss_weights(
     members divided by the batch total, so the weighted mean has unit mass."""
     if not batch:
         raise ValueError("batch must be non-empty")
-    frame, weights = _raw_weights(images, schema, attrs)
+    weights = _raw_weights(frame, schema, attrs)
     chosen = weights[[frame.row(image_id) for image_id in batch]].tolist()
     denominator = math.fsum(chosen)
     return [w / denominator for w in chosen]
@@ -178,7 +177,7 @@ def _segments(
     return np.where(held, codes, -1), segments
 
 
-def _record_segment(
+def _image_segment(
     frame: ImageFrame, row: int, segment_attrs: Sequence[str]
 ) -> tuple[str, ...]:
     """Segment of one image; raises for its first missing segment attribute."""
@@ -186,7 +185,7 @@ def _record_segment(
 
 
 def select_id_pool(
-    candidates: ImageFrame | ImageTable,
+    frame: ImageFrame,
     schema: AttributeSchema,
     n_identities: int,
     seed: int,
@@ -205,10 +204,9 @@ def select_id_pool(
         raise NotDivisible(
             f"{n_identities} identities do not divide across {len(cells)} cells"
         )
-    frame = as_image_frame(candidates, schema)
     codes, segments = _segments(frame, schema, segment_attrs)
     if (codes < 0).any():
-        _record_segment(frame, int(np.argmin(codes)), segment_attrs)
+        _image_segment(frame, int(np.argmin(codes)), segment_attrs)
     pools: dict[tuple[str, ...], list[str]] = {cell: [] for cell in cells}
     for code in np.unique(codes).tolist():
         if segments[code] in pools:
@@ -250,15 +248,15 @@ def _style_cell(
 ) -> tuple[int, int]:
     """(age bin, pose bin) of one style image. Raises for a missing segment
     attribute, then a missing age or pose, then a value outside the bins."""
-    _record_segment(frame, row, segment_attrs)
+    _image_segment(frame, row, segment_attrs)
     age, pose = (float(frame.value(row, name)) for name in ("age", "pose"))
     return schema["age"].bin_index(age), schema["pose"].bin_index(pose)
 
 
 def assign_styles(
     plan_ids: Sequence[str],
-    id_table: ImageFrame | ImageTable,
-    style_pool: ImageFrame | ImageTable,
+    frame: ImageFrame,
+    styles: ImageFrame,
     schema: AttributeSchema,
     samples_per_identity: int,
     segment_attrs: Sequence[str] = DEFAULT_SEGMENT_ATTRS,
@@ -272,7 +270,6 @@ def assign_styles(
     its entries share one ``styles`` tuple. The whole construction is
     deterministic, so equal inputs give byte-identical plans.
     """
-    styles = as_image_frame(style_pool, schema)
     style_codes, style_segments = _segments(styles, schema, segment_attrs)
     age_bins = bin_codes(schema["age"], styles.floats("age"))
     pose_bins = bin_codes(schema["pose"], styles.floats("pose"))
@@ -289,7 +286,6 @@ def assign_styles(
         for ids in cells.values():
             ids.sort()
 
-    frame = as_image_frame(id_table, schema)
     codes, segments = _segments(frame, schema, segment_attrs)
     codes = codes.tolist()
     fills: dict[tuple[str, ...], tuple[StyleAssignment, ...]] = {}
@@ -297,7 +293,7 @@ def assign_styles(
     for image_id in plan_ids:
         row = frame.row(image_id)
         if codes[row] < 0:
-            _record_segment(frame, row, segment_attrs)
+            _image_segment(frame, row, segment_attrs)
         segment = segments[codes[row]]
         if segment not in fills:
             cells = by_segment.get(segment, {})

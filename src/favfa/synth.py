@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ImageRecord, ImageTable, Label, PairRecord
+from .data import NO_PREDICTION, ImageFrame, LevelCodes, PairFrame
 from .schema import (
     AttributeDef,
     AttributeSchema,
@@ -46,11 +46,36 @@ def default_schema() -> AttributeSchema:
     )
 
 
+def _image_frame(
+    schema: AttributeSchema,
+    ids: list[str],
+    identity_ids: list[str],
+    values: dict[str, list],
+) -> ImageFrame:
+    """The columns of images given as ids, identity ids and, per schema
+    attribute, one level or float per image."""
+    identities = {k: i for i, k in enumerate(dict.fromkeys(identity_ids))}
+    return ImageFrame(
+        tuple(ids),
+        np.array([identities[k] for k in identity_ids], dtype=np.intp),
+        tuple(identities),
+        {
+            a.name: LevelCodes(
+                np.array([a.levels.index(v) for v in values[a.name]], dtype=np.intp), a.levels
+            )
+            for a in schema.categorical()
+        },
+        {},
+        {a.name: np.array(values[a.name], dtype=float) for a in schema.continuous()},
+        dict(zip(ids, range(len(ids)))),
+    )
+
+
 @dataclass
 class SyntheticDataset:
     schema: AttributeSchema
-    images: ImageTable
-    pairs: tuple[PairRecord, ...]
+    images: ImageFrame
+    pairs: PairFrame
     nominal_threshold: float = 0.5
     identity_attrs: dict[str, tuple[str, str]] = field(default_factory=dict)
 
@@ -78,10 +103,13 @@ def make_verification_dataset(
     rng = np.random.default_rng(seed)
     fmr_bias = fmr_bias or {}
     tau = 0.5
+    schema = default_schema()
 
     identity_attrs = {}
     by_segment: dict[tuple[str, str], list[str]] = {}
-    records = []
+    ids: list[str] = []
+    identity_ids: list[str] = []
+    values: dict[str, list] = {name: [] for name in schema.names}
     for i in range(n_identities):
         identity = f"id{i:05d}"
         gender = GENDERS[rng.integers(len(GENDERS))]
@@ -89,19 +117,13 @@ def make_verification_dataset(
         identity_attrs[identity] = (gender, ethnicity)
         by_segment.setdefault((gender, ethnicity), []).append(identity)
         for j in range(images_per_identity):
-            records.append(
-                ImageRecord(
-                    image_id=f"{identity}_img{j}",
-                    identity_id=identity,
-                    values={
-                        "gender": gender,
-                        "ethnicity": ethnicity,
-                        "age": float(rng.uniform(18.0, 69.0)),
-                        "pose": float(min(abs(rng.normal(18.0, 12.0)), 85.0)),
-                    },
-                )
-            )
-    images = ImageTable(records)
+            ids.append(f"{identity}_img{j}")
+            identity_ids.append(identity)
+            values["gender"].append(gender)
+            values["ethnicity"].append(ethnicity)
+            values["age"].append(float(rng.uniform(18.0, 69.0)))
+            values["pose"].append(float(min(abs(rng.normal(18.0, 12.0)), 85.0)))
+    images = _image_frame(schema, ids, identity_ids, values)
     identities = sorted(identity_attrs)
 
     def draw_distance(match_prob: float) -> float:
@@ -109,19 +131,17 @@ def make_verification_dataset(
             return tau * (0.02 + 0.96 * rng.random())
         return tau + (1.0 - tau) * (0.02 + 0.96 * rng.random())
 
-    pairs = []
+    pair_ids: list[str] = []
+    rows_a: list[int] = []
+    rows_b: list[int] = []
+    distances: list[float] = []
     for k in range(n_positive):
         identity = identities[rng.integers(n_identities)]
         a, b = rng.choice(images_per_identity, size=2, replace=False)
-        pairs.append(
-            PairRecord(
-                pair_id=f"pos{k:06d}",
-                image_a=f"{identity}_img{a}",
-                image_b=f"{identity}_img{b}",
-                ground_truth=Label.SAME,
-                distance=draw_distance(true_match_rate),
-            )
-        )
+        pair_ids.append(f"pos{k:06d}")
+        rows_a.append(images.index[f"{identity}_img{a}"])
+        rows_b.append(images.index[f"{identity}_img{b}"])
+        distances.append(draw_distance(true_match_rate))
     for k in range(n_negative):
         id_a = identities[rng.integers(n_identities)]
         segment_pool = by_segment[identity_attrs[id_a]]
@@ -137,20 +157,24 @@ def make_verification_dataset(
         eth_a, eth_b = identity_attrs[id_a][1], identity_attrs[id_b][1]
         if eth_a == eth_b and eth_a in fmr_bias:
             rate += fmr_bias[eth_a]
-        pairs.append(
-            PairRecord(
-                pair_id=f"neg{k:06d}",
-                image_a=f"{id_a}_img{rng.integers(images_per_identity)}",
-                image_b=f"{id_b}_img{rng.integers(images_per_identity)}",
-                ground_truth=Label.DIFFERENT,
-                distance=draw_distance(rate),
-            )
-        )
+        pair_ids.append(f"neg{k:06d}")
+        rows_a.append(images.index[f"{id_a}_img{rng.integers(images_per_identity)}"])
+        rows_b.append(images.index[f"{id_b}_img{rng.integers(images_per_identity)}"])
+        distances.append(draw_distance(rate))
 
+    n_pairs = n_positive + n_negative
+    pairs = PairFrame(
+        pair_id=tuple(pair_ids),
+        image_a=np.array(rows_a, dtype=np.intp),
+        image_b=np.array(rows_b, dtype=np.intp),
+        is_pos=np.arange(n_pairs) < n_positive,
+        distance=np.array(distances, dtype=float),
+        predicted=np.full(n_pairs, NO_PREDICTION, dtype=np.int8),
+    )
     return SyntheticDataset(
-        schema=default_schema(),
+        schema=schema,
         images=images,
-        pairs=tuple(pairs),
+        pairs=pairs,
         nominal_threshold=tau,
         identity_attrs=identity_attrs,
     )
@@ -160,9 +184,10 @@ def make_planner_pools(
     ids_per_cell: int = 4,
     styles_per_segment: int = 40,
     seed: int = 0,
-) -> tuple[AttributeSchema, ImageTable, ImageTable]:
+) -> tuple[AttributeSchema, ImageFrame, ImageFrame]:
     """Candidate id and style tables with every demographic cell populated
-    and style cells spread over the age and pose bins."""
+    and style cells spread over the age and pose bins. Every image is an
+    identity of its own."""
     rng = np.random.default_rng(seed)
     schema = default_schema()
     age_bins = schema["age"].bins
@@ -174,41 +199,32 @@ def make_planner_pools(
             hi = lo + 10.0
         return float(lo + (hi - lo) * rng.random())
 
-    id_records = []
-    style_records = []
+    id_ids: list[str] = []
+    style_ids: list[str] = []
+    id_values: dict[str, list] = {name: [] for name in schema.names}
+    style_values: dict[str, list] = {name: [] for name in schema.names}
+
+    def add(ids, values, image_id, gender, ethnicity, age_index, pose_index) -> None:
+        ids.append(image_id)
+        values["gender"].append(gender)
+        values["ethnicity"].append(ethnicity)
+        values["age"].append(bin_sample(age_bins, age_index))
+        values["pose"].append(bin_sample(pose_bins, pose_index))
+
     serial = 0
     for gender in GENDERS:
         for ethnicity in ETHNICITIES:
             for _ in range(ids_per_cell):
-                image_id = f"seed{serial:05d}"
-                id_records.append(
-                    ImageRecord(
-                        image_id=image_id,
-                        identity_id=image_id,
-                        values={
-                            "gender": gender,
-                            "ethnicity": ethnicity,
-                            "age": bin_sample(age_bins, serial),
-                            "pose": bin_sample(pose_bins, serial),
-                        },
-                    )
-                )
+                add(id_ids, id_values, f"seed{serial:05d}", gender, ethnicity, serial, serial)
                 serial += 1
             for s in range(styles_per_segment):
                 image_id = f"style_{gender}_{ethnicity}_{s:05d}"
-                style_records.append(
-                    ImageRecord(
-                        image_id=image_id,
-                        identity_id=image_id,
-                        values={
-                            "gender": gender,
-                            "ethnicity": ethnicity,
-                            "age": bin_sample(age_bins, s),
-                            "pose": bin_sample(pose_bins, s // len(age_bins)),
-                        },
-                    )
-                )
-    return schema, ImageTable(id_records), ImageTable(style_records)
+                add(style_ids, style_values, image_id, gender, ethnicity, s, s // len(age_bins))
+    return (
+        schema,
+        _image_frame(schema, id_ids, id_ids, id_values),
+        _image_frame(schema, style_ids, style_ids, style_values),
+    )
 
 
 def write_dataset(dataset: SyntheticDataset, out_dir: str | Path, soft_scores: bool = True) -> None:
@@ -241,10 +257,19 @@ def write_dataset(dataset: SyntheticDataset, out_dir: str | Path, soft_scores: b
             header += ["gender", "ethnicity"]
         header += ["age", "pitch", "yaw", "roll"]
         writer.writerow(header)
-        for rec in dataset.images:
-            row: list[object] = [rec.image_id, rec.identity_id]
-            gender = str(rec.values["gender"])
-            ethnicity = str(rec.values["ethnicity"])
+        images = dataset.images
+        columns = zip(
+            images.ids,
+            [images.identities[k] for k in images.identity.tolist()],
+            *(
+                [col.levels[c] for c in col.codes.tolist()]
+                for col in (images.categorical["gender"], images.categorical["ethnicity"])
+            ),
+            images.continuous["age"].tolist(),
+            images.continuous["pose"].tolist(),
+        )
+        for image_id, identity_id, gender, ethnicity, age, pose in columns:
+            row: list[object] = [image_id, identity_id]
             if soft_scores:
                 gv = soft_vector(GENDERS, gender)
                 ev = soft_vector(ETHNICITIES, ethnicity)
@@ -253,24 +278,25 @@ def write_dataset(dataset: SyntheticDataset, out_dir: str | Path, soft_scores: b
                 row += gv + ev
             else:
                 row += [gender, ethnicity]
-            pose = float(rec.values["pose"])
             # split the pose norm over the three rotation axes
             pitch = round(pose * 0.48, 4)
             yaw = round(pose * 0.64, 4)
             roll = round(math.sqrt(max(pose**2 - pitch**2 - yaw**2, 0.0)), 4)
-            row += [round(float(rec.values["age"]), 3), pitch, yaw, roll]
+            row += [round(age, 3), pitch, yaw, roll]
             writer.writerow(row)
 
     with open(out / "pairs.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["pair_id", "image_a", "image_b", "ground_truth", "distance"])
-        for pair in dataset.pairs:
+        pairs = dataset.pairs
+        ids = dataset.images.ids
+        for pair_id, a, b, is_pos, distance in zip(
+            pairs.pair_id,
+            pairs.image_a.tolist(),
+            pairs.image_b.tolist(),
+            pairs.is_pos.tolist(),
+            pairs.distance.tolist(),
+        ):
             writer.writerow(
-                [
-                    pair.pair_id,
-                    pair.image_a,
-                    pair.image_b,
-                    pair.ground_truth.value,
-                    round(pair.distance, 6),
-                ]
+                [pair_id, ids[a], ids[b], "same" if is_pos else "different", round(distance, 6)]
             )

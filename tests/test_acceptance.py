@@ -17,16 +17,10 @@ import pytest
 from click.testing import CliRunner
 
 import oracles
-from conftest import image, pair
+from conftest import Covariates, frames, image, image_rows, load_tables, pair
 from favfa.anova import anova_distances
 from favfa.cli import main as cli_main
-from favfa.data import (
-    ImageTable,
-    Label,
-    PairCovariates,
-    Subset,
-    covariates_for_pairs,
-)
+from favfa.data import Label, Subset, covariates_for_pairs
 from favfa.diagnostics import simulate_residuals
 from favfa.errors import NoGroups
 from favfa.logit import (
@@ -89,10 +83,10 @@ def test_criterion_1_metric_oracle_equivalence():
                 pid = f"p{i}"
                 level = levels[level_idx[i]]
                 pairs.append(pair(pid, "a", "b", bool(is_pos[i]), 0.5, predicted=bool(said[i])))
-                covs[pid] = PairCovariates(pid, {"g": level}, {})
+                covs[pid] = Covariates({"g": level}, {})
                 rows.append(((("g", level),), bool(is_pos[i]), bool(said[i])))
 
-            stats = group_confusion(pairs, covs, None, ["g"], min_support=0)
+            stats = group_confusion(*frames(pairs, covs), None, ["g"], min_support=0)
             expected = oracles.fairness_metrics(oracles.tally_groups(rows))
 
             assert degree_of_bias(stats) == expected["dob"]
@@ -146,9 +140,9 @@ def _design_2x2_via_pipeline():
         for i in range(total):
             pid = f"{level}{i}"
             pairs.append(pair(pid, "a", "b", True, 0.4, predicted=i < hits))
-            covs[pid] = PairCovariates(pid, {"x": level}, {})
+            covs[pid] = Covariates({"x": level}, {})
             k += 1
-    return build_design(pairs, covs, X_SCHEMA, Subset.POSITIVES)
+    return build_design(*frames(pairs, covs, X_SCHEMA), X_SCHEMA, Subset.POSITIVES)
 
 
 def test_criterion_3_logit_closed_form():
@@ -251,8 +245,10 @@ def test_criterion_6_anova_identities():
             for i, (levels, dist) in enumerate(rows):
                 pid = f"p{i}"
                 pairs.append(pair(pid, "a", "b", True, dist))
-                covs[pid] = PairCovariates(pid, dict(zip(("g", "h"), levels)), {})
-            return anova_distances(pairs, covs, schema, Subset.POSITIVES, list(order))
+                covs[pid] = Covariates(dict(zip(("g", "h"), levels)), {})
+            return anova_distances(
+                *frames(pairs, covs, schema), schema, Subset.POSITIVES, list(order)
+            )
 
         # two-group case: all variance between groups
         simple_schema = AttributeSchema(
@@ -260,10 +256,12 @@ def test_criterion_6_anova_identities():
         )
         pairs = [pair(f"p{i}", "a", "b", True, d) for i, d in enumerate([1.0, 1.0, 3.0, 3.0])]
         covs = {
-            p.pair_id: PairCovariates(p.pair_id, {"g": lvl}, {})
+            p.pair_id: Covariates({"g": lvl}, {})
             for p, lvl in zip(pairs, ["A", "A", "B", "B"])
         }
-        two_group = anova_distances(pairs, covs, simple_schema, Subset.POSITIVES, ["g"])
+        two_group = anova_distances(
+            *frames(pairs, covs, simple_schema), simple_schema, Subset.POSITIVES, ["g"]
+        )
         assert two_group.factors[0].eta_squared == 1.0
 
         rng = np.random.default_rng(606)
@@ -371,7 +369,7 @@ def test_criterion_8_planner_guarantees(tmp_path):
             rows += [
                 f"{r.image_id},{r.identity_id},{r.values['gender']},"
                 f"{r.values['ethnicity']},{r.values['age']!r},{r.values['pose']!r}"
-                for r in table
+                for r in image_rows(table)
             ]
             path.write_text("\n".join(rows) + "\n")
 
@@ -398,7 +396,7 @@ def test_criterion_8_planner_guarantees(tmp_path):
         # verify the emitted artifact, not library state
         segment_of: dict = {}
         capacity: dict = {}
-        for rec in styles:
+        for rec in image_rows(styles):
             seg = (str(rec.values["gender"]), str(rec.values["ethnicity"]))
             segment_of[rec.image_id] = seg
             cell = (
@@ -412,11 +410,12 @@ def test_criterion_8_planner_guarantees(tmp_path):
             for line in (tmp_path / "plan.jsonl").read_text().splitlines()
         ]
         assert len(entries) == 10_000
+        id_rows = {r.image_id: r for r in image_rows(ids)}
         segment_counts: Counter = Counter()
         for entry in entries:
             segment = (entry["segment"]["gender"], entry["segment"]["ethnicity"])
             segment_counts[segment] += 1
-            id_rec = ids.by_id[entry["id_image"]]
+            id_rec = id_rows[entry["id_image"]]
             assert segment == (id_rec.values["gender"], id_rec.values["ethnicity"])
             styles_used = entry["styles"]
             assert len(styles_used) == 50
@@ -436,13 +435,6 @@ def test_criterion_8_planner_guarantees(tmp_path):
 def test_criterion_9_weighting_formula():
     with Criterion(9, "inverse-frequency weights give p=(0.25,0.25,0.5) exactly "
                       "and 100000 seeded resamples land within 0.01"):
-        table = ImageTable(
-            [
-                image("i1", "I1", ethnicity="African"),
-                image("i2", "I2", ethnicity="African"),
-                image("i3", "I3", ethnicity="Asian"),
-            ]
-        )
         schema = AttributeSchema(
             (
                 AttributeDef("gender", Categorical(("Male", "Female"), "Male"), Scope.IDENTITY),
@@ -454,6 +446,14 @@ def test_criterion_9_weighting_formula():
                 AttributeDef("age", Continuous("years"), Scope.IMAGE),
                 AttributeDef("pose", Continuous("degrees"), Scope.IMAGE),
             )
+        )
+        table, _ = load_tables(
+            schema,
+            [
+                image("i1", "I1", ethnicity="African"),
+                image("i2", "I2", ethnicity="African"),
+                image("i3", "I3", ethnicity="Asian"),
+            ],
         )
         weights = sampling_weights(table, schema, ["ethnicity"])
         assert [e.probability for e in weights.entries] == [0.25, 0.25, 0.5]

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import pair
+from conftest import Covariates, frames, pair
 from favfa.anova import anova_distances
-from favfa.data import PairCovariates, Subset
+from favfa.data import Subset
 from favfa.errors import EmptySubset
 from favfa.schema import (
     AttributeDef,
@@ -32,18 +32,23 @@ SCHEMA_GH = AttributeSchema(
 )
 
 
+def anova(pairs, covs, schema, *args, **kwargs):
+    """``anova_distances`` over the frames of pair rows and their covariates."""
+    return anova_distances(*frames(pairs, covs, schema), schema, *args, **kwargs)
+
+
 def dataset(levels_and_distances, schema_names=("g",)):
     pairs, covs = [], {}
     for i, (levels, dist) in enumerate(levels_and_distances):
         pid = f"p{i}"
         pairs.append(pair(pid, "a", "b", True, dist))
-        covs[pid] = PairCovariates(pid, dict(zip(schema_names, levels)), {})
+        covs[pid] = Covariates(dict(zip(schema_names, levels)), {})
     return pairs, covs
 
 
 def test_two_groups_all_between_variance():
     pairs, covs = dataset([(("A",), 1.0), (("A",), 1.0), (("B",), 3.0), (("B",), 3.0)])
-    table = anova_distances(pairs, covs, SCHEMA_G, Subset.POSITIVES, ["g"])
+    table = anova(pairs, covs, SCHEMA_G, Subset.POSITIVES, ["g"])
     assert table.factors[0].eta_squared == 1.0
     assert table.residual_ss == pytest.approx(0.0, abs=1e-15)
     assert table.total_ss == pytest.approx(4.0)
@@ -52,7 +57,7 @@ def test_two_groups_all_between_variance():
 
 def test_two_groups_no_between_variance():
     pairs, covs = dataset([(("A",), 1.0), (("A",), 3.0), (("B",), 1.0), (("B",), 3.0)])
-    table = anova_distances(pairs, covs, SCHEMA_G, Subset.POSITIVES, ["g"])
+    table = anova(pairs, covs, SCHEMA_G, Subset.POSITIVES, ["g"])
     assert table.factors[0].eta_squared == pytest.approx(0.0, abs=1e-12)
 
 
@@ -65,7 +70,7 @@ def test_balanced_two_factor_matches_nested_oracle():
                 base = 2.0 + {"A": 0.0, "B": 1.5}[g] + {"U": 0.0, "V": 0.7, "W": -0.4}[h]
                 rows.append(((g, h), base + float(rng.normal(scale=0.3))))
     pairs, covs = dataset(rows, schema_names=("g", "h"))
-    table = anova_distances(pairs, covs, SCHEMA_GH, Subset.POSITIVES, ["g", "h"])
+    table = anova(pairs, covs, SCHEMA_GH, Subset.POSITIVES, ["g", "h"])
 
     d = [p.distance for p in pairs]
     g_block = np.array([[1.0 if covs[p.pair_id].categorical["g"] == "B" else 0.0] for p in pairs])
@@ -86,7 +91,7 @@ def test_balanced_two_factor_matches_nested_oracle():
     assert table.factors[1].df == 2
 
     # balanced layout: order must not matter
-    flipped = anova_distances(pairs, covs, SCHEMA_GH, Subset.POSITIVES, ["h", "g"])
+    flipped = anova(pairs, covs, SCHEMA_GH, Subset.POSITIVES, ["h", "g"])
     by_name = {f.name: f.eta_squared for f in flipped.factors}
     for factor in table.factors:
         assert factor.eta_squared == pytest.approx(by_name[factor.name], abs=1e-10)
@@ -100,7 +105,7 @@ def test_eta_identities_and_scaling():
         h = "UVW"[int(rng.integers(3))]
         rows.append(((g, h), float(rng.gamma(2.0, 1.0) + (g == "B"))))
     pairs, covs = dataset(rows, schema_names=("g", "h"))
-    table = anova_distances(pairs, covs, SCHEMA_GH, Subset.POSITIVES, ["g", "h"])
+    table = anova(pairs, covs, SCHEMA_GH, Subset.POSITIVES, ["g", "h"])
 
     factor_ss = math.fsum(f.sum_squares for f in table.factors)
     assert abs(factor_ss + table.residual_ss - table.total_ss) <= 1e-8 * table.total_ss
@@ -110,7 +115,7 @@ def test_eta_identities_and_scaling():
     assert table.r_squared == pytest.approx(1.0 - table.residual_ss / table.total_ss, abs=1e-8)
 
     scaled_pairs, _ = dataset([((r[0]), r[1] * 7.25) for r in rows], ("g", "h"))
-    scaled = anova_distances(scaled_pairs, covs_for(scaled_pairs, rows), SCHEMA_GH,
+    scaled = anova(scaled_pairs, covs_for(scaled_pairs, rows), SCHEMA_GH,
                              Subset.POSITIVES, ["g", "h"])
     for a, b in zip(table.factors, scaled.factors):
         assert a.eta_squared == pytest.approx(b.eta_squared, abs=1e-10)
@@ -119,7 +124,7 @@ def test_eta_identities_and_scaling():
 
 def covs_for(pairs, rows):
     return {
-        p.pair_id: PairCovariates(p.pair_id, dict(zip(("g", "h"), row[0])), {})
+        p.pair_id: Covariates(dict(zip(("g", "h"), row[0])), {})
         for p, row in zip(pairs, rows)
     }
 
@@ -133,8 +138,8 @@ def test_noise_factor_barely_moves_eta():
         h = "UVW"[int(rng.integers(3))]  # pure noise factor
         rows.append(((g, h), 3.0 + (1.0 if g == "B" else 0.0) + float(rng.normal(scale=0.5))))
     pairs, covs = dataset(rows, schema_names=("g", "h"))
-    with_noise = anova_distances(pairs, covs, SCHEMA_GH, Subset.POSITIVES, ["g", "h"])
-    alone = anova_distances(pairs, covs, SCHEMA_GH, Subset.POSITIVES, ["g"])
+    with_noise = anova(pairs, covs, SCHEMA_GH, Subset.POSITIVES, ["g", "h"])
+    alone = anova(pairs, covs, SCHEMA_GH, Subset.POSITIVES, ["g"])
     delta = abs(with_noise.factors[0].eta_squared - alone.factors[0].eta_squared)
     assert delta < 2 / math.sqrt(n)
 
@@ -142,7 +147,7 @@ def test_noise_factor_barely_moves_eta():
 def test_collinear_factor_dropped_with_warning():
     rows = [(("A", "U"), 1.0), (("A", "U"), 2.0), (("B", "V"), 3.0), (("B", "V"), 4.0)]
     pairs, covs = dataset(rows, schema_names=("g", "h"))
-    table = anova_distances(pairs, covs, SCHEMA_GH, Subset.POSITIVES, ["g", "h"])
+    table = anova(pairs, covs, SCHEMA_GH, Subset.POSITIVES, ["g", "h"])
     assert table.factors[1].df == 0
     assert table.factors[1].sum_squares == 0.0
     assert any("collinear" in w for w in table.warnings)
@@ -151,7 +156,7 @@ def test_collinear_factor_dropped_with_warning():
 def test_single_level_factor_dropped():
     rows = [(("A", "U"), 1.0), (("A", "U"), 2.0), (("A", "V"), 3.0)]
     pairs, covs = dataset(rows, schema_names=("g", "h"))
-    table = anova_distances(pairs, covs, SCHEMA_GH, Subset.POSITIVES, ["g", "h"])
+    table = anova(pairs, covs, SCHEMA_GH, Subset.POSITIVES, ["g", "h"])
     assert table.factors[0].df == 0
     assert any("single level" in w for w in table.warnings)
 
@@ -159,14 +164,14 @@ def test_single_level_factor_dropped():
 def test_empty_subset():
     pairs, covs = dataset([(("A",), 1.0)])
     with pytest.raises(EmptySubset):
-        anova_distances(pairs, covs, SCHEMA_G, Subset.NEGATIVES, ["g"])
+        anova(pairs, covs, SCHEMA_G, Subset.NEGATIVES, ["g"])
 
 
 def test_as_dict_round_trips_through_json():
     import json
 
     pairs, covs = dataset([(("A",), 1.0), (("A",), 1.0), (("B",), 3.0), (("B",), 3.0)])
-    table = anova_distances(pairs, covs, SCHEMA_G, Subset.POSITIVES, ["g"])
+    table = anova(pairs, covs, SCHEMA_G, Subset.POSITIVES, ["g"])
     payload = json.loads(json.dumps(table.as_dict()))
     assert payload["subset"] == "positives"
     assert payload["factors"][0]["eta_squared"] == 1.0
@@ -186,8 +191,8 @@ def test_continuous_factor_df_one():
         pid = f"p{i}"
         age = float(rng.uniform(0, 50))
         pairs.append(pair(pid, "a", "b", True, 1.0 + 0.02 * age + float(rng.normal(scale=0.1))))
-        covs[pid] = PairCovariates(pid, {"g": "AB"[int(rng.integers(2))]}, {"age": age})
-    table = anova_distances(pairs, covs, schema, Subset.POSITIVES, ["g", "age"])
+        covs[pid] = Covariates({"g": "AB"[int(rng.integers(2))]}, {"age": age})
+    table = anova(pairs, covs, schema, Subset.POSITIVES, ["g", "age"])
     age_factor = next(f for f in table.factors if f.name == "age")
     assert age_factor.df == 1
     assert age_factor.eta_squared > 0.5
@@ -208,9 +213,9 @@ def test_interactions_flag():
             AttributeDef("h", Categorical(("U", "V"), "U"), Scope.IMAGE),
         )
     )
-    plain = anova_distances(pairs, covs, schema, Subset.POSITIVES, ["g", "h"])
+    plain = anova(pairs, covs, schema, Subset.POSITIVES, ["g", "h"])
     assert plain.r_squared < 0.2
-    interacted = anova_distances(
+    interacted = anova(
         pairs, covs, schema, Subset.POSITIVES, ["g", "h"], interactions=True
     )
     names = [f.name for f in interacted.factors]
@@ -229,7 +234,7 @@ def test_eta_sum_identity_random(seed, n):
         h = "UVW"[int(rng.integers(3))]
         rows.append(((g, h), float(rng.random() * 3.0)))
     pairs, covs = dataset(rows, schema_names=("g", "h"))
-    table = anova_distances(pairs, covs, SCHEMA_GH, Subset.POSITIVES, ["g", "h"])
+    table = anova(pairs, covs, SCHEMA_GH, Subset.POSITIVES, ["g", "h"])
     if table.total_ss > 0:
         factor_ss = math.fsum(f.sum_squares for f in table.factors)
         assert abs(factor_ss + table.residual_ss - table.total_ss) <= max(

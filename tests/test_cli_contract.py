@@ -1,0 +1,106 @@
+"""The CLI contract on damaged inputs: exit 0, or exit 1 with one JSON error
+line on stderr, never a traceback, and no partial bundle.
+
+A small synthetic dataset is damaged one way at a time (its table cut to
+the header, blank lines, ragged rows, a non-numeric cell, an image id the
+pairs cannot resolve) and run through ``diversity``, ``weights`` and
+``analyze``. The explicit examples are a seed corpus; Hypothesis adds its
+own.
+"""
+
+from __future__ import annotations
+
+import functools
+import json
+import tempfile
+from pathlib import Path
+
+from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from favfa.cli import main
+from favfa.synth import make_verification_dataset, write_dataset
+
+DAMAGES = ("header-only", "blank-lines", "ragged", "non-numeric", "unknown-id")
+
+
+@functools.cache
+def base_texts() -> dict[str, str]:
+    """schema.json, images.csv and pairs.csv of a small synthetic dataset."""
+    with tempfile.TemporaryDirectory() as tmp:
+        dataset = make_verification_dataset(
+            n_identities=40, images_per_identity=3, n_positive=150, n_negative=150, seed=1
+        )
+        write_dataset(dataset, tmp)
+        return {
+            name: (Path(tmp) / name).read_text(encoding="utf-8")
+            for name in ("schema.json", "images.csv", "pairs.csv")
+        }
+
+
+def damaged(text: str, damage: str, where: int) -> str:
+    """``text`` with one damage; ``where`` picks the row and cell."""
+    header, *rows = text.splitlines()
+    i = where % len(rows)
+    cells = rows[i].split(",")
+    if damage == "header-only":
+        rows = []
+    elif damage == "blank-lines":
+        rows[i:i] = ["", ""]
+    elif damage == "ragged":
+        rows[i] = ",".join(cells[: where % len(cells)] if where % 2 else cells + ["extra"])
+    elif damage == "non-numeric":
+        cells[2 + where % (len(cells) - 2)] = "abc"  # past the id columns
+        rows[i] = ",".join(cells)
+    elif text.startswith("pair_id"):  # unknown-id: a pair names a missing image
+        cells[1] = "ghost"
+        rows[i] = ",".join(cells)
+    else:  # unknown-id: an image the pairs name is gone
+        del rows[i]
+    return "\n".join([header, *rows]) + "\n"
+
+
+@given(
+    command=st.sampled_from(["diversity", "weights", "analyze"]),
+    target=st.sampled_from(["images.csv", "pairs.csv"]),
+    damage=st.sampled_from(DAMAGES),
+    where=st.integers(0, 10**6),
+)
+@example(command="diversity", target="images.csv", damage="header-only", where=0)
+@example(command="weights", target="images.csv", damage="header-only", where=0)
+@example(command="analyze", target="images.csv", damage="header-only", where=0)
+@example(command="analyze", target="pairs.csv", damage="header-only", where=0)
+@example(command="analyze", target="pairs.csv", damage="blank-lines", where=3)
+@example(command="weights", target="images.csv", damage="ragged", where=5)
+@example(command="analyze", target="pairs.csv", damage="non-numeric", where=7)
+@example(command="analyze", target="pairs.csv", damage="unknown-id", where=11)
+@example(command="analyze", target="images.csv", damage="unknown-id", where=0)
+@settings(max_examples=50, deadline=None)
+def test_cli_contract_on_damaged_inputs(command, target, damage, where):
+    texts = dict(base_texts())
+    texts[target] = damaged(texts[target], damage, where)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, text in texts.items():
+            (root / name).write_text(text, encoding="utf-8")
+        args = [command, "--schema", str(root / "schema.json")]
+        args += ["--images", str(root / "images.csv")]
+        if command == "weights":
+            args += ["--attrs", "gender,age"]
+        if command == "analyze":
+            args += ["--pairs", str(root / "pairs.csv"), "--out", str(root / "out")]
+        result = CliRunner().invoke(main, args)
+
+        assert result.exit_code in (0, 1), result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit), repr(
+            result.exception
+        )
+        assert "Traceback" not in result.output + result.stderr
+        if result.exit_code == 1:
+            lines = result.stderr.splitlines()
+            assert len(lines) == 1, result.stderr
+            assert set(json.loads(lines[0])) == {"error", "message"}
+            if command == "analyze":
+                assert not (root / "out").exists()
+                assert not list(root.glob(".favfa-staging-*"))

@@ -1,11 +1,10 @@
-"""The columnar pair core against its record adapters, and CSV ingestion
-against csv.DictReader.
+"""The columnar pair core against a per-pair recomputation and the oracles,
+and CSV ingestion against csv.DictReader.
 
-Every statistic runs on a PairFrame and a CovariateFrame. Handed PairRecords
-and a plain ``pair_id -> PairCovariates`` mapping instead, the same functions
-convert them into columns first; the level codes then come in order of first
-appearance rather than schema order. Both routes must give equal results and
-equal errors.
+Every statistic runs on a PairFrame and a CovariateFrame loaded from CSV
+text. The covariates must equal those recomputed pair by pair from the two
+images' values, and the threshold and group confusion must equal the
+brute-force oracles over those covariates.
 """
 
 from __future__ import annotations
@@ -13,26 +12,26 @@ from __future__ import annotations
 import csv
 import io
 import tempfile
+from contextlib import suppress
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from conftest import csv_text, covariate_rows, image_rows, pair, pair_frame, pair_rows
 from favfa.anova import anova_distances
 from favfa.data import (
     CROSS_LEVEL,
-    CovariateFrame,
     Label,
-    PairFrame,
     Subset,
     consolidate_identity_attributes,
     covariates_for_pairs,
     load_images,
     load_pairs,
 )
-from favfa.errors import DegeneratePairs, MissingAttribute
+from favfa.errors import DegeneratePairs, FavfaError, MissingAttribute
 from favfa.logit import build_design
 from favfa.metrics import group_confusion, optimize_threshold
 from favfa.schema import (
@@ -113,14 +112,6 @@ def tables(draw):
     return image_rows, pair_rows
 
 
-def csv_text(header, rows) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
-
-
 def load(directory: Path, images_text: str, pairs_text: str, schema=SCHEMA):
     (directory / "images.csv").write_text(images_text, encoding="utf-8")
     (directory / "pairs.csv").write_text(pairs_text, encoding="utf-8")
@@ -136,19 +127,10 @@ def outcome(func, *args):
         return "raised", type(exc).__name__, str(exc)
 
 
-def same_design(a, b) -> bool:
-    return (
-        np.array_equal(a.X, b.X)
-        and np.array_equal(a.y, b.y)
-        and a.X.dtype == b.X.dtype
-        and (a.columns, a.categorical_columns, a.continuous_columns, a.standardization, a.subset)
-        == (b.columns, b.categorical_columns, b.continuous_columns, b.standardization, b.subset)
-    )
-
-
 def scalar_covariates(pair, images, aggregate):
-    """Covariates of one pair, attribute by attribute from its two records."""
-    rec_a, rec_b = images.by_id[pair.image_a], images.by_id[pair.image_b]
+    """Covariates of one pair, attribute by attribute from its two image
+    rows."""
+    rec_a, rec_b = images[pair.image_a], images[pair.image_b]
     categorical, continuous = {}, {}
     for attr in SCHEMA.attributes:
         va, vb = rec_a.values[attr.name], rec_b.values[attr.name]
@@ -160,79 +142,114 @@ def scalar_covariates(pair, images, aggregate):
     return categorical, continuous
 
 
+def check_design(design, pairs, covs, said):
+    """The response and every column of ``design`` recomputed pair by pair
+    from the covariates: level indicators, and continuous values
+    standardized with the design's own constants."""
+    keep = [
+        i for i, p in enumerate(pairs)
+        if (p.ground_truth is Label.SAME) == (design.subset is Subset.POSITIVES)
+    ]
+    assert design.y.tolist() == [float(said[i]) for i in keep]
+    assert design.X[:, 0].tolist() == [1.0] * len(keep)
+    for j, name in enumerate(design.columns[1:], start=1):
+        attr, _, level = name.partition("=")
+        if level:
+            want = [float(covs[i].categorical[attr] == level) for i in keep]
+        else:
+            mean, std = design.standardization[attr]
+            want = [(covs[i].continuous[attr] - mean) / std for i in keep]
+        assert design.X[:, j].tolist() == want
+
+
 @given(tables(), st.sampled_from(["mean", "absdiff"]))
 @settings(max_examples=40, deadline=None)
-def test_frame_and_record_adapters_agree(tables, aggregate):
-    image_rows, pair_rows = tables
+def test_frame_stages_match_per_pair_recomputation(tables, aggregate):
+    image_cells, pair_cells = tables
     with tempfile.TemporaryDirectory() as tmp:
         images, frame = load(
-            Path(tmp), csv_text(IMAGE_HEADER, image_rows), csv_text(PAIR_HEADER, pair_rows)
+            Path(tmp), csv_text(IMAGE_HEADER, image_cells), csv_text(PAIR_HEADER, pair_cells)
         )
     covs = covariates_for_pairs(frame, images, SCHEMA, aggregate)
-    records = tuple(frame)
-    mapping = dict(covs)
-    assert isinstance(covs, CovariateFrame) and len(covs) == len(frame) == len(pair_rows)
-    assert [r.predicted for r in records] == [
-        None if row[5] == "" else Label(row[5]) for row in pair_rows
+    pairs = pair_rows(frame, images)
+    assert len(frame) == len(pair_cells)
+    assert [p.predicted for p in pairs] == [
+        None if row[5] == "" else Label(row[5]) for row in pair_cells
     ]
 
-    # covariates: the record route and a per-pair recomputation
-    assert dict(covariates_for_pairs(records, images, SCHEMA, aggregate)) == mapping
-    for record in records:
-        cov = mapping[record.pair_id]
-        assert (cov.categorical, cov.continuous) == scalar_covariates(record, images, aggregate)
+    # covariates: a per-pair recomputation
+    by_id = {row.image_id: row for row in image_rows(images)}
+    by_pair = covariate_rows(covs)
+    assert by_pair == [scalar_covariates(p, by_id, aggregate) for p in pairs]
+    assert all(len(col.codes) == len(frame) for col in covs.categorical.values())
+    assert all(len(values) == len(frame) for values in covs.continuous.values())
 
-    thr = outcome(optimize_threshold, frame)
-    assert thr == outcome(optimize_threshold, records)
-    threshold = thr[1] if thr[0] == "ok" else 0.5
+    distances = [p.distance for p in pairs]
+    labels = [p.ground_truth is Label.SAME for p in pairs]
+    if all(labels) or not any(labels):
+        with pytest.raises(DegeneratePairs):
+            optimize_threshold(frame)
+        threshold = 0.5
+    else:
+        threshold = optimize_threshold(frame)
+        best, _ = oracles.best_threshold_accuracy(distances, labels)
+        assert oracles.accuracy_at(distances, labels, threshold) == best
+    said = [
+        p.distance < threshold if p.predicted is None else p.predicted is Label.SAME
+        for p in pairs
+    ]
 
     for grouping in (("gender", "ethnicity"), ("ethnicity",), ()):
-        assert outcome(group_confusion, frame, covs, threshold, grouping) == outcome(
-            group_confusion, records, mapping, threshold, grouping
+        tallies = oracles.tally_groups(
+            (tuple((a, cov.categorical[a]) for a in grouping), is_pos, s)
+            for cov, is_pos, s in zip(by_pair, labels, said)
         )
+        got = group_confusion(frame, covs, threshold, grouping)
+        assert [(g.group.items, g.tp, g.fp, g.tn, g.fn) for g in got] == [
+            (key, c["tp"], c["fp"], c["tn"], c["fn"]) for key, c in tallies.items()
+        ]
 
     for subset in Subset:
         for schema in (SCHEMA, GENDER_SCHEMA):
-            by_frame = outcome(build_design, frame, covs, schema, subset, threshold)
-            by_records = outcome(build_design, records, mapping, schema, subset, threshold)
-            assert by_frame[0] == by_records[0]
-            if by_frame[0] == "ok":
-                assert same_design(by_frame[1], by_records[1])
-            else:
-                assert by_frame == by_records
+            with suppress(FavfaError):
+                check_design(build_design(frame, covs, schema, subset, threshold), pairs,
+                             by_pair, said)
         for order in (None, ("pose", "ethnicity", "age", "gender")):
             for interactions in (False, True):
-                args = (SCHEMA, subset, order, interactions)
-                assert outcome(anova_distances, frame, covs, *args) == outcome(
-                    anova_distances, records, mapping, *args
-                )
+                with suppress(FavfaError):
+                    table = anova_distances(frame, covs, SCHEMA, subset, order, interactions)
+                    assert table.n == sum(
+                        (is_pos == (subset is Subset.POSITIVES)) for is_pos in labels
+                    )
 
 
 @given(tables(), st.data())
 @settings(max_examples=40, deadline=None)
 def test_missing_identity_attribute_names_the_same_image(tables, data):
-    image_rows, pair_rows = tables
-    ids = [row[0] for row in image_rows]
+    image_cells, pair_cells = tables
+    ids = [row[0] for row in image_cells]
     lacking = set(data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=2)))
-    for row in image_rows:
+    for row in image_cells:
         if row[0] in lacking:
             row[-1] = ""
     with tempfile.TemporaryDirectory() as tmp:
         images, frame = load(
             Path(tmp),
-            csv_text(IMAGE_HEADER, image_rows),
-            csv_text(PAIR_HEADER, pair_rows),
+            csv_text(IMAGE_HEADER, image_cells),
+            csv_text(PAIR_HEADER, pair_cells),
             HEIGHT_SCHEMA,
         )
     # the first pair, in file order, with a side lacking it; side a first
-    sides = [side for p in frame for side in (p.image_a, p.image_b) if side in lacking]
-    for pairs in (frame, tuple(frame)):
-        if not sides:
-            covariates_for_pairs(pairs, images, HEIGHT_SCHEMA)
-            continue
-        with pytest.raises(MissingAttribute) as err:
-            covariates_for_pairs(pairs, images, HEIGHT_SCHEMA)
-        assert (err.value.image_id, err.value.attribute) == (sides[0], "height")
+    sides = [
+        side for p in pair_rows(frame, images) for side in (p.image_a, p.image_b)
+        if side in lacking
+    ]
+    if not sides:
+        covariates_for_pairs(frame, images, HEIGHT_SCHEMA)
+        return
+    with pytest.raises(MissingAttribute) as err:
+        covariates_for_pairs(frame, images, HEIGHT_SCHEMA)
+    assert (err.value.image_id, err.value.attribute) == (sides[0], "height")
 
 
 def dictreader_text(text: str) -> str:
@@ -264,15 +281,17 @@ def ragged(draw, header, rows):
 def same_tables(a, b) -> bool:
     images_a, frame_a = a
     images_b, frame_b = b
-    return images_a.records == images_b.records and list(frame_a) == list(frame_b)
+    return image_rows(images_a) == image_rows(images_b) and pair_rows(
+        frame_a, images_a
+    ) == pair_rows(frame_b, images_b)
 
 
 @given(tables(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_ragged_rows_and_blank_lines_read_as_dictreader_reads_them(tables, data):
-    image_rows, pair_rows = tables
-    images_text = data.draw(ragged(IMAGE_HEADER, image_rows))
-    pairs_text = data.draw(ragged(PAIR_HEADER, pair_rows))
+    image_cells, pair_cells = tables
+    images_text = data.draw(ragged(IMAGE_HEADER, image_cells))
+    pairs_text = data.draw(ragged(PAIR_HEADER, pair_cells))
     with tempfile.TemporaryDirectory() as tmp:
         left, right = Path(tmp) / "as_written", Path(tmp) / "as_dictreader"
         left.mkdir()
@@ -288,7 +307,7 @@ def test_ragged_rows_and_blank_lines_read_as_dictreader_reads_them(tables, data)
         assert got[2].replace(str(left), "<dir>") == want[2].replace(str(right), "<dir>")
 
 
-def test_frame_indexing_gives_records(tmp_path):
+def test_pair_frame_columns_and_covariates(tmp_path):
     images, frame = load(
         tmp_path,
         csv_text(IMAGE_HEADER, [
@@ -298,13 +317,13 @@ def test_frame_indexing_gives_records(tmp_path):
         csv_text(PAIR_HEADER, [["p1", "a1", "b1", "different", "0.75", "same"],
                                ["p2", "b1", "a1", "same", "0.25", ""]]),
     )
-    assert isinstance(frame, PairFrame) and len(frame) == 2
-    assert frame[0].predicted is Label.SAME and frame[1].predicted is None
-    assert (frame[1].image_a, frame[1].ground_truth, frame[1].distance) == ("b1", Label.SAME, 0.25)
-    assert frame.image_ids is images.ids
+    assert len(frame) == 2
+    # the image columns are rows of the image frame
+    assert (frame.image_a.tolist(), frame.image_b.tolist()) == ([0, 1], [1, 0])
+    assert (frame.is_pos.tolist(), frame.distance.tolist()) == ([False, True], [0.75, 0.25])
     assert list(frame.predicted) == [1, -1]
-    covs = covariates_for_pairs(frame, images, SCHEMA)
-    assert covs["p2"].categorical == {"gender": CROSS_LEVEL, "ethnicity": "Asian"}
-    assert covs["p2"].continuous == {"age": 35.0, "pose": 6.0}
+    covs = covariate_rows(covariates_for_pairs(frame, images, SCHEMA))
+    assert covs[1].categorical == {"gender": CROSS_LEVEL, "ethnicity": "Asian"}
+    assert covs[1].continuous == {"age": 35.0, "pose": 6.0}
     with pytest.raises(DegeneratePairs):
-        optimize_threshold(PairFrame.from_records([frame[0]]))
+        optimize_threshold(pair_frame([pair("p1", "a1", "b1", False, 0.75, predicted=True)]))

@@ -1,20 +1,14 @@
 from __future__ import annotations
 
-import math
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import image, pair
+from conftest import ImageRow, covariate_rows, image, image_rows, load_tables, pair
 from favfa.data import (
     CROSS_LEVEL,
-    ImageRecord,
-    ImageTable,
     consolidate_identity_attributes,
     covariates_for_pairs,
-    derive_pair_covariates,
     load_images,
     load_pairs,
 )
@@ -36,8 +30,8 @@ def write(tmp_path, name, text):
 def test_load_images_happy_path(tmp_path, schema):
     table = load_images(write(tmp_path, "images.csv", IMAGES_CSV), schema)
     assert len(table) == 3
-    assert table.by_id["x1"].values["age"] == 30.0
-    assert table.by_identity["I1"][1].image_id == "x2"
+    assert image_rows(table)[table.row("x1")].values["age"] == 30.0
+    assert [r.image_id for r in image_rows(table) if r.identity_id == "I1"][1] == "x2"
 
 
 def test_load_images_missing_value(tmp_path, schema):
@@ -53,9 +47,9 @@ def test_load_images_soft_scores(tmp_path, schema):
         "image_id,identity_id,gender:Male,gender:Female,ethnicity,age,pose\n"
         "x1,I1,0.7,0.3,African,30,12\n"
     )
-    table = load_images(write(tmp_path, "images.csv", text), schema)
-    assert table.by_id["x1"].soft_scores["gender"] == (0.7, 0.3)
-    assert "gender" not in table.by_id["x1"].values  # identity scope defers
+    (row,) = image_rows(load_images(write(tmp_path, "images.csv", text), schema))
+    assert row.soft_scores["gender"] == (0.7, 0.3)
+    assert "gender" not in row.values  # identity scope defers
 
 
 def test_load_images_bad_soft_sum(tmp_path, schema):
@@ -78,8 +72,8 @@ def test_pose_from_components(tmp_path, schema):
         "image_id,identity_id,gender,ethnicity,age,pitch,yaw,roll\n"
         "x1,I1,Male,African,30,3,4,12\n"
     )
-    table = load_images(write(tmp_path, "images.csv", text), schema)
-    assert table.by_id["x1"].values["pose"] == pytest.approx(13.0)
+    (row,) = image_rows(load_images(write(tmp_path, "images.csv", text), schema))
+    assert row.values["pose"] == pytest.approx(13.0)
 
 
 def test_load_pairs_and_errors(tmp_path, schema):
@@ -95,8 +89,7 @@ def test_load_pairs_and_errors(tmp_path, schema):
         images,
     )
     assert len(pairs) == 2
-    assert pairs[0].predicted is None
-    assert pairs[1].predicted is not None
+    assert pairs.predicted.tolist() == [-1, 1]
 
     with pytest.raises(UnresolvedImage):
         load_pairs(
@@ -124,34 +117,38 @@ def test_load_pairs_and_errors(tmp_path, schema):
 
 def test_consolidation_tie_breaks_to_first_level(schema):
     # hand-average: (0.6+0.4)/2 = 0.5 for both levels, tie -> Male
-    table = ImageTable(
+    table, _ = load_tables(
+        schema,
         [
             image("a1", "A", soft_scores={"gender": (0.6, 0.4)}),
             image("a2", "A", soft_scores={"gender": (0.4, 0.6)}),
-        ]
+        ],
     )
     out = consolidate_identity_attributes(table, schema)
-    assert all(r.values["gender"] == "Male" for r in out)
+    assert all(r.values["gender"] == "Male" for r in image_rows(out))
 
 
 def test_consolidation_single_image_argmax(schema):
-    table = ImageTable(
-        [image("a1", "A", soft_scores={"ethnicity": (0.1, 0.7, 0.1, 0.1)})]
+    table, _ = load_tables(
+        schema, [image("a1", "A", soft_scores={"ethnicity": (0.1, 0.7, 0.1, 0.1)})]
     )
-    out = consolidate_identity_attributes(table, schema)
-    assert out.by_id["a1"].values["ethnicity"] == "African"
+    (row,) = image_rows(consolidate_identity_attributes(table, schema))
+    assert row.values["ethnicity"] == "African"
 
 
 def test_consolidation_hard_values_unchanged(schema):
-    table = ImageTable([image("a1", "A", "Female", "Indian"), image("a2", "A", "Female", "Indian")])
+    rows = [image("a1", "A", "Female", "Indian"), image("a2", "A", "Female", "Indian")]
+    table, _ = load_tables(schema, rows)
     out = consolidate_identity_attributes(table, schema)
-    assert [r.values for r in out] == [r.values for r in table]
+    assert [r.values for r in image_rows(out)] == [r.values for r in rows]
 
 
 def test_consolidation_missing_everywhere(schema):
-    rec = ImageRecord("a1", "A", {"ethnicity": "Asian", "age": 3.0, "pose": 1.0})
+    table, _ = load_tables(
+        schema, [ImageRow("a1", "A", {"ethnicity": "Asian", "age": 3.0, "pose": 1.0}, {})]
+    )
     with pytest.raises(MissingAttribute):
-        consolidate_identity_attributes(ImageTable([rec]), schema)
+        consolidate_identity_attributes(table, schema)
 
 
 @st.composite
@@ -172,15 +169,15 @@ def identity_soft_tables(draw):
 @settings(max_examples=60)
 def test_consolidation_idempotent_and_order_free(records, rnd):
     schema = _build_schema()
-    once = consolidate_identity_attributes(ImageTable(records), schema)
+    once = consolidate_identity_attributes(load_tables(schema, records)[0], schema)
     twice = consolidate_identity_attributes(once, schema)
-    assert [r.values for r in once] == [r.values for r in twice]
+    assert [r.values for r in image_rows(once)] == [r.values for r in image_rows(twice)]
 
     shuffled = list(records)
     rnd.shuffle(shuffled)
-    other = consolidate_identity_attributes(ImageTable(shuffled), schema)
-    by_id = {r.image_id: r.values for r in other}
-    for rec in once:
+    other = consolidate_identity_attributes(load_tables(schema, shuffled)[0], schema)
+    by_id = {r.image_id: r.values for r in image_rows(other)}
+    for rec in image_rows(once):
         assert by_id[rec.image_id] == rec.values
 
 
@@ -214,7 +211,7 @@ def _build_schema():
 
 def test_covariates_shared_and_mean(schema, tiny_tables):
     images, pairs = tiny_tables
-    cov = derive_pair_covariates(pairs[0], images, schema)
+    cov = covariate_rows(covariates_for_pairs(pairs, images, schema))[0]
     assert cov.categorical == {"gender": "Male", "ethnicity": "African"}
     assert cov.continuous["age"] == pytest.approx(35.0)
     assert cov.continuous["pose"] == pytest.approx(8.0)  # (12 + 4) / 2
@@ -222,14 +219,14 @@ def test_covariates_shared_and_mean(schema, tiny_tables):
 
 def test_covariates_cross_sentinel(schema, tiny_tables):
     images, pairs = tiny_tables
-    cov = derive_pair_covariates(pairs[2], images, schema)
+    cov = covariate_rows(covariates_for_pairs(pairs, images, schema))[2]
     assert cov.categorical["gender"] == CROSS_LEVEL
     assert cov.categorical["ethnicity"] == CROSS_LEVEL
 
 
 def test_covariates_absdiff_switch(schema, tiny_tables):
     images, pairs = tiny_tables
-    cov = derive_pair_covariates(pairs[0], images, schema, aggregate="absdiff")
+    cov = covariate_rows(covariates_for_pairs(pairs, images, schema, aggregate="absdiff"))[0]
     assert cov.continuous["age"] == pytest.approx(10.0)
     assert cov.continuous["pose"] == pytest.approx(8.0)
 
@@ -244,14 +241,12 @@ def test_covariates_absdiff_switch(schema, tiny_tables):
 @settings(max_examples=60)
 def test_covariates_symmetric(ga, gb, aa, ab, aggregate):
     schema = _build_schema()
-    images = ImageTable(
-        [
-            image("a", "A", ga, "Asian", aa, 5.0),
-            image("b", "B", gb, "Asian", ab, 7.0),
-        ]
+    images, pairs = load_tables(
+        schema,
+        [image("a", "A", ga, "Asian", aa, 5.0), image("b", "B", gb, "Asian", ab, 7.0)],
+        [pair("fwd", "a", "b", False, 0.5), pair("rev", "b", "a", False, 0.5)],
     )
-    fwd = derive_pair_covariates(pair("p", "a", "b", False, 0.5), images, schema, aggregate)
-    rev = derive_pair_covariates(pair("p", "b", "a", False, 0.5), images, schema, aggregate)
+    fwd, rev = covariate_rows(covariates_for_pairs(pairs, images, schema, aggregate))
     assert fwd.categorical == rev.categorical
     assert fwd.continuous == rev.continuous
 
@@ -259,5 +254,5 @@ def test_covariates_symmetric(ga, gb, aa, ab, aggregate):
 def test_every_attribute_covered(schema, tiny_tables):
     images, pairs = tiny_tables
     covs = covariates_for_pairs(pairs, images, schema)
-    for cov in covs.values():
+    for cov in covariate_rows(covs):
         assert set(cov.categorical) | set(cov.continuous) == set(schema.names)

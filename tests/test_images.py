@@ -1,39 +1,41 @@
-"""The columnar image table against its record adapters and a row-by-row
-reference reader.
+"""The columnar image table against a row-by-row reference reader.
 
 ``load_images`` reads an images CSV into an ImageFrame column by column and
 ``consolidate_identity_attributes`` averages soft scores with one grouped
-reduction. The reference below reads the same files row by row into
-ImageRecords and averages identity by identity with ``math.fsum``; it is the
-record code these functions replace, kept as the oracle. Frames, record
-tables converted on the way in and the reference must give equal values and
-raise the same first error.
+reduction. The reference below reads the same files row by row into rows of
+its own and averages identity by identity with ``math.fsum``; it is the row
+code these functions replace, kept as the oracle. The frame, read back as
+rows, and the reference must give equal values and raise the same first
+error.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
 import random
 import tempfile
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import favfa.data
+from conftest import (
+    ImageRow,
+    PairRow,
+    covariate_rows,
+    csv_text,
+    image_rows,
+    load_tables,
+    pair_rows,
+)
 from favfa.data import (
     CROSS_LEVEL,
     ImageFrame,
-    ImageRecord,
-    ImageTable,
     Label,
-    PairCovariates,
-    PairRecord,
     attribute_frequencies,
     consolidate_identity_attributes,
     covariates_for_pairs,
@@ -81,6 +83,27 @@ HEADER = (
 # --- the row-by-row reference -------------------------------------------
 
 
+class ReferenceTable:
+    """The reference reader's image table: its rows, indexed by image id
+    and grouped by identity."""
+
+    def __init__(self, rows):
+        self.rows = list(rows)
+        self.by_id = {}
+        self.by_identity = {}
+        for row in self.rows:
+            if row.image_id in self.by_id:
+                raise ParseError(f"duplicate image_id {row.image_id!r}")
+            self.by_id[row.image_id] = row
+            self.by_identity.setdefault(row.identity_id, []).append(row)
+
+    def resolve(self, image_id):
+        try:
+            return self.by_id[image_id]
+        except KeyError:
+            raise UnresolvedImage(f"unknown image_id {image_id!r}") from None
+
+
 def reference_rows(path, required):
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -120,7 +143,7 @@ def reference_soft(cells, attr, image_id):
     return scores
 
 
-def reference_load_images(path, schema) -> ImageTable:
+def reference_load_images(path, schema) -> ReferenceTable:
     columns, rows = reference_rows(path, ("image_id", "identity_id"))
     pose_cols = [columns.get(c) for c in ("pitch", "yaw", "roll")]
     soft_cols = {}
@@ -161,11 +184,11 @@ def reference_load_images(path, schema) -> ImageTable:
                     )
             if attr.scope is Scope.IMAGE and name not in values and name not in softs:
                 raise MissingAttribute(image_id, name)
-        records.append(ImageRecord(image_id, identity_id, values, softs))
-    return ImageTable(records)
+        records.append(ImageRow(image_id, identity_id, values, softs))
+    return ReferenceTable(records)
 
 
-def reference_consolidate(table: ImageTable, schema) -> ImageTable:
+def reference_consolidate(table: ReferenceTable, schema) -> ReferenceTable:
     attrs = [a for a in schema.attributes if a.is_categorical and a.scope is Scope.IDENTITY]
     assigned = {}
     for recs in table.by_identity.values():
@@ -188,14 +211,14 @@ def reference_consolidate(table: ImageTable, schema) -> ImageTable:
             winner = attr.levels[averaged.index(max(averaged))]
             for r in recs:
                 assigned.setdefault(r.image_id, {})[name] = winner
-    return ImageTable(
-        ImageRecord(r.image_id, r.identity_id, {**r.values, **assigned.get(r.image_id, {})},
-                    dict(r.soft_scores))
-        for r in table
+    return ReferenceTable(
+        ImageRow(r.image_id, r.identity_id, {**r.values, **assigned.get(r.image_id, {})},
+                 dict(r.soft_scores))
+        for r in table.rows
     )
 
 
-def reference_load_pairs(path, images: ImageTable) -> list[PairRecord]:
+def reference_load_pairs(path, images: ReferenceTable) -> list[PairRow]:
     columns, rows = reference_rows(path, ("pair_id", "image_a", "image_b", "ground_truth", "distance"))
     labels = {"same": Label.SAME, "different": Label.DIFFERENT}
     pairs, seen = [], set()
@@ -217,7 +240,7 @@ def reference_load_pairs(path, images: ImageTable) -> list[PairRecord]:
             raise ParseError(f"pair {pair_id!r}: predicted must be 'same' or 'different'")
         if dist < 0:
             raise ParseError(f"pair {pair_id!r}: distance must be finite and >= 0, got {dist}")
-        pairs.append(PairRecord(pair_id, a, b, truth, dist, predicted))
+        pairs.append(PairRow(pair_id, a, b, truth, dist, predicted))
     return pairs
 
 
@@ -227,12 +250,12 @@ def reference_required(rec, name):
     return rec.values[name]
 
 
-def reference_frequencies(table: ImageTable, schema, name) -> list[float]:
+def reference_frequencies(table: ReferenceTable, schema, name) -> list[float]:
     attr = schema[name]
     holders = (
         [min(recs, key=lambda r: r.image_id) for recs in table.by_identity.values()]
         if attr.scope is Scope.IDENTITY
-        else list(table)
+        else table.rows
     )
     if attr.is_categorical:
         counts = [0] * len(attr.levels)
@@ -245,13 +268,13 @@ def reference_frequencies(table: ImageTable, schema, name) -> list[float]:
     return [float(c) for c in counts]
 
 
-def reference_weights(table: ImageTable, schema, attrs) -> list[tuple[str, float, float]]:
+def reference_weights(table: ReferenceTable, schema, attrs) -> list[tuple[str, float, float]]:
     def key(rec, name):
         value = reference_required(rec, name)
         attr = schema[name]
         return value if attr.is_categorical else attr.bin_index(float(value))
 
-    keys = {rec.image_id: tuple(key(rec, a) for a in attrs) for rec in table}
+    keys = {rec.image_id: tuple(key(rec, a) for a in attrs) for rec in table.rows}
     counts = [Counter(k[i] for k in keys.values()) for i in range(len(attrs))]
     weights = {}
     for image_id, k in keys.items():
@@ -318,88 +341,85 @@ def image_tables(draw):
     return rows
 
 
-def csv_text(header, rows) -> str:
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows([header, *rows])
-    return out.getvalue()
-
-
 def routes(path):
-    """The consolidated table three ways: columns all along, records
-    converted into columns, and the row-by-row reference."""
+    """The consolidated table two ways: columns all along, and the row-by-row
+    reference."""
     by_frame = outcome(lambda: consolidate_identity_attributes(load_images(path, SCHEMA), SCHEMA))
-    by_records = outcome(
-        lambda: consolidate_identity_attributes(ImageTable(load_images(path, SCHEMA)), SCHEMA)
-    )
     by_reference = outcome(lambda: reference_consolidate(reference_load_images(path, SCHEMA), SCHEMA))
-    return by_frame, by_records, by_reference
+    return by_frame, by_reference
 
 
 @given(image_tables(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_frame_record_and_reference_routes_agree(rows, data):
+def test_frame_and_reference_routes_agree(rows, data):
+    ids = [row[0] for row in rows]
+    pairs = [
+        [f"p{k}", data.draw(st.sampled_from(ids + ["ghost"])), data.draw(st.sampled_from(ids)),
+         "different", "0.5"]
+        for k in range(data.draw(st.integers(1, 12)))
+    ]
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "images.csv"
+        path, pairs_path = Path(tmp) / "images.csv", Path(tmp) / "pairs.csv"
         path.write_text(csv_text(HEADER, rows), encoding="utf-8")
-        by_frame, by_records, by_reference = routes(path)
-    assert by_reference[0] == "ok", by_reference
-    frame, table, reference = by_frame[1], by_records[1], by_reference[1]
-    assert isinstance(frame, ImageFrame) and isinstance(table, ImageFrame)
-    assert frame.records == reference.records
-    assert table.records == reference.records
+        pairs_path.write_text(
+            csv_text(["pair_id", "image_a", "image_b", "ground_truth", "distance"], pairs),
+            encoding="utf-8",
+        )
+        by_frame, by_reference = routes(path)
+        assert by_reference[0] == "ok", by_reference
+        frame, reference = by_frame[1], by_reference[1]
+        # the first pair, in order, that cannot be resolved, then the first
+        # that lacks a value
+        for aggregate in ("mean", "absdiff"):
+            want = outcome(
+                lambda: reference_covariates(
+                    reference_load_pairs(pairs_path, reference), reference, aggregate
+                )
+            )
+            assert outcome(
+                lambda: covariate_rows(
+                    covariates_for_pairs(load_pairs(pairs_path, frame), frame, SCHEMA, aggregate)
+                )
+            ) == want
+    assert isinstance(frame, ImageFrame)
+    assert image_rows(frame) == reference.rows
 
     for name in SCHEMA.names:
         want = outcome(reference_frequencies, reference, SCHEMA, name)
         assert outcome(attribute_frequencies, frame, SCHEMA, name) == want
-        assert outcome(attribute_frequencies, reference, SCHEMA, name) == want
 
     attrs = data.draw(st.lists(st.sampled_from(SCHEMA.names), min_size=1, max_size=4))
     want = outcome(reference_weights, reference, SCHEMA, attrs)
-    for images in (frame, reference):
-        got = outcome(sampling_weights, images, SCHEMA, attrs)
-        if want[0] == "ok":
-            assert got[0] == "ok", got
-            assert [(e.image_id, e.weight, e.probability) for e in got[1].entries] == want[1]
-        else:
-            assert got == want
-
-    ids = [row[0] for row in rows]
-    pairs = [
-        PairRecord(f"p{k}", data.draw(st.sampled_from(ids + ["ghost"])),
-                   data.draw(st.sampled_from(ids)), Label.DIFFERENT, 0.5)
-        for k in range(data.draw(st.integers(1, 12)))
-    ]
-    # the first pair, in order, that cannot be resolved or lacks a value
-    failure = outcome(reference_covariate_check, pairs, reference)
-    for aggregate in ("mean", "absdiff"):
-        want = outcome(lambda: dict(covariates_for_pairs(pairs, reference, SCHEMA, aggregate)))
-        assert outcome(lambda: dict(covariates_for_pairs(pairs, frame, SCHEMA, aggregate))) == want
-        if failure[0] == "ok":
-            assert want == ("ok", {p.pair_id: scalar_covariates(p, reference, aggregate) for p in pairs})
-        else:
-            assert want == failure
+    got = outcome(sampling_weights, frame, SCHEMA, attrs)
+    if want[0] == "ok":
+        assert got[0] == "ok", got
+        assert [(e.image_id, e.weight, e.probability) for e in got[1].entries] == want[1]
+    else:
+        assert got == want
 
 
-def reference_covariate_check(pairs, table):
+def reference_covariates(pairs, table, aggregate, schema=SCHEMA):
+    """Covariates of every pair, pair by pair from its two reference rows;
+    the first pair lacking a value raises for it."""
     for pair in pairs:
-        sides = (table.resolve(pair.image_a), table.resolve(pair.image_b))
-        for attr in SCHEMA.attributes:
-            for rec in sides:
-                reference_required(rec, attr.name)
+        for attr in schema.attributes:
+            for image_id in (pair.image_a, pair.image_b):
+                reference_required(table.by_id[image_id], attr.name)
+    return [scalar_covariates(p, table, aggregate, schema) for p in pairs]
 
 
-def scalar_covariates(pair, table, aggregate):
+def scalar_covariates(pair, table, aggregate, schema):
     a, b = table.by_id[pair.image_a].values, table.by_id[pair.image_b].values
     categorical = {
         attr.name: a[attr.name] if a[attr.name] == b[attr.name] else CROSS_LEVEL
-        for attr in SCHEMA.categorical()
+        for attr in schema.categorical()
     }
     continuous = {
         attr.name: (a[attr.name] + b[attr.name]) / 2 if aggregate == "mean"
         else abs(a[attr.name] - b[attr.name])
-        for attr in SCHEMA.continuous()
+        for attr in schema.continuous()
     }
-    return PairCovariates(pair.pair_id, categorical, continuous)
+    return categorical, continuous
 
 
 # --- near ties -------------------------------------------------------------
@@ -439,9 +459,8 @@ def test_near_tie_winner_is_the_exactly_rounded_average(tmp_path, scores, winner
     path = tmp_path / "images.csv"
     path.write_text(csv_text(header, rows), encoding="utf-8")
     schema = AttributeSchema(tuple(a for a in SCHEMA.attributes if a.name in FOUR))
-    for images in (load_images(path, schema), ImageTable(load_images(path, schema))):
-        out = consolidate_identity_attributes(images, schema)
-        assert [r.values["gender"] for r in out] == [winner] * 4 + ["Female"]
+    out = consolidate_identity_attributes(load_images(path, schema), schema)
+    assert [r.values["gender"] for r in image_rows(out)] == [winner] * 4 + ["Female"]
 
 
 @given(st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3), min_size=1, max_size=6))
@@ -450,14 +469,14 @@ def test_near_ties_match_the_reference(offsets):
     # scores within a few ulps of a three-way tie, one identity
     ulp = 2.0**-54
     records = [
-        ImageRecord(f"i{k}", "A", {"ethnicity": "Asian", "age": 30.0, "pose": 5.0},
-                    {"gender": (0.5 + a * ulp, 0.5 + b * ulp)} if k % 3 else
-                    {"gender": (0.5 + c * ulp, 0.5 + a * ulp)})
+        ImageRow(f"i{k}", "A", {"ethnicity": "Asian", "age": 30.0, "pose": 5.0},
+                 {"gender": (0.5 + a * ulp, 0.5 + b * ulp)} if k % 3 else
+                 {"gender": (0.5 + c * ulp, 0.5 + a * ulp)})
         for k, (a, b, c) in enumerate(offsets)
     ]
     schema = AttributeSchema(tuple(a for a in SCHEMA.attributes if a.name in FOUR))
-    got = consolidate_identity_attributes(ImageTable(records), schema)
-    assert got.records == reference_consolidate(ImageTable(records), schema).records
+    got = consolidate_identity_attributes(load_tables(schema, records)[0], schema)
+    assert image_rows(got) == reference_consolidate(ReferenceTable(records), schema).rows
 
 
 # --- cell checks -----------------------------------------------------------
@@ -491,7 +510,7 @@ def test_soft_score_checks_match_the_reference(tmp_path, scores):
     got = consolidated(path, schema)
     want = outcome(lambda: reference_consolidate(reference_load_images(path, schema), schema))
     assert got[0] == want[0]
-    assert got[1:] == want[1:] if got[0] == "raised" else got[1].records == want[1].records
+    assert got[1:] == want[1:] if got[0] == "raised" else image_rows(got[1]) == want[1].rows
 
 
 def test_pose_norm_squares_with_python_pow(tmp_path):
@@ -597,12 +616,13 @@ def test_corrupted_demo_gives_the_reference_error(tmp_path, monkeypatch, case):
     def columnar():
         images = consolidate_identity_attributes(load_images(images_path, schema), schema)
         pairs = load_pairs(pairs_path, images)
-        return images.records, list(pairs), dict(covariates_for_pairs(pairs, images, schema))
+        covs = covariates_for_pairs(pairs, images, schema)
+        return image_rows(images), pair_rows(pairs, images), covariate_rows(covs)
 
     def reference():
         images = reference_consolidate(reference_load_images(images_path, schema), schema)
         pairs = reference_load_pairs(pairs_path, images)
-        return images.records, pairs, dict(covariates_for_pairs(pairs, images, schema))
+        return images.rows, pairs, reference_covariates(pairs, images, "mean", schema)
 
     assert outcome(columnar) == outcome(reference)
 
@@ -677,21 +697,8 @@ def test_blocks_give_the_same_frame(tmp_path, monkeypatch):
     whole = consolidate_identity_attributes(load_images(path, schema), schema)
     monkeypatch.setattr(favfa.data, "_BLOCK_ROWS", 7)
     blocked = consolidate_identity_attributes(load_images(path, schema), schema)
-    assert blocked.records == whole.records
+    assert image_rows(blocked) == image_rows(whole)
     pairs = (DEMO / "pairs.csv").read_text().splitlines()
     (tmp_path / "pairs.csv").write_text("\n".join(pairs + [pairs[20]]) + "\n")
     with pytest.raises(ParseError, match="duplicate pair_id"):
         load_pairs(tmp_path / "pairs.csv", blocked)
-
-
-def test_record_table_builds_its_frame_on_first_use():
-    records = [ImageRecord("i1", "I1", {"gender": "Male", "ethnicity": "Asian", "age": 3.0, "pose": 1.0})]
-    table = ImageTable(records)
-    schema = AttributeSchema(tuple(a for a in SCHEMA.attributes if a.name in records[0].values))
-    del table.records[0].values["pose"]
-    with pytest.raises(MissingAttribute):
-        sampling_weights(table, schema, ["pose"])
-    assert table.frame(schema) is table.frame(schema)
-    assert np.array_equal(table.frame(schema).categorical["gender"].codes, [0])
-    with pytest.raises(UnresolvedImage):
-        table.frame(schema).resolve("nope")

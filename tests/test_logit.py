@@ -10,16 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import image, pair
+from conftest import Covariates, frames, pair
 from favfa import logit
-from favfa.data import (
-    CROSS_LEVEL,
-    ImageTable,
-    Label,
-    PairCovariates,
-    Subset,
-    covariates_for_pairs,
-)
+from favfa.data import CROSS_LEVEL, Label, Subset, covariates_for_pairs
 from favfa.errors import (
     ConstantColumn,
     DegenerateResponse,
@@ -93,8 +86,7 @@ def two_cat_two_cont_dataset():
     for i in range(160):
         pid = f"p{i}"
         pairs.append(pair(pid, "a", "b", True, 0.4, predicted=bool(rng.integers(2))))
-        covs[pid] = PairCovariates(
-            pid,
+        covs[pid] = Covariates(
             {
                 "gender": genders[rng.integers(2)] if i >= 2 else genders[i],
                 "ethnicity": eths[rng.integers(4)] if i >= 4 else eths[i],
@@ -106,7 +98,7 @@ def two_cat_two_cont_dataset():
 
 def test_build_design_column_arithmetic():
     schema, pairs, covs = two_cat_two_cont_dataset()
-    design = build_design(pairs, covs, schema, Subset.POSITIVES)
+    design = build_design(*frames(pairs, covs, schema), schema, Subset.POSITIVES)
     # intercept + 1 gender dummy + 3 ethnicity dummies + 2 continuous
     assert design.X.shape[1] == 7
     assert design.columns == (
@@ -124,13 +116,13 @@ def test_build_design_missing_level_constant_column():
         if cov.categorical["ethnicity"] == "African":
             cov.categorical["ethnicity"] = "Asian"
     with pytest.raises(ConstantColumn) as err:
-        build_design(pairs, covs, schema, Subset.POSITIVES)
+        build_design(*frames(pairs, covs, schema), schema, Subset.POSITIVES)
     assert err.value.label == "ethnicity=African"
 
 
 def test_build_design_response_matches_oracle():
     schema, pairs, covs = two_cat_two_cont_dataset()
-    design = build_design(pairs, covs, schema, Subset.POSITIVES)
+    design = build_design(*frames(pairs, covs, schema), schema, Subset.POSITIVES)
     expected = [1.0 if p.predicted is Label.SAME else 0.0 for p in pairs]
     assert list(design.y) == expected
 
@@ -138,7 +130,7 @@ def test_build_design_response_matches_oracle():
 def test_build_design_empty_subset():
     schema, pairs, covs = two_cat_two_cont_dataset()
     with pytest.raises(EmptySubset):
-        build_design(pairs, covs, schema, Subset.NEGATIVES)
+        build_design(*frames(pairs, covs, schema), schema, Subset.NEGATIVES)
 
 
 # --- fit_logit ---
@@ -263,7 +255,7 @@ def test_fit_invariant_to_row_permutation():
 
 def test_fit_standardization_invariance():
     schema, pairs, covs = two_cat_two_cont_dataset()
-    design = build_design(pairs, covs, schema, Subset.POSITIVES)
+    design = build_design(*frames(pairs, covs, schema), schema, Subset.POSITIVES)
     fit = fit_logit(design)
     effects = marginal_effects(fit, design, schema)
 
@@ -346,7 +338,7 @@ def test_marginal_effects_require_convergence():
 
 def test_marginal_effects_match_finite_difference_oracle():
     schema, pairs, covs = two_cat_two_cont_dataset()
-    design = build_design(pairs, covs, schema, Subset.POSITIVES)
+    design = build_design(*frames(pairs, covs, schema), schema, Subset.POSITIVES)
     fit = fit_logit(design)
     effects = marginal_effects(fit, design, schema)
     for effect in effects:

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import image, pair
-from favfa.data import ImageTable, Label, PairCovariates, PairRecord
+from conftest import Covariates, frames, pair, pair_frame
+from favfa.data import Label
 from favfa.errors import DegeneratePairs, DegenerateSupport, NoGroups
 from favfa.metrics import (
     GroupKey,
@@ -35,7 +35,7 @@ def dpairs(positives, negatives):
         out.append(pair(f"p{i}", "a", "b", True, d))
     for i, d in enumerate(negatives):
         out.append(pair(f"n{i}", "a", "b", False, d))
-    return out
+    return pair_frame(out)
 
 
 def stats_from(group, tp, fp, tn, fn):
@@ -172,7 +172,7 @@ def test_threshold_equals_loop_reference(rows):
         for i, (d, pos, said) in enumerate(rows)
     ]
     expected = threshold_loop(distances, positive)
-    got = optimize_threshold(prs)
+    got = optimize_threshold(pair_frame(prs))
     assert type(got) is float and got == expected
 
 
@@ -183,7 +183,7 @@ def make_cov(pid, level, gender=None):
     cats = {"g": level}
     if gender is not None:
         cats["gender"] = gender
-    return PairCovariates(pid, cats, {})
+    return Covariates(cats, {})
 
 
 def test_group_confusion_small_case():
@@ -194,7 +194,7 @@ def test_group_confusion_small_case():
         pair("p4", "a", "b", False, 0.2),
     ]
     covs = {p.pair_id: make_cov(p.pair_id, "G") for p in prs}
-    stats = group_confusion(prs, covs, 0.5, ["g"])
+    stats = group_confusion(*frames(prs, covs), 0.5, ["g"])
     assert len(stats) == 1
     g = stats[0]
     # p1 correct, p2 missed, p3 correct, p4 false match -> accuracy 2/4;
@@ -202,24 +202,24 @@ def test_group_confusion_small_case():
     assert (g.tp, g.fp, g.tn, g.fn) == (1, 1, 1, 1)
     assert g.accuracy == 0.5
 
-    stats2 = group_confusion(prs[:3] + [pair("p5", "a", "b", True, 0.2)], {
+    stats2 = group_confusion(*frames(prs[:3] + [pair("p5", "a", "b", True, 0.2)], {
         **{p.pair_id: make_cov(p.pair_id, "G") for p in prs[:3]},
         "p5": make_cov("p5", "G"),
-    }, 0.5, ["g"])
+    }), 0.5, ["g"])
     assert stats2[0].accuracy == 0.75
 
 
 def test_group_confusion_min_support():
     prs = [pair("p1", "a", "b", True, 0.1), pair("p2", "a", "b", False, 0.9)]
     covs = {p.pair_id: make_cov(p.pair_id, "G") for p in prs}
-    assert group_confusion(prs, covs, 0.5, ["g"], min_support=5) == []
-    assert len(group_confusion(prs, covs, 0.5, ["g"], min_support=2)) == 1
+    assert group_confusion(*frames(prs, covs), 0.5, ["g"], min_support=5) == []
+    assert len(group_confusion(*frames(prs, covs), 0.5, ["g"], min_support=2)) == 1
 
 
 def test_group_confusion_uses_provided_predictions():
     prs = [pair("p1", "a", "b", True, 0.9, predicted=True)]
     covs = {"p1": make_cov("p1", "G")}
-    stats = group_confusion(prs, covs, 0.5, ["g"])
+    stats = group_confusion(*frames(prs, covs), 0.5, ["g"])
     assert stats[0].tp == 1  # the verbatim prediction wins over the threshold rule
 
 
@@ -239,7 +239,7 @@ def test_group_confusion_matches_tally_oracle(data):
         rows.append(((("g", level),), is_pos, said))
         prs.append(pair(pid, "a", "b", is_pos, 0.5, predicted=said))
         covs[pid] = make_cov(pid, level)
-    stats = group_confusion(prs, covs, None, ["g"])
+    stats = group_confusion(*frames(prs, covs), None, ["g"])
     expected = oracles.tally_groups(rows)
     assert [s.group.items for s in stats] == list(expected)
     for s in stats:
@@ -254,7 +254,7 @@ def test_group_counts_sum_to_global():
         pid = f"p{i}"
         prs.append(pair(pid, "a", "b", bool(rng.integers(2)), float(rng.random())))
         covs[pid] = make_cov(pid, "ABC"[rng.integers(3)], gender="MF"[rng.integers(2)])
-    stats = group_confusion(prs, covs, 0.5, ["g", "gender"], min_support=0)
+    stats = group_confusion(*frames(prs, covs), 0.5, ["g", "gender"], min_support=0)
     total = np.array([(s.tp, s.fp, s.tn, s.fn) for s in stats]).sum(axis=0)
     said = [p.distance < 0.5 for p in prs]
     is_pos = [p.ground_truth is Label.SAME for p in prs]
@@ -366,7 +366,7 @@ def test_fairness_report_excludes_small_groups():
         pid = f"t{i}"
         prs.append(pair(pid, "a", "b", True, 0.1))
         covs[pid] = make_cov(pid, "C")
-    report = fairness_report(prs, covs, ["g"], min_support=30)
+    report = fairness_report(*frames(prs, covs), ["g"], min_support=30)
     assert len(report.per_group) == 2
     assert [k.items for k in report.excluded_groups] == [(("g", "C"),)]
     assert report.threshold is not None
@@ -374,5 +374,5 @@ def test_fairness_report_excludes_small_groups():
     assert 0.0 <= report.eor <= 1.0
 
     # the same report from precomputed statistics of every group
-    stats = group_confusion(prs, covs, report.threshold, ["g"], min_support=0)
+    stats = group_confusion(*frames(prs, covs), report.threshold, ["g"], min_support=0)
     assert fairness_from_groups(stats, 30, report.threshold) == report

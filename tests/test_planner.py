@@ -3,14 +3,12 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import image
-from favfa.data import ImageTable
+from conftest import ImageRow, image, image_rows, load_tables
 from favfa.errors import (
     InsufficientCandidates,
     InsufficientStyles,
@@ -30,24 +28,32 @@ from favfa.planner import (
     sampling_weights,
     select_id_pool,
 )
-from favfa.synth import make_planner_pools
+from favfa.schema import AttributeSchema, Scope
+from favfa.synth import default_schema, make_planner_pools
 
 # --- weights ---
 
 
+def table(rows, schema=None):
+    """The image frame of image rows, read as the CLI reads them."""
+    return load_tables(schema or default_schema(), rows)[0]
+
+
+def aab_rows():
+    return [
+        image("i1", "I1", ethnicity="African"),
+        image("i2", "I2", ethnicity="African"),
+        image("i3", "I3", ethnicity="Asian"),
+    ]
+
+
 def aab_table():
-    return ImageTable(
-        [
-            image("i1", "I1", ethnicity="African"),
-            image("i2", "I2", ethnicity="African"),
-            image("i3", "I3", ethnicity="Asian"),
-        ]
-    )
+    return table(aab_rows())
 
 
 def test_weights_two_distinct_values(schema):
-    table = ImageTable([image("i1", "I1", gender="Male"), image("i2", "I2", gender="Female")])
-    weights = sampling_weights(table, schema, ["gender"])
+    images = table([image("i1", "I1", gender="Male"), image("i2", "I2", gender="Female")])
+    weights = sampling_weights(images, schema, ["gender"])
     assert [e.probability for e in weights.entries] == [0.5, 0.5]
 
 
@@ -58,31 +64,31 @@ def test_weights_aab_exact(schema):
 
 
 def test_weights_product_of_single_attribute_weights(schema):
-    table = ImageTable(
+    images = table(
         [
             image("i1", "I1", gender="Male", ethnicity="African"),
             image("i2", "I2", gender="Male", ethnicity="Asian"),
             image("i3", "I3", gender="Female", ethnicity="Asian"),
         ]
     )
-    both = sampling_weights(table, schema, ["gender", "ethnicity"])
-    gender_only = sampling_weights(table, schema, ["gender"])
-    ethnicity_only = sampling_weights(table, schema, ["ethnicity"])
+    both = sampling_weights(images, schema, ["gender", "ethnicity"])
+    gender_only = sampling_weights(images, schema, ["gender"])
+    ethnicity_only = sampling_weights(images, schema, ["ethnicity"])
     for b, g, e in zip(both.entries, gender_only.entries, ethnicity_only.entries):
         assert b.weight == pytest.approx(g.weight * e.weight, rel=1e-12)
 
 
 def test_weights_row_order_invariant(schema):
-    table = aab_table()
-    reordered = ImageTable(list(reversed(table.records)))
-    a = {e.image_id: e.probability for e in sampling_weights(table, schema, ["ethnicity"]).entries}
+    images = aab_table()
+    reordered = table(list(reversed(aab_rows())))
+    a = {e.image_id: e.probability for e in sampling_weights(images, schema, ["ethnicity"]).entries}
     b = {e.image_id: e.probability for e in sampling_weights(reordered, schema, ["ethnicity"]).entries}
     assert a == b
 
 
 def test_weights_probabilities_sum_to_one(schema):
     rng = np.random.default_rng(3)
-    table = ImageTable(
+    images = table(
         [
             image(f"i{k}", f"I{k}", gender="MF"[rng.integers(2)] == "M" and "Male" or "Female",
                   ethnicity=("Caucasian", "African", "Asian", "Indian")[rng.integers(4)],
@@ -90,35 +96,37 @@ def test_weights_probabilities_sum_to_one(schema):
             for k in range(57)
         ]
     )
-    weights = sampling_weights(table, schema, ["gender", "ethnicity", "age", "pose"])
+    weights = sampling_weights(images, schema, ["gender", "ethnicity", "age", "pose"])
     assert math.fsum(e.probability for e in weights.entries) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_weights_missing_attribute(schema):
-    table = ImageTable([image("i1", "I1")])
-    record = table.records[0]
-    del record.values["pose"]
+    # an identity-scoped pose may be missing from an image that loads
+    schema = AttributeSchema(tuple(
+        replace(a, scope=Scope.IDENTITY) if a.name == "pose" else a for a in schema.attributes
+    ))
+    row = ImageRow("i1", "I1", {"gender": "Male", "ethnicity": "Asian", "age": 30.0}, {})
+    images = table([row], schema)
     with pytest.raises(MissingAttribute):
-        sampling_weights(table, schema, ["pose"])
+        sampling_weights(images, schema, ["pose"])
 
 
 def test_loss_weights_cases(schema):
-    table = aab_table()
-    assert loss_weights(table, schema, ["ethnicity"], ["i1", "i2", "i3"]) == pytest.approx(
+    images = aab_table()
+    assert loss_weights(images, schema, ["ethnicity"], ["i1", "i2", "i3"]) == pytest.approx(
         [0.25, 0.25, 0.5]
     )
-    uniform = ImageTable([image(f"i{k}", f"I{k}") for k in range(4)])
+    uniform = table([image(f"i{k}", f"I{k}") for k in range(4)])
     assert loss_weights(uniform, schema, ["gender"], [f"i{k}" for k in range(4)]) == pytest.approx(
         [0.25] * 4
     )
-    assert loss_weights(table, schema, ["ethnicity"], ["i3"]) == [1.0]
+    assert loss_weights(images, schema, ["ethnicity"], ["i3"]) == [1.0]
     with pytest.raises(ValueError):
-        loss_weights(table, schema, ["ethnicity"], [])
+        loss_weights(images, schema, ["ethnicity"], [])
 
 
 def test_resample_single_image(schema):
-    table = ImageTable([image("only", "I")])
-    weights = sampling_weights(table, schema, ["gender"])
+    weights = sampling_weights(table([image("only", "I")]), schema, ["gender"])
     assert resample_epoch(weights, 5, seed=1) == ["only"] * 5
 
 
@@ -144,9 +152,8 @@ def test_select_id_pool_minimal(schema):
     schema_p, ids, _ = make_planner_pools(ids_per_cell=1)
     pool = select_id_pool(ids, schema_p, 8, seed=0)
     assert len(pool) == 8
-    segments = [
-        (ids.by_id[i].values["gender"], ids.by_id[i].values["ethnicity"]) for i in pool
-    ]
+    by_id = {r.image_id: r for r in image_rows(ids)}
+    segments = [(by_id[i].values["gender"], by_id[i].values["ethnicity"]) for i in pool]
     assert len(set(segments)) == 8
 
 
@@ -158,8 +165,12 @@ def test_select_id_pool_not_divisible(schema):
 
 def test_select_id_pool_insufficient_cell():
     schema_p, ids, _ = make_planner_pools(ids_per_cell=2)
-    depleted = ImageTable(
-        [r for r in ids if not (r.values["gender"] == "Male" and r.values["ethnicity"] == "Asian")]
+    depleted = table(
+        [
+            r
+            for r in image_rows(ids)
+            if not (r.values["gender"] == "Male" and r.values["ethnicity"] == "Asian")
+        ]
     )
     with pytest.raises(InsufficientCandidates) as err:
         select_id_pool(depleted, schema_p, 16, seed=0)
@@ -170,8 +181,9 @@ def test_select_id_pool_insufficient_cell():
 def test_select_id_pool_segment_diversity_exactly_one():
     schema_p, ids, _ = make_planner_pools(ids_per_cell=5)
     pool = select_id_pool(ids, schema_p, 24, seed=3)
-    genders = Counter(ids.by_id[i].values["gender"] for i in pool)
-    eths = Counter(ids.by_id[i].values["ethnicity"] for i in pool)
+    by_id = {r.image_id: r for r in image_rows(ids)}
+    genders = Counter(by_id[i].values["gender"] for i in pool)
+    eths = Counter(by_id[i].values["ethnicity"] for i in pool)
     assert diversity(list(genders.values()), 2) == 1.0
     assert diversity(list(eths.values()), 4) == 1.0
 
@@ -207,7 +219,7 @@ def style_grid(schema, cells, per_cell):
                         image(image_id, image_id, gender, ethnicity,
                               age=age_lo + 0.5, pose=pose_lo + 0.5)
                     )
-    return ImageTable(records)
+    return table(records, schema)
 
 
 def test_assign_styles_balanced_fill():
@@ -234,10 +246,10 @@ def test_assign_styles_single_cell_forced():
 
 def test_assign_styles_missing_segment():
     schema_p, ids, styles = make_planner_pools(ids_per_cell=1, styles_per_segment=10)
-    no_female_asian = ImageTable(
+    no_female_asian = table(
         [
             r
-            for r in styles
+            for r in image_rows(styles)
             if not (r.values["gender"] == "Female" and r.values["ethnicity"] == "Asian")
         ]
     )
@@ -251,8 +263,10 @@ def test_assign_styles_guarantees():
     schema_p, ids, styles = make_planner_pools(ids_per_cell=3, styles_per_segment=60, seed=5)
     pool = select_id_pool(ids, schema_p, 24, seed=2)
     plan = assign_styles(pool, ids, styles, schema_p, 12)
+    id_rows = {r.image_id: r for r in image_rows(ids)}
+    style_rows = {r.image_id: r for r in image_rows(styles)}
     by_segment_cells: dict = {}
-    for rec in styles:
+    for rec in image_rows(styles):
         seg = (str(rec.values["gender"]), str(rec.values["ethnicity"]))
         cell = (
             schema_p["age"].bin_index(float(rec.values["age"])),
@@ -260,10 +274,10 @@ def test_assign_styles_guarantees():
         )
         by_segment_cells.setdefault(seg, Counter())[cell] += 1
     for entry in plan.entries:
-        id_rec = ids.by_id[entry.id_image]
+        id_rec = id_rows[entry.id_image]
         assert entry.segment == (id_rec.values["gender"], id_rec.values["ethnicity"])
         for s in entry.styles:
-            donor = styles.by_id[s.style_image]
+            donor = style_rows[s.style_image]
             assert (donor.values["gender"], donor.values["ethnicity"]) == entry.segment
         assert len({s.style_image for s in entry.styles}) == len(entry.styles)
         used = Counter((s.age_bin, s.pose_bin) for s in entry.styles)
@@ -396,7 +410,7 @@ def test_greedy_beats_random_baseline():
     for entry in plan.entries:
         segment_styles = [
             r
-            for r in styles
+            for r in image_rows(styles)
             if (r.values["gender"], r.values["ethnicity"]) == entry.segment
         ]
         picks = rng.choice(len(segment_styles), size=n_cells, replace=False)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import runpy
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from conftest import image_rows
 import favfa.cli
 from favfa.cli import main
 from favfa.data import consolidate_identity_attributes, load_images
@@ -217,6 +219,24 @@ def test_cli_analyze_no_false_match_exit_1(tmp_path):
     assert not (tmp_path / "nope").exists()
 
 
+def test_cli_diversity_header_only_images_exit_1(tmp_path):
+    images_path = tmp_path / "images.csv"
+    images_path.write_text((DEMO / "images.csv").read_text().splitlines()[0] + "\n")
+    result = CliRunner().invoke(
+        main, ["diversity", "--schema", str(DEMO / "schema.json"), "--images", str(images_path)]
+    )
+    assert_one_json_error(result, "ParseError")
+    assert "the image table is empty" in json.loads(result.stderr)["message"]
+
+
+def test_make_demo_data_defaults_reproduce_data_demo(tmp_path, monkeypatch):
+    out = tmp_path / "demo"
+    monkeypatch.setattr(sys, "argv", ["make_demo_data.py", "--out", str(out)])
+    runpy.run_path(str(REPO / "scripts" / "make_demo_data.py"), run_name="__main__")
+    for name in ("schema.json", "images.csv", "pairs.csv"):
+        assert (out / name).read_bytes() == (DEMO / name).read_bytes(), name
+
+
 #: sha256 of the two bundle files that involve no linear algebra, for
 #: ``favfa analyze`` on data/demo: default flags, and --pair-aggregate absdiff
 #: (which moves only continuous covariates, so neither file changes).
@@ -390,7 +410,7 @@ def write_planner_inputs(tmp_path):
 
     def dump(table, path):
         rows = ["image_id,identity_id,gender,ethnicity,age,pose"]
-        for rec in table:
+        for rec in image_rows(table):
             rows.append(
                 f"{rec.image_id},{rec.identity_id},{rec.values['gender']},"
                 f"{rec.values['ethnicity']},{rec.values['age']},{rec.values['pose']}"
