@@ -10,9 +10,9 @@ weights CSV. With two paths, each line reads ``<name>  <sha256 in PATH>
 line lists the files whose bytes differ; two files are compared with each
 other under the first one's name. The exit code is 0 when both sides are
 byte-identical, 1 otherwise, and 2 on a usage error (a wrong number of
-arguments, or a PATH that does not exist). ``run_manifest.json`` records the
-input paths, so it differs between runs that read the same inputs from
-different places.
+arguments, or a PATH that does not exist). ``run_manifest.json`` names the
+inputs by file name and sha256, so runs that read byte-identical inputs from
+different places give the same manifest.
 
 For a ``.csv`` or ``.json`` file whose bytes differ, the line goes on with
 the largest relative difference ``|a - b| / max(|a|, |b|)`` between the

@@ -151,6 +151,11 @@ _BOOT_ELEMENTS = 2**16
 #: ``2 * _BOOT_ARRAYS * _BOOT_ELEMENTS`` float64 elements (6 MB), below the
 #: diagnostics block's bound of ``diagnostics._SIM_ELEMENTS``.
 _BOOT_ARRAYS = 6
+#: Observations per slice of the product of a block's weights with the
+#: column-product table. The slices' products are summed in order: one
+#: product over all n observations is a GEMM whose summation order, and so
+#: whose last bits, follow the OpenBLAS thread count.
+_INFO_ROWS = 512
 
 # how one row of the IRLS kernel ended
 _CONVERGED, _NOT_CONVERGED, _SEPARATED, _GROWING, _SINGULAR = range(5)
@@ -198,8 +203,10 @@ def _information(X: np.ndarray, weights: np.ndarray, table: np.ndarray | None) -
     """Information matrices ``X' diag(w) X``, one per row ``w`` of ``weights``."""
     if table is None:
         return np.stack([(X * w[:, None]).T @ X for w in weights])
-    p = X.shape[1]
-    upper = weights @ table
+    n, p = X.shape
+    upper = weights[:, :_INFO_ROWS] @ table[:_INFO_ROWS]
+    for start in range(_INFO_ROWS, n, _INFO_ROWS):
+        upper += weights[:, start : start + _INFO_ROWS] @ table[start : start + _INFO_ROWS]
     info = np.empty((len(weights), p, p))
     i, j = np.triu_indices(p)
     info[:, i, j] = upper

@@ -270,6 +270,10 @@ def assign_styles(
     its entries share one ``styles`` tuple. The whole construction is
     deterministic, so equal inputs give byte-identical plans.
     """
+    for name in ("age", "pose"):
+        attr = schema[name] if name in schema else None
+        if attr is None or attr.is_categorical or attr.bins is None:
+            raise SchemaInvalid(f"style attribute {name!r} must be continuous with bins")
     style_codes, style_segments = _segments(styles, schema, segment_attrs)
     age_bins = bin_codes(schema["age"], styles.floats("age"))
     pose_bins = bin_codes(schema["pose"], styles.floats("pose"))

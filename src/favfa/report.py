@@ -17,7 +17,6 @@ import os
 import platform
 import shutil
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,7 +35,6 @@ from .data import (
     load_pairs,
 )
 from .diagnostics import ResidualDiagnostics, simulate_residuals
-from .errors import ParseError
 from .logit import (
     DesignMatrix,
     LogitFit,
@@ -76,18 +74,6 @@ class AnalysisConfig:
     seed: int = 0
     bootstrap: int = 0
     interactions: bool = False
-    threads: int | None = None
-
-    def resolved_threads(self) -> int:
-        if self.threads is not None:
-            return max(1, self.threads)
-        env = os.environ.get("FAVFA_THREADS")
-        if env:
-            try:
-                return max(1, int(env))
-            except ValueError:
-                raise ParseError(f"FAVFA_THREADS must be an integer, got {env!r}") from None
-        return min(4, os.cpu_count() or 1)
 
 
 @dataclass
@@ -268,13 +254,16 @@ def _manifest(
     config: AnalysisConfig, outputs: list[str], bootstrap_used: dict[str, int]
 ) -> dict:
     manifest = {
+        # inputs by file name and out_dir not at all, so bundles from the
+        # same inputs stay byte-identical wherever the files are
         "inputs": {
-            "schema": {"path": str(config.schema_path), "sha256": sha256_hex(config.schema_path)},
-            "images": {"path": str(config.images_path), "sha256": sha256_hex(config.images_path)},
-            "pairs": {"path": str(config.pairs_path), "sha256": sha256_hex(config.pairs_path)},
+            name: {"file": Path(path).name, "sha256": sha256_hex(path)}
+            for name, path in (
+                ("schema", config.schema_path),
+                ("images", config.images_path),
+                ("pairs", config.pairs_path),
+            )
         },
-        # out_dir is deliberately omitted so bundles written to different
-        # places from the same inputs stay byte-identical
         "config": {
             "grouping": list(config.grouping),
             "min_support": config.min_support,
@@ -301,11 +290,13 @@ def _manifest(
 def run_analysis(config: AnalysisConfig) -> AnalysisResult:
     """Execute the full pipeline and write the report bundle.
 
-    Independent model fits and decompositions fan out over a small thread
-    pool (capped by the FAVFA_THREADS environment variable); results and
-    files are assembled in a fixed order regardless of scheduling.
+    Each model's design, fit, marginal effects, bootstrap, diagnostics and
+    ANOVA run in turn on the calling thread, every random stage on its own
+    stream from ``named_seed``. Reruns on the same inputs are byte-identical
+    at a fixed OpenBLAS thread count; the bootstrap standard errors do not
+    depend on that count, the ANOVA sums of squares may move in their last
+    digits with it.
     """
-    threads = config.resolved_threads()
     schema = load_schema(config.schema_path)
     images = consolidate_identity_attributes(load_images(config.images_path, schema), schema)
     pairs = load_pairs(config.pairs_path, images)
@@ -317,49 +308,31 @@ def run_analysis(config: AnalysisConfig) -> AnalysisResult:
     all_groups = group_confusion(pairs, covariates, threshold, config.grouping, 0)
     report = fairness_from_groups(all_groups, config.min_support, threshold)
 
-    def fit_model(model: str):
-        design = build_design(pairs, covariates, schema, MODEL_SUBSETS[model], threshold)
-        return design, fit_logit(design)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        fit_futures = {m: pool.submit(fit_model, m) for m in sorted(MODEL_SUBSETS)}
-        anova_futures = {
-            m: pool.submit(
-                anova_distances,
-                pairs,
-                covariates,
-                schema,
-                MODEL_SUBSETS[m],
-                config.factor_order,
-                config.interactions,
-            )
-            for m in sorted(MODEL_SUBSETS)
-        }
-        designs_fits = {m: f.result() for m, f in fit_futures.items()}
-        anova_tables = {m: f.result() for m, f in anova_futures.items()}
-
-    designs = {m: df[0] for m, df in designs_fits.items()}
-    fits = {m: df[1] for m, df in designs_fits.items()}
-    effects = {
-        m: marginal_effects(fits[m], designs[m], schema, config.alpha)
-        for m in sorted(fits)
-    }
+    designs: dict[str, DesignMatrix] = {}
+    fits: dict[str, LogitFit] = {}
+    effects: dict[str, list[MarginalEffect]] = {}
     bootstrap_se: dict[str, dict[tuple[str, str | None], float]] = {}
     bootstrap_used: dict[str, int] = {}
-    if config.bootstrap > 0:
-        for m in sorted(fits):
+    diagnostics: dict[str, ResidualDiagnostics] = {}
+    anova_tables: dict[str, AnovaTable] = {}
+    for m in sorted(MODEL_SUBSETS):
+        subset = MODEL_SUBSETS[m]
+        design = designs[m] = build_design(pairs, covariates, schema, subset, threshold)
+        fit = fits[m] = fit_logit(design)
+        effects[m] = marginal_effects(fit, design, schema, config.alpha)
+        if config.bootstrap > 0:
             bootstrap_se[m], bootstrap_used[m] = bootstrap_marginal_effects(
-                designs[m],
+                design,
                 schema,
                 n_boot=config.bootstrap,
                 seed=named_seed(config.seed, f"bootstrap:{m}"),
             )
-    diagnostics = {
-        m: simulate_residuals(
-            fits[m], designs[m], seed=named_seed(config.seed, f"diagnostics:{m}")
+        diagnostics[m] = simulate_residuals(
+            fit, design, seed=named_seed(config.seed, f"diagnostics:{m}")
         )
-        for m in sorted(fits)
-    }
+        anova_tables[m] = anova_distances(
+            pairs, covariates, schema, subset, config.factor_order, config.interactions
+        )
 
     result = AnalysisResult(
         report=report,

@@ -227,12 +227,12 @@ def make_planner_pools(
     )
 
 
-def write_dataset(dataset: SyntheticDataset, out_dir: str | Path, soft_scores: bool = True) -> None:
+def write_dataset(dataset: SyntheticDataset, out_dir: str | Path) -> None:
     """Write schema.json, images.csv and pairs.csv for a synthetic dataset.
 
-    With ``soft_scores`` enabled the identity attributes are emitted as
-    per-level score columns whose identity-average argmax reproduces the
-    assigned level, exercising the consolidation path end to end.
+    The identity attributes are emitted as per-level score columns whose
+    identity-average argmax reproduces the assigned level, exercising the
+    consolidation path end to end.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -250,11 +250,8 @@ def write_dataset(dataset: SyntheticDataset, out_dir: str | Path, soft_scores: b
     with open(out / "images.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         header = ["image_id", "identity_id"]
-        if soft_scores:
-            header += [f"gender:{l}" for l in GENDERS]
-            header += [f"ethnicity:{l}" for l in ETHNICITIES]
-        else:
-            header += ["gender", "ethnicity"]
+        header += [f"gender:{l}" for l in GENDERS]
+        header += [f"ethnicity:{l}" for l in ETHNICITIES]
         header += ["age", "pitch", "yaw", "roll"]
         writer.writerow(header)
         images = dataset.images
@@ -269,15 +266,11 @@ def write_dataset(dataset: SyntheticDataset, out_dir: str | Path, soft_scores: b
             images.continuous["pose"].tolist(),
         )
         for image_id, identity_id, gender, ethnicity, age, pose in columns:
-            row: list[object] = [image_id, identity_id]
-            if soft_scores:
-                gv = soft_vector(GENDERS, gender)
-                ev = soft_vector(ETHNICITIES, ethnicity)
-                gv[GENDERS.index(gender)] = round(1.0 - sum(v for i, v in enumerate(gv) if i != GENDERS.index(gender)), 6)
-                ev[ETHNICITIES.index(ethnicity)] = round(1.0 - sum(v for i, v in enumerate(ev) if i != ETHNICITIES.index(ethnicity)), 6)
-                row += gv + ev
-            else:
-                row += [gender, ethnicity]
+            gv = soft_vector(GENDERS, gender)
+            ev = soft_vector(ETHNICITIES, ethnicity)
+            gv[GENDERS.index(gender)] = round(1.0 - sum(v for i, v in enumerate(gv) if i != GENDERS.index(gender)), 6)
+            ev[ETHNICITIES.index(ethnicity)] = round(1.0 - sum(v for i, v in enumerate(ev) if i != ETHNICITIES.index(ethnicity)), 6)
+            row: list[object] = [image_id, identity_id, *gv, *ev]
             # split the pose norm over the three rotation axes
             pitch = round(pose * 0.48, 4)
             yaw = round(pose * 0.64, 4)

@@ -5,7 +5,7 @@ A small synthetic dataset is damaged one way at a time (its table cut to
 the header, blank lines, ragged rows, a non-numeric cell, an image id the
 pairs cannot resolve) and run through ``diversity``, ``weights`` and
 ``analyze``. The explicit examples are a seed corpus; Hypothesis adds its
-own.
+own. ``plan`` is run on schemas that lack an attribute it bins styles by.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -104,3 +105,27 @@ def test_cli_contract_on_damaged_inputs(command, target, damage, where):
             if command == "analyze":
                 assert not (root / "out").exists()
                 assert not list(root.glob(".favfa-staging-*"))
+
+
+@pytest.mark.parametrize("dropped", ["age", "pose"])
+def test_cli_plan_schema_without_style_attribute(tmp_path, dropped):
+    texts = base_texts()
+    schema = json.loads(texts["schema.json"])
+    schema["attributes"] = [a for a in schema["attributes"] if a["name"] != dropped]
+    (tmp_path / "schema.json").write_text(json.dumps(schema), encoding="utf-8")
+    (tmp_path / "images.csv").write_text(texts["images.csv"], encoding="utf-8")
+    out = tmp_path / "plan.jsonl"
+    result = CliRunner().invoke(
+        main,
+        ["plan", "--schema", str(tmp_path / "schema.json"),
+         "--ids", str(tmp_path / "images.csv"), "--styles", str(tmp_path / "images.csv"),
+         "--n-identities", "8", "--samples", "2", "--out", str(out)],
+    )
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert "Traceback" not in result.output + result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert json.loads(lines[0])["error"] == "SchemaInvalid"
+    assert repr(dropped) in json.loads(lines[0])["message"]
+    assert not out.exists()
