@@ -4,6 +4,10 @@ Factors enter a least-squares model of the pair distance one at a time; each
 factor's sum of squares is the residual drop it causes, and eta squared is
 that share of the total variance. The decomposition is order-dependent on
 unbalanced data, which callers can surface by varying ``factor_order``.
+
+The model matrix ``M = [1 | block_1 | ... | block_k | d]`` is reduced once to
+its R factor, and every nested model is solved on R's columns instead of the
+n-row design: R'R = M'M, so the residual sums of squares are the same.
 """
 
 from __future__ import annotations
@@ -59,8 +63,34 @@ class AnovaTable:
         }
 
 
-def _lstsq_rss(x: np.ndarray, d: np.ndarray) -> tuple[float, int]:
-    coef, _, rank, _ = np.linalg.lstsq(x, d, rcond=None)
+#: Rows of the model matrix folded into its R factor at a time.
+_FOLD_ROWS = 4096
+
+
+def _r_factor(m: np.ndarray) -> np.ndarray:
+    """The R factor of ``m``'s QR decomposition, so that R'R = M'M.
+
+    ``m`` is reduced one fixed ``_FOLD_ROWS`` slice at a time, in order: each
+    slice is stacked under the running R and factorized again (the sequential
+    tall-skinny QR of Demmel et al. 2012, "Communication-optimal parallel and
+    sequential QR and LU factorizations"). Every factorization is small and
+    their order is fixed, so R does not depend on the OpenBLAS thread count,
+    as one QR or least-squares solve of the whole tall matrix does.
+    """
+    r = m[:0]
+    for start in range(0, len(m), _FOLD_ROWS):
+        r = np.linalg.qr(np.vstack([r, m[start : start + _FOLD_ROWS]]), mode="r")
+    return r
+
+
+def _rss(r: np.ndarray, cols: list[int], n: int) -> tuple[float, int]:
+    """Residual sum of squares and rank of the least-squares fit of the last
+    column of the n-row model matrix on its columns ``cols``, from its R
+    factor ``r``: for any v, |M v| = |R v|. The rank cut-off is the one
+    ``lstsq`` applies to the n-row matrix itself."""
+    x, d = r[:, cols], r[:, -1]
+    rcond = np.finfo(float).eps * max(n, len(cols))
+    coef, _, rank, _ = np.linalg.lstsq(x, d, rcond=rcond)
     resid = d - x @ coef
     return float(resid @ resid), int(rank)
 
@@ -102,7 +132,8 @@ def anova_distances(
     single column. With ``interactions`` enabled, pairwise products of the
     main-effect blocks are appended after the main effects. A factor that
     adds no rank (constant in the subset, or collinear with its predecessors)
-    is dropped with a warning entry instead of failing.
+    is dropped with a warning entry instead of failing. The table does not
+    depend on the OpenBLAS thread count (see ``_r_factor``).
     """
     rows = filter_subset(frame, subset)
     if not rows.any():
@@ -124,40 +155,37 @@ def anova_distances(
         mains = dict(blocks)
         for a, b in combinations(names, 2):
             left, right = mains[a], mains[b]
-            cols = [
-                left[:, i] * right[:, j]
-                for i in range(left.shape[1])
-                for j in range(right.shape[1])
-            ]
-            block = np.column_stack(cols) if cols else np.zeros((n, 0))
+            block = (left[:, :, None] * right[:, None, :]).reshape(n, -1)
             blocks.append((f"{a}×{b}", block))
 
-    x = np.ones((n, 1))
-    rss_prev, rank_prev = _lstsq_rss(x, d)
+    r = _r_factor(np.hstack([np.ones((n, 1)), *(block for _, block in blocks), d[:, None]]))
+    cols = [0]
+    rss_prev, rank_prev = _rss(r, cols, n)
     total_ss = rss_prev
+    start = 1  # the next block's first column in the model matrix
 
     factors: list[FactorResult] = []
     warnings: list[str] = []
     for name, block in blocks:
-        if block.shape[1] == 0:
+        width = block.shape[1]
+        if width == 0:
             warnings.append(f"factor {name!r} has a single level in this subset; dropped")
             factors.append(FactorResult(name, 0, 0.0, 0.0))
             continue
-        candidate = np.hstack([x, block])
-        rss, rank = _lstsq_rss(candidate, d)
+        candidate = cols + list(range(start, start + width))
+        start += width
+        rss, rank = _rss(r, candidate, n)
         gained = rank - rank_prev
         if gained == 0:
             warnings.append(f"factor {name!r} is collinear with preceding factors; dropped")
             factors.append(FactorResult(name, 0, 0.0, 0.0))
             continue
-        if gained < block.shape[1]:
-            warnings.append(
-                f"factor {name!r}: {block.shape[1] - gained} collinear column(s) absorbed"
-            )
+        if gained < width:
+            warnings.append(f"factor {name!r}: {width - gained} collinear column(s) absorbed")
         ss = max(0.0, rss_prev - rss)
         eta = ss / total_ss if total_ss > 0 else 0.0
         factors.append(FactorResult(name, gained, ss, eta))
-        x, rss_prev, rank_prev = candidate, rss, rank
+        cols, rss_prev, rank_prev = candidate, rss, rank
 
     return AnovaTable(
         factors=tuple(factors),

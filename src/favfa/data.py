@@ -300,11 +300,35 @@ def _read_soft_scores(
             _parse_finite(c, "image {!r} soft score {!r}", image_id, attr.name)
     if min(scores) < 0:
         raise ParseError(f"image {image_id!r}: negative soft score for {attr.name!r}")
-    if abs(math.fsum(scores) - 1.0) > 1e-6:
+    if _sum_off_one(scores):
         raise ParseError(
             f"image {image_id!r}: soft scores for {attr.name!r} must sum to 1"
         )
     return scores
+
+
+def _sum_off_one(scores: Sequence[float]) -> bool:
+    """Whether the exactly rounded sum of the non-negative ``scores`` is
+    more than 1e-6 away from 1; a sum beyond the float range is."""
+    try:
+        return abs(math.fsum(scores) - 1.0) > 1e-6
+    except OverflowError:
+        return True
+
+
+def _pose_norm(*components: float) -> float:
+    """The Euclidean norm of the rotation components, or inf when their
+    squares or the squares' sum overflow.
+
+    Python's ``x ** 2`` (``pow(x, 2)``) calls libm pow, which differs from
+    ``x * x`` in the last bit for some inputs: 8.4569 ** 2 != 8.4569 * 8.4569.
+    numpy's ``** 2`` is ``x * x``, so squaring arrays would move pose values;
+    the squares are Python's, their sum exactly rounded (fsum).
+    """
+    try:
+        return math.sqrt(math.fsum(map(pow, components, repeat(2))))
+    except OverflowError:
+        return math.inf
 
 
 def _sum_bound(n_terms: int | np.ndarray, abs_sum: np.ndarray) -> np.ndarray:
@@ -357,6 +381,8 @@ def _check_image_row(
             if all(comps):
                 for c in comps:
                     _parse_finite(c, "image {!r} pose", image_id)
+                if math.isinf(_pose_norm(*map(float, comps))):
+                    raise ParseError(f"image {image_id!r}: pose components too large to combine")
                 held = True
         if attr.scope is Scope.IMAGE and not held:
             raise MissingAttribute(image_id, attr.name)
@@ -372,7 +398,7 @@ def _soft_block(
     filled = np.count_nonzero([_filled(c) for c in cells], axis=0)
     has = filled == len(cells)
     matrix = np.column_stack([parse_floats(c) for c in cells])
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         bad = (filled > 0) & ~has  # incomplete
         finite = np.isfinite(matrix).all(axis=1)
         bad |= has & ~finite
@@ -383,7 +409,7 @@ def _soft_block(
         bound = _sum_bound(len(cells), np.abs(matrix).sum(axis=1))
         bad |= ok & (deviation > 1e-6 + bound)
     for i in np.flatnonzero(ok & (np.abs(deviation - 1e-6) <= bound)):
-        bad[i] |= abs(math.fsum(matrix[i].tolist()) - 1.0) > 1e-6
+        bad[i] |= _sum_off_one(matrix[i].tolist())
     matrix[~has] = math.nan
     return matrix, has, bad
 
@@ -515,7 +541,8 @@ def _pose_values(
 ) -> np.ndarray:
     """``values`` with the rows that have no pose value but all three
     rotation components filled in set to the components' norm; rows with a
-    bad component are marked in ``bad``."""
+    bad component, or with components too large to combine, are marked in
+    ``bad``."""
     comps = [_cells(rows, i) for i in pose_cols]
     wanted = np.isnan(values) & np.logical_and.reduce([_filled(c) for c in comps])
     if not wanted.any():
@@ -524,13 +551,10 @@ def _pose_values(
     finite = np.logical_and.reduce([np.isfinite(p) for p in parsed])
     bad |= wanted & ~finite
     rows = wanted & finite
-    # Python's ``x ** 2`` (``pow(x, 2)``) calls libm pow, which differs from
-    # ``x * x`` in the last bit for some inputs: 8.4569 ** 2 != 8.4569 * 8.4569.
-    # numpy's ``** 2`` is ``x * x``, so squaring the arrays would move pose
-    # values; the squares are Python's, their sum exactly rounded (fsum).
-    squares = [map(pow, p[rows].tolist(), repeat(2)) for p in parsed]
+    norms = map(_pose_norm, *(p[rows].tolist() for p in parsed))
     values = values.copy()
-    values[rows] = np.sqrt(np.fromiter(map(math.fsum, zip(*squares)), float, np.count_nonzero(rows)))
+    values[rows] = np.fromiter(norms, float, np.count_nonzero(rows))
+    bad |= rows & np.isinf(values)
     return values
 
 

@@ -69,10 +69,6 @@ class NotConverged(FavfaError):
     """The requested operation needs a converged fit."""
 
 
-class RankDeficient(FavfaError):
-    """A model matrix lost rank in a context where that cannot be repaired."""
-
-
 class InsufficientCandidates(FavfaError):
     def __init__(self, cell: tuple[str, ...], have: int, need: int):
         super().__init__(f"cell {'×'.join(cell)} has {have} candidate(s), needs {need}")

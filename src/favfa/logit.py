@@ -151,10 +151,8 @@ _BOOT_ELEMENTS = 2**16
 #: ``2 * _BOOT_ARRAYS * _BOOT_ELEMENTS`` float64 elements (6 MB), below the
 #: diagnostics block's bound of ``diagnostics._SIM_ELEMENTS``.
 _BOOT_ARRAYS = 6
-#: Observations per slice of the product of a block's weights with the
-#: column-product table. The slices' products are summed in order: one
-#: product over all n observations is a GEMM whose summation order, and so
-#: whose last bits, follow the OpenBLAS thread count.
+#: Observations per slice of every product that sums over the observations
+#: (see ``_sum_over_rows``).
 _INFO_ROWS = 512
 
 # how one row of the IRLS kernel ended
@@ -199,14 +197,24 @@ def _column_products(X: np.ndarray) -> np.ndarray:
     return table
 
 
+def _sum_over_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``, where ``a``'s last axis and ``b``'s rows are the
+    observations, as the sum of the products of fixed ``_INFO_ROWS`` slices
+    of them, in order. One product over all n observations is a GEMM or GEMV
+    whose summation order, and so whose last bits, follow the OpenBLAS thread
+    count."""
+    out = a[..., :_INFO_ROWS] @ b[:_INFO_ROWS]
+    for start in range(_INFO_ROWS, len(b), _INFO_ROWS):
+        out += a[..., start : start + _INFO_ROWS] @ b[start : start + _INFO_ROWS]
+    return out
+
+
 def _information(X: np.ndarray, weights: np.ndarray, table: np.ndarray | None) -> np.ndarray:
     """Information matrices ``X' diag(w) X``, one per row ``w`` of ``weights``."""
     if table is None:
-        return np.stack([(X * w[:, None]).T @ X for w in weights])
-    n, p = X.shape
-    upper = weights[:, :_INFO_ROWS] @ table[:_INFO_ROWS]
-    for start in range(_INFO_ROWS, n, _INFO_ROWS):
-        upper += weights[:, start : start + _INFO_ROWS] @ table[start : start + _INFO_ROWS]
+        return np.stack([_sum_over_rows((X * w[:, None]).T, X) for w in weights])
+    p = X.shape[1]
+    upper = _sum_over_rows(weights, table)
     info = np.empty((len(weights), p, p))
     i, j = np.triu_indices(p)
     info[:, i, j] = upper
@@ -272,7 +280,7 @@ def _irls(
         del eta
         resid = y - mu
         resid *= counts
-        grad = resid @ X
+        grad = _sum_over_rows(resid, X)
         converged = np.max(np.abs(grad), axis=1) < tol
         # the weights mu * (1 - mu) * counts, in the residuals' place
         np.subtract(1.0, mu, out=resid)
@@ -442,7 +450,7 @@ def _effects(
                 grad = None
                 if gradients:
                     d_lvl = mu_lvl * (1.0 - mu_lvl)
-                    grad = ((counts * (d_lvl - d_ref)) @ X) / n
+                    grad = _sum_over_rows(counts * (d_lvl - d_ref), X) / n
                     grad[:, idxs] = 0.0
                     grad[:, j] = _weighted_mean(d_lvl, counts)
                 mu_lvl -= mu_ref
@@ -457,7 +465,7 @@ def _effects(
             grad = None
             if gradients:
                 d2 = d1 * (1.0 - 2.0 * mu)
-                grad = B[:, j : j + 1] * ((counts * d2) @ X) / n / scale
+                grad = B[:, j : j + 1] * _sum_over_rows(counts * d2, X) / n / scale
                 grad[:, j] += _weighted_mean(d1, counts) / scale
             out.append((attr, None, B[:, j] * _weighted_mean(d1, counts) / scale, grad))
     return out

@@ -293,9 +293,7 @@ def run_analysis(config: AnalysisConfig) -> AnalysisResult:
     Each model's design, fit, marginal effects, bootstrap, diagnostics and
     ANOVA run in turn on the calling thread, every random stage on its own
     stream from ``named_seed``. Reruns on the same inputs are byte-identical
-    at a fixed OpenBLAS thread count; the bootstrap standard errors do not
-    depend on that count, the ANOVA sums of squares may move in their last
-    digits with it.
+    at any OpenBLAS thread count.
     """
     schema = load_schema(config.schema_path)
     images = consolidate_identity_attributes(load_images(config.images_path, schema), schema)

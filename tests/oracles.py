@@ -370,3 +370,40 @@ def sequential_ss(d, blocks):
         out.append(prev - cur)
         prev = cur
     return total, out, prev
+
+
+def anova_reference(d, blocks):
+    """Sequential ANOVA as one least-squares solve of the n-row design per
+    factor, that design growing by each factor's block in turn; ``blocks``
+    is a list of ``(name, block)``. Returns ``(factors, residual_ss,
+    total_ss, warnings)`` with ``factors`` a list of ``(name, df, ss)``."""
+    d = np.asarray(d, dtype=float)
+
+    def rss_rank(x):
+        coef, _, rank, _ = np.linalg.lstsq(x, d, rcond=None)
+        resid = d - x @ coef
+        return float(resid @ resid), int(rank)
+
+    x = np.ones((len(d), 1))
+    rss_prev, rank_prev = rss_rank(x)
+    total_ss = rss_prev
+    factors, warnings = [], []
+    for name, block in blocks:
+        if block.shape[1] == 0:
+            warnings.append(f"factor {name!r} has a single level in this subset; dropped")
+            factors.append((name, 0, 0.0))
+            continue
+        candidate = np.hstack([x, block])
+        rss, rank = rss_rank(candidate)
+        gained = rank - rank_prev
+        if gained == 0:
+            warnings.append(f"factor {name!r} is collinear with preceding factors; dropped")
+            factors.append((name, 0, 0.0))
+            continue
+        if gained < block.shape[1]:
+            warnings.append(
+                f"factor {name!r}: {block.shape[1] - gained} collinear column(s) absorbed"
+            )
+        factors.append((name, gained, max(0.0, rss_prev - rss)))
+        x, rss_prev, rank_prev = candidate, rss, rank
+    return factors, rss_prev, total_ss, warnings

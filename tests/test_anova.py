@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import favfa.anova
 import oracles
 from conftest import Covariates, frames, pair
 from favfa.anova import anova_distances
@@ -18,6 +20,14 @@ from favfa.schema import (
     Categorical,
     Continuous,
     Scope,
+)
+
+SCHEMA_GH_AGE = AttributeSchema(
+    (
+        AttributeDef("g", Categorical(("A", "B"), "A"), Scope.IMAGE),
+        AttributeDef("h", Categorical(("U", "V", "W"), "V"), Scope.IMAGE),
+        AttributeDef("age", Continuous("years"), Scope.IMAGE),
+    )
 )
 
 SCHEMA_G = AttributeSchema(
@@ -241,3 +251,67 @@ def test_eta_sum_identity_random(seed, n):
             1e-8 * table.total_ss, 1e-12
         )
         assert 0.0 <= table.r_squared <= 1.0 + 1e-12
+
+
+def reference_block(schema, name, values):
+    """A factor's columns written out from its values: a continuous value as
+    it is, a categorical one as dummies for every observed level but the
+    reference (or, when the reference is not observed, the first observed
+    level), in the schema's level order."""
+    attr = schema[name]
+    if not attr.is_categorical:
+        return np.array(values, dtype=float)[:, None]
+    observed = [level for level in attr.levels if level in values]
+    reference = attr.reference if attr.reference in observed else observed[0]
+    return np.array(
+        [[v == level for level in observed if level != reference] for v in values], dtype=float
+    ).reshape(len(values), -1)
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(1, 40),
+    g_levels=st.sampled_from(["A", "B", "AB"]),
+    h_mode=st.sampled_from(["free", "single", "follows-g"]),
+    constant_age=st.booleans(),
+    interactions=st.booleans(),
+    order=st.permutations(["g", "h", "age"]),
+    fold_rows=st.sampled_from([1, 3, 4096]),
+)
+@settings(max_examples=150, deadline=None)
+def test_anova_matches_growing_design_reference(
+    seed, n, g_levels, h_mode, constant_age, interactions, order, fold_rows
+):
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(n):
+        g = g_levels[int(rng.integers(len(g_levels)))]
+        h = {"free": "UVW"[int(rng.integers(3))], "single": "W", "follows-g": "UW"[g == "B"]}
+        age = 41.3 if constant_age else float(rng.uniform(18, 70))
+        rows.append((g, h[h_mode], age, float(rng.gamma(2.0, 0.3))))
+    pairs, covs = [], {}
+    for i, (g, h, age, dist) in enumerate(rows):
+        pairs.append(pair(f"p{i}", "a", "b", True, dist))
+        covs[f"p{i}"] = Covariates({"g": g, "h": h}, {"age": age})
+    # small slices fold the rows into R over many steps, as a large set does
+    with mock.patch.object(favfa.anova, "_FOLD_ROWS", fold_rows):
+        table = anova(pairs, covs, SCHEMA_GH_AGE, Subset.POSITIVES, order, interactions)
+
+    columns = dict(zip(["g", "h", "age"], zip(*rows)))
+    blocks = [(name, reference_block(SCHEMA_GH_AGE, name, columns[name])) for name in order]
+    if interactions:
+        mains = dict(blocks)
+        for i, a in enumerate(order):
+            for b in order[i + 1 :]:
+                products = [l * r for l in mains[a].T for r in mains[b].T]
+                block = np.column_stack(products) if products else np.zeros((n, 0))
+                blocks.append((f"{a}×{b}", block))
+    factors, residual, total, warnings = oracles.anova_reference([r[3] for r in rows], blocks)
+
+    assert [(f.name, f.df) for f in table.factors] == [(name, df) for name, df, _ in factors]
+    assert list(table.warnings) == warnings
+    tol = 1e-12 * total
+    assert abs(table.total_ss - total) <= tol
+    assert abs(table.residual_ss - residual) <= tol
+    for f, (_, _, ss) in zip(table.factors, factors):
+        assert abs(f.sum_squares - ss) <= tol

@@ -5,7 +5,10 @@ A small synthetic dataset is damaged one way at a time (its table cut to
 the header, blank lines, ragged rows, a non-numeric cell, an image id the
 pairs cannot resolve) and run through ``diversity``, ``weights`` and
 ``analyze``. The explicit examples are a seed corpus; Hypothesis adds its
-own. ``plan`` is run on schemas that lack an attribute it bins styles by.
+own. They include finite image values too large to combine (pose components
+whose squares overflow, soft scores whose sum does), which must fail as a
+``ParseError`` naming the image. ``plan`` is run on schemas that lack an
+attribute it bins styles by.
 """
 
 from __future__ import annotations
@@ -24,6 +27,16 @@ from favfa.cli import main
 from favfa.synth import make_verification_dataset, write_dataset
 
 DAMAGES = ("header-only", "blank-lines", "ragged", "non-numeric", "unknown-id")
+
+#: Finite images.csv cells whose squares or sum overflow, by damage: the
+#: image's cells to set, one choice per parity of ``where``.
+OVERFLOWS = {
+    "huge-pose": (
+        {"pitch": "1e200", "yaw": "1", "roll": "1"},
+        {"pitch": "1.3e154", "yaw": "1.3e154", "roll": "1"},
+    ),
+    "huge-scores": ({"gender:Male": "1e308", "gender:Female": "1e308"},) * 2,
+}
 
 
 @functools.cache
@@ -54,6 +67,11 @@ def damaged(text: str, damage: str, where: int) -> str:
     elif damage == "non-numeric":
         cells[2 + where % (len(cells) - 2)] = "abc"  # past the id columns
         rows[i] = ",".join(cells)
+    elif damage in OVERFLOWS:
+        columns = header.split(",")
+        for name, value in OVERFLOWS[damage][where % 2].items():
+            cells[columns.index(name)] = value
+        rows[i] = ",".join(cells)
     elif text.startswith("pair_id"):  # unknown-id: a pair names a missing image
         cells[1] = "ghost"
         rows[i] = ",".join(cells)
@@ -77,6 +95,10 @@ def damaged(text: str, damage: str, where: int) -> str:
 @example(command="analyze", target="pairs.csv", damage="non-numeric", where=7)
 @example(command="analyze", target="pairs.csv", damage="unknown-id", where=11)
 @example(command="analyze", target="images.csv", damage="unknown-id", where=0)
+@example(command="diversity", target="images.csv", damage="huge-pose", where=4)
+@example(command="diversity", target="images.csv", damage="huge-pose", where=9)
+@example(command="diversity", target="images.csv", damage="huge-scores", where=2)
+@example(command="analyze", target="images.csv", damage="huge-scores", where=13)
 @settings(max_examples=50, deadline=None)
 def test_cli_contract_on_damaged_inputs(command, target, damage, where):
     texts = dict(base_texts())
@@ -105,6 +127,12 @@ def test_cli_contract_on_damaged_inputs(command, target, damage, where):
             if command == "analyze":
                 assert not (root / "out").exists()
                 assert not list(root.glob(".favfa-staging-*"))
+        if damage in OVERFLOWS:
+            rows = base_texts()[target].splitlines()[1:]
+            image_id = rows[where % len(rows)].split(",")[0]
+            error = json.loads(result.stderr)
+            assert result.exit_code == 1 and error["error"] == "ParseError", result.stderr
+            assert f"image {image_id!r}" in error["message"], result.stderr
 
 
 @pytest.mark.parametrize("dropped", ["age", "pose"])

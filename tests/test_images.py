@@ -138,7 +138,11 @@ def reference_soft(cells, attr, image_id):
     )
     if min(scores) < 0:
         raise ParseError(f"image {image_id!r}: negative soft score for {attr.name!r}")
-    if abs(math.fsum(scores) - 1.0) > 1e-6:
+    try:
+        off = abs(math.fsum(scores) - 1.0) > 1e-6
+    except OverflowError:  # the sum is beyond the float range
+        off = True
+    if off:
         raise ParseError(f"image {image_id!r}: soft scores for {attr.name!r} must sum to 1")
     return scores
 
@@ -179,9 +183,13 @@ def reference_load_images(path, schema) -> ReferenceTable:
             elif name == "pose" and None not in pose_cols:
                 comps = [row[i].strip() for i in pose_cols]
                 if all(comps):
-                    values[name] = math.sqrt(
-                        math.fsum(reference_finite(c, f"image {image_id!r} pose") ** 2 for c in comps)
-                    )
+                    comps = [reference_finite(c, f"image {image_id!r} pose") for c in comps]
+                    try:
+                        values[name] = math.sqrt(math.fsum(c ** 2 for c in comps))
+                    except OverflowError:
+                        raise ParseError(
+                            f"image {image_id!r}: pose components too large to combine"
+                        ) from None
             if attr.scope is Scope.IMAGE and name not in values and name not in softs:
                 raise MissingAttribute(image_id, name)
         records.append(ImageRow(image_id, identity_id, values, softs))
@@ -498,6 +506,9 @@ def test_near_ties_match_the_reference(offsets):
         ("0.5", "0.5", "", "0"),
         ("0.5", "0.5", "x", "-1"),
         (" 0.5", "5_0e-2", "0.45 ", "0"),
+        # finite scores whose sum overflows
+        ("1e308", "1e308", "0", "0"),
+        ("1e308", "1e308", "1e308", "-1"),
     ],
 )
 def test_soft_score_checks_match_the_reference(tmp_path, scores):
@@ -527,6 +538,36 @@ def test_pose_norm_squares_with_python_pow(tmp_path):
     assert load_images(path, schema).continuous["pose"].tolist() == [
         math.sqrt(math.fsum(c ** 2 for c in comps))
     ]
+
+
+@pytest.mark.parametrize(
+    "second, third",
+    [
+        # components whose squares, or the squares' sum, overflow
+        (("1e200", "1", "1", "30"), ("1", "1", "1", "30")),
+        (("1.3e154", "1.3e154", "1", "30"), ("1", "1", "1", "30")),
+        # the largest components that still combine
+        (("1.3e154", "1", "1", "30"), ("-1.3e154", "1e-300", "0", "30")),
+        # a bad cell read before the pose in the same row, or in a later row
+        (("1e200", "1", "1", "old"), ("1", "1", "1", "30")),
+        (("1e200", "1", "1", "30"), ("1", "1", "1", "old")),
+        (("1", "1", "1", "old"), ("1e200", "1", "1", "30")),
+    ],
+)
+def test_pose_checks_match_the_reference(tmp_path, monkeypatch, second, third):
+    header = ["image_id", "identity_id", "gender", "ethnicity", "pitch", "yaw", "roll", "age"]
+    rows = [["a1", "A", "Male", "Asian", "1", "2", "3", "30"],
+            ["a2", "A", "Male", "Asian", *second],
+            ["a3", "A", "Male", "Asian", *third]]
+    path = tmp_path / "images.csv"
+    path.write_text(csv_text(header, rows))
+    schema = AttributeSchema(tuple(a for a in SCHEMA.attributes if a.name in FOUR))
+    want = outcome(lambda: reference_consolidate(reference_load_images(path, schema), schema))
+    for block_rows in (1, 2048):
+        monkeypatch.setattr(favfa.data, "_BLOCK_ROWS", block_rows)
+        got = consolidated(path, schema)
+        assert got[0] == want[0]
+        assert got[1:] == want[1:] if got[0] == "raised" else image_rows(got[1]) == want[1].rows
 
 
 # --- the float parse -------------------------------------------------------

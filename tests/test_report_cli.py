@@ -236,7 +236,7 @@ def test_demo_bundle_pinned(tmp_path, flags):
 
 #: sha256 of marginal_effects.csv for ``favfa analyze --bootstrap 20`` on
 #: data/demo: the delta-method and bootstrap columns, pinned for determinism.
-BOOTSTRAP_EFFECTS_PIN = "ba38efba42916af39e1630bb7247205ef220a58659d4463496700631714031a4"
+BOOTSTRAP_EFFECTS_PIN = "b4327598ef879bb986b5fbd53462802dd38e668871c2cc71f4cac47ade5e9aeb"
 
 
 def test_demo_bootstrap_effects_pinned(tmp_path):
@@ -246,17 +246,50 @@ def test_demo_bootstrap_effects_pinned(tmp_path):
     assert sha256((out / "marginal_effects.csv").read_bytes()) == BOOTSTRAP_EFFECTS_PIN
 
 
+def at_openblas_threads(threads: str, args: list[str]) -> str:
+    """Standard output of ``python *args`` with OpenBLAS on ``threads`` threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(REPO / "src"))
+    return subprocess.run(
+        [sys.executable, *args], env=env, check=True, capture_output=True, text=True
+    ).stdout
+
+
 def test_bootstrap_effects_independent_of_openblas_threads(tmp_path):
-    outputs = []
+    bundles = []
     for threads in ("1", "2"):
         out = tmp_path / threads
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(REPO / "src"))
-        subprocess.run(
-            [sys.executable, "-m", "favfa.cli", *demo_args(DEMO / "pairs.csv", out),
-             "--bootstrap", "20"],
-            env=env, check=True, capture_output=True,
+        at_openblas_threads(
+            threads, ["-m", "favfa.cli", *demo_args(DEMO / "pairs.csv", out), "--bootstrap", "20"]
         )
-        outputs.append((out / "marginal_effects.csv").read_bytes())
+        bundles.append({name: (out / name).read_bytes() for name in BUNDLE})
+    assert bundles[0] == bundles[1]
+
+
+#: ANOVA tables with interactions of a 24,000-pair set, and a logit fit on a
+#: 100,000 x 10 design: both summed over all rows in one BLAS call each,
+#: their last bits followed the OpenBLAS thread count.
+THREAD_PROBE = """
+import numpy as np
+from favfa.anova import anova_distances
+from favfa.data import Subset, covariates_for_pairs
+from favfa.logit import DesignMatrix, fit_logit
+from favfa.synth import make_verification_dataset
+
+data = make_verification_dataset(n_identities=2000, n_positive=12000, n_negative=12000, seed=3)
+covs = covariates_for_pairs(data.pairs, data.images, data.schema)
+for subset in (Subset.POSITIVES, Subset.NEGATIVES):
+    print(anova_distances(data.pairs, covs, data.schema, subset, interactions=True).as_dict())
+
+rng = np.random.default_rng(0)
+X = np.column_stack([np.ones(100_000), rng.integers(0, 2, size=(100_000, 9))]).astype(float)
+y = (rng.random(100_000) < 1 / (1 + np.exp(-(X @ rng.normal(scale=0.3, size=10))))) * 1.0
+fit = fit_logit(DesignMatrix(X, y, tuple(map(str, range(10))), {}, {}, {}, Subset.POSITIVES))
+print(fit.beta.tobytes().hex(), fit.covariance.tobytes().hex())
+"""
+
+
+def test_anova_and_fit_independent_of_openblas_threads():
+    outputs = [at_openblas_threads(threads, ["-c", THREAD_PROBE]) for threads in ("1", "2")]
     assert outputs[0] == outputs[1]
 
 
