@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import CovariateFrame, PairFrame, Subset, filter_subset, one_hot
-from .errors import EmptySubset, SchemaInvalid
+from .errors import EmptySubset, SchemaInvalid, ValueOutOfRange
 from .schema import AttributeSchema
 
 
@@ -132,8 +132,10 @@ def anova_distances(
     single column. With ``interactions`` enabled, pairwise products of the
     main-effect blocks are appended after the main effects. A factor that
     adds no rank (constant in the subset, or collinear with its predecessors)
-    is dropped with a warning entry instead of failing. The table does not
-    depend on the OpenBLAS thread count (see ``_r_factor``).
+    is dropped with a warning entry instead of failing. Distances whose
+    total sum of squares is beyond the float range raise
+    ``ValueOutOfRange``. The table does not depend on the OpenBLAS thread
+    count (see ``_r_factor``).
     """
     rows = filter_subset(frame, subset)
     if not rows.any():
@@ -158,10 +160,13 @@ def anova_distances(
             block = (left[:, :, None] * right[:, None, :]).reshape(n, -1)
             blocks.append((f"{a}×{b}", block))
 
-    r = _r_factor(np.hstack([np.ones((n, 1)), *(block for _, block in blocks), d[:, None]]))
     cols = [0]
-    rss_prev, rank_prev = _rss(r, cols, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = _r_factor(np.hstack([np.ones((n, 1)), *(b for _, b in blocks), d[:, None]]))
+        rss_prev, rank_prev = _rss(r, cols, n)
     total_ss = rss_prev
+    if not math.isfinite(total_ss):
+        raise ValueOutOfRange(f"{subset.value}: the distances' total sum of squares is not finite")
     start = 1  # the next block's first column in the model matrix
 
     factors: list[FactorResult] = []

@@ -7,6 +7,8 @@ always carry raw proportions.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import sys
 from dataclasses import replace
@@ -190,11 +192,11 @@ def cmd_weights(schema_path, images_path, attrs, out_path):
         weights = sampling_weights(images, schema, _comma_list(attrs) or ())
     except FavfaError as error:
         _fail(error)
-    lines = ["image_id,weight,probability"]
-    lines += [
-        f"{e.image_id},{e.weight!r},{e.probability!r}" for e in weights.entries
-    ]
-    text = "\n".join(lines) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["image_id", "weight", "probability"])
+    writer.writerows([e.image_id, repr(e.weight), repr(e.probability)] for e in weights.entries)
+    text = out.getvalue()
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
         click.echo(f"wrote {len(weights.entries)} rows to {out_path}")

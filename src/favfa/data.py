@@ -23,7 +23,7 @@ from enum import Enum
 from itertools import islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -101,7 +101,7 @@ class ImageFrame:
         try:
             return self.index[image_id]
         except KeyError:
-            raise UnresolvedImage(f"unknown image_id {image_id!r}") from None
+            raise _unknown_image(image_id) from None
 
     def codes(self, attr: AttributeDef) -> LevelCodes:
         """The level codes of a categorical attribute, all -1 when the frame
@@ -184,15 +184,36 @@ def bin_codes(attr: AttributeDef, values: np.ndarray) -> np.ndarray:
     return np.where(inside, np.searchsorted(lows, values, side="right") - 1, -1)
 
 
-def _parse_finite(raw: str, context: str, *args: object) -> float:
-    """``raw`` as a finite float; errors name ``context.format(*args)``."""
+def _unknown_image(image_id: str) -> UnresolvedImage:
+    return UnresolvedImage(f"unknown image_id {image_id!r}")
+
+
+def _parse_finite(raw: str, context: str) -> ParseError:
+    """The error of ``raw``, a cell that does not parse as a finite float,
+    named by ``context``."""
     try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ParseError(f"{context.format(*args)}: not a number: {raw!r}") from exc
-    if not math.isfinite(value):
-        raise ParseError(f"{context.format(*args)}: value must be finite, got {raw!r}")
-    return value
+        float(raw)
+    except ValueError:
+        return ParseError(f"{context}: not a number: {raw!r}")
+    return ParseError(f"{context}: value must be finite, got {raw!r}")
+
+
+#: A check of one cell over a block of rows: the mask of the rows that fail
+#: it, and the error of a failing row from its index in the block.
+_Check = tuple[np.ndarray, Callable[[int], Exception]]
+
+
+def _raise_first(checks: Sequence[_Check]) -> None:
+    """Raise the error a row-by-row reader meets first.
+
+    ``checks`` come in the order a row's cells are read. The first row any
+    mask flags raises the error of the first check that flags it, so a mask
+    needs to be exact only on the rows that no earlier check flags.
+    """
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise next(fail(i) for mask, fail in checks if mask[i])
 
 
 def _float_or_nan(cell: str) -> float:
@@ -283,30 +304,6 @@ def _soft_columns(attr: AttributeDef, columns: Mapping[str, int]) -> list[int] |
     return present
 
 
-def _read_soft_scores(
-    cells: list[str], attr: AttributeDef, image_id: str
-) -> tuple[float, ...] | None:
-    if not all(cells):
-        if not any(cells):
-            return None
-        raise ParseError(f"image {image_id!r}: incomplete soft scores for {attr.name!r}")
-    try:
-        scores = tuple(map(float, cells))
-        finite = all(map(math.isfinite, scores))
-    except ValueError:
-        finite = False
-    if not finite:
-        for c in cells:  # raises for the first bad cell
-            _parse_finite(c, "image {!r} soft score {!r}", image_id, attr.name)
-    if min(scores) < 0:
-        raise ParseError(f"image {image_id!r}: negative soft score for {attr.name!r}")
-    if _sum_off_one(scores):
-        raise ParseError(
-            f"image {image_id!r}: soft scores for {attr.name!r} must sum to 1"
-        )
-    return scores
-
-
 def _sum_off_one(scores: Sequence[float]) -> bool:
     """Whether the exactly rounded sum of the non-negative ``scores`` is
     more than 1e-6 away from 1; a sum beyond the float range is."""
@@ -349,69 +346,119 @@ class _ImageColumn:
     soft_cols: list[int] | None
 
 
-def _check_image_row(
-    row: list[str],
-    path: str | Path,
-    id_col: int,
-    identity_col: int,
-    plan: Sequence[_ImageColumn],
-    pose_cols: list[int] | None,
-) -> None:
-    """Raise the error of the first bad cell of ``row``, checking the cells
-    in the order :func:`load_images` reads them."""
-    image_id = row[id_col].strip()
-    if not image_id or not row[identity_col].strip():
-        raise ParseError(f"{path}: row with empty image_id or identity_id")
-    for spec in plan:
-        attr = spec.attr
-        raw = row[spec.col].strip() if spec.col is not None else ""
-        held = bool(raw)
-        if attr.is_categorical:
-            if raw and raw not in attr.levels:
-                raise ParseError(
-                    f"image {image_id!r}: unknown level {raw!r} for attribute {attr.name!r}"
-                )
-            if spec.soft_cols is not None:
-                cells = [row[i].strip() for i in spec.soft_cols]
-                held |= _read_soft_scores(cells, attr, image_id) is not None
-        elif raw:
-            _parse_finite(raw, "image {!r} {!r}", image_id, attr.name)
-        elif attr.name == "pose" and pose_cols is not None:
-            comps = [row[i].strip() for i in pose_cols]
-            if all(comps):
-                for c in comps:
-                    _parse_finite(c, "image {!r} pose", image_id)
-                if math.isinf(_pose_norm(*map(float, comps))):
-                    raise ParseError(f"image {image_id!r}: pose components too large to combine")
-                held = True
-        if attr.scope is Scope.IMAGE and not held:
-            raise MissingAttribute(image_id, attr.name)
-
-
 def _soft_block(
-    rows: list[list[str]], soft_cols: list[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    rows: list[list[str]], soft_cols: list[int], attr: AttributeDef, image_ids: list[str]
+) -> tuple[np.ndarray, np.ndarray, list[_Check]]:
     """Score matrix of one attribute over a block of rows (NaN rows where
-    the cells are empty), the mask of rows that carry scores, and the mask
-    of rows whose scores ``_read_soft_scores`` rejects."""
+    the cells are empty), the mask of rows that carry scores, and the checks
+    of the scores: incomplete, not finite, negative, not summing to 1."""
     cells = [_cells(rows, i) for i in soft_cols]
     filled = np.count_nonzero([_filled(c) for c in cells], axis=0)
     has = filled == len(cells)
     matrix = np.column_stack([parse_floats(c) for c in cells])
     with np.errstate(invalid="ignore", over="ignore"):
-        bad = (filled > 0) & ~has  # incomplete
-        finite = np.isfinite(matrix).all(axis=1)
-        bad |= has & ~finite
-        ok = has & finite
-        bad |= ok & (matrix < 0).any(axis=1)
+        finite = np.isfinite(matrix)
+        ok = has & finite.all(axis=1)
         # |fsum - 1| > 1e-6, with fsum only where the plain sum cannot tell
         deviation = np.abs(matrix.sum(axis=1) - 1.0)
         bound = _sum_bound(len(cells), np.abs(matrix).sum(axis=1))
-        bad |= ok & (deviation > 1e-6 + bound)
+        off = ok & (deviation > 1e-6 + bound)
     for i in np.flatnonzero(ok & (np.abs(deviation - 1e-6) <= bound)):
-        bad[i] |= _sum_off_one(matrix[i].tolist())
+        off[i] = _sum_off_one(matrix[i].tolist())
+
+    def not_finite(i: int) -> ParseError:
+        raw = cells[int(np.argmin(finite[i]))][i]
+        return _parse_finite(raw, f"image {image_ids[i]!r} soft score {attr.name!r}")
+
+    checks = [
+        ((filled > 0) & ~has, lambda i: ParseError(
+            f"image {image_ids[i]!r}: incomplete soft scores for {attr.name!r}")),
+        (has & ~ok, not_finite),
+        ((matrix < 0).any(axis=1), lambda i: ParseError(
+            f"image {image_ids[i]!r}: negative soft score for {attr.name!r}")),
+        (off, lambda i: ParseError(
+            f"image {image_ids[i]!r}: soft scores for {attr.name!r} must sum to 1")),
+    ]
     matrix[~has] = math.nan
-    return matrix, has, bad
+    return matrix, has, checks
+
+
+def _pose_values(
+    rows: list[list[str]], pose_cols: list[int], values: np.ndarray, image_ids: list[str]
+) -> tuple[np.ndarray, list[_Check]]:
+    """``values`` with the rows that have no pose value but all three
+    rotation components filled in set to the components' norm, and the
+    checks of those rows: a component that is not finite, and components
+    too large to combine."""
+    comps = [_cells(rows, i) for i in pose_cols]
+    wanted = np.isnan(values) & np.logical_and.reduce([_filled(c) for c in comps])
+    if not wanted.any():
+        return values, []
+    parsed = [parse_floats(c) for c in comps]
+    finite = np.isfinite(parsed)
+    rows = wanted & finite.all(axis=0)
+    norms = map(_pose_norm, *(p[rows].tolist() for p in parsed))
+    values = values.copy()
+    values[rows] = np.fromiter(norms, float, np.count_nonzero(rows))
+
+    def not_finite(i: int) -> ParseError:
+        raw = comps[int(np.argmin(finite[:, i]))][i]
+        return _parse_finite(raw, f"image {image_ids[i]!r} pose")
+
+    return values, [
+        (wanted & ~rows, not_finite),
+        (rows & np.isinf(values), lambda i: ParseError(
+            f"image {image_ids[i]!r}: pose components too large to combine")),
+    ]
+
+
+def _attribute_block(
+    spec: _ImageColumn,
+    rows: list[list[str]],
+    image_ids: list[str],
+    pose_cols: list[int] | None,
+    checks: list[_Check],
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """One attribute's column over a block of rows: level codes (categorical)
+    or floats (continuous), and the score matrix (None without soft-score
+    columns). The checks of its cells are appended to ``checks`` in the
+    order the cells are read."""
+    attr = spec.attr
+    m = len(rows)
+    raw = _cells(rows, spec.col) if spec.col is not None else None
+    matrix = None
+    if attr.is_categorical:
+        if raw is None:
+            values = np.full(m, -1, dtype=np.intp)
+        else:
+            lookup = {level: i for i, level in enumerate(attr.levels)}
+            lookup[""] = -1
+            values = np.fromiter(map(lookup.get, raw, repeat(-2)), np.intp, m)
+            checks.append((values == -2, lambda i: ParseError(
+                f"image {image_ids[i]!r}: unknown level {raw[i]!r} for attribute {attr.name!r}")))
+        held = values >= 0
+        if spec.soft_cols is not None:
+            matrix, has, soft_checks = _soft_block(rows, spec.soft_cols, attr, image_ids)
+            checks += soft_checks
+            held |= has
+            if attr.scope is Scope.IMAGE:
+                # no identity averaging step to defer to
+                scored = has & (values < 0)
+                values[scored] = np.argmax(matrix[scored], axis=1)
+    else:
+        if raw is None:
+            values = np.full(m, math.nan)
+        else:
+            values = parse_floats(raw)
+            checks.append((_filled(raw) & ~np.isfinite(values), lambda i: _parse_finite(
+                raw[i], f"image {image_ids[i]!r} {attr.name!r}")))
+        if attr.name == "pose" and pose_cols is not None:
+            values, pose_checks = _pose_values(rows, pose_cols, values, image_ids)
+            checks += pose_checks
+        held = ~np.isnan(values)
+    if attr.scope is Scope.IMAGE:
+        checks.append((~held, lambda i: MissingAttribute(image_ids[i], attr.name)))
+    return values, matrix
 
 
 def load_images(path: str | Path, schema: AttributeSchema) -> ImageFrame:
@@ -427,10 +474,14 @@ def load_images(path: str | Path, schema: AttributeSchema) -> ImageFrame:
     takes its highest-scoring level); identity-scoped ones may be left for
     consolidation.
 
-    Each column is read in one pass over a block of rows. When a block holds
-    a bad cell, its first bad row is checked cell by cell for the error to
-    raise, so the error is the one a row-by-row reader meets first. Image ids
-    must be unique, which is checked once every row has been read.
+    Each column is read in one pass over a block of rows, and each check of
+    a cell is one mask over the block, stated once, in the order a row's
+    cells are read: empty ids; then per attribute an unknown level, the soft
+    scores (incomplete, not finite, negative, not summing to 1), a value that
+    is not finite, the pose components (not finite, too large to combine)
+    and a missing image-scoped value. The first flagged row raises the error
+    of its first flagging check, the one a row-by-row reader meets first.
+    Image ids must be unique, which is checked once every row has been read.
     """
     blocks = _csv_blocks(path, ("image_id", "identity_id"))
     columns = next(blocks)
@@ -460,49 +511,21 @@ def load_images(path: str | Path, schema: AttributeSchema) -> ImageFrame:
         m = len(rows)
         block_ids = _cells(rows, id_col)
         block_identities = _cells(rows, identity_col)
-        bad = ~(_filled(block_ids) & _filled(block_identities))
+        checks: list[_Check] = [(
+            ~(_filled(block_ids) & _filled(block_identities)),
+            lambda i: ParseError(f"{path}: row with empty image_id or identity_id"),
+        )]
         for name in dict.fromkeys(block_identities):
             identity_codes.setdefault(name, len(identity_codes))
         identity.append(np.fromiter(map(identity_codes.get, block_identities), np.intp, m))
         ids += block_ids
-
         for spec in plan:
-            attr = spec.attr
-            raw = _cells(rows, spec.col) if spec.col is not None else None
-            if attr.is_categorical:
-                if raw is None:
-                    codes = np.full(m, -1, dtype=np.intp)
-                else:
-                    lookup = {level: i for i, level in enumerate(attr.levels)}
-                    lookup[""] = -1
-                    codes = np.fromiter(map(lookup.get, raw, repeat(-2)), np.intp, m)
-                    bad |= codes == -2
-                held = codes >= 0
-                if spec.soft_cols is not None:
-                    matrix, has, soft_bad = _soft_block(rows, spec.soft_cols)
-                    bad |= soft_bad
-                    held |= has
-                    if attr.scope is Scope.IMAGE:
-                        # no identity averaging step to defer to
-                        scored = has & (codes < 0)
-                        codes[scored] = np.argmax(matrix[scored], axis=1)
-                    soft_parts[attr.name].append(matrix)
-                parts[attr.name].append(codes)
-            else:
-                if raw is None:
-                    values = np.full(m, math.nan)
-                else:
-                    values = parse_floats(raw)
-                    bad |= _filled(raw) & ~np.isfinite(values)
-                if attr.name == "pose" and pose_cols is not None:
-                    values = _pose_values(rows, pose_cols, values, bad)
-                held = ~np.isnan(values)
-                parts[attr.name].append(values)
-            if attr.scope is Scope.IMAGE:
-                bad |= ~held
-        if bad.any():
-            for row in rows[int(np.argmax(bad)) :]:
-                _check_image_row(row, path, id_col, identity_col, plan, pose_cols)
+            values, matrix = _attribute_block(spec, rows, block_ids, pose_cols, checks)
+            parts[spec.attr.name].append(values)
+            if matrix is not None:
+                soft_parts[spec.attr.name].append(matrix)
+        _raise_first(checks)
+        del checks  # free the cells its errors would quote before the next block is read
 
     n = len(ids)
     index = dict(zip(ids, range(n)))
@@ -536,64 +559,8 @@ def load_images(path: str | Path, schema: AttributeSchema) -> ImageFrame:
     )
 
 
-def _pose_values(
-    rows: list[list[str]], pose_cols: list[int], values: np.ndarray, bad: np.ndarray
-) -> np.ndarray:
-    """``values`` with the rows that have no pose value but all three
-    rotation components filled in set to the components' norm; rows with a
-    bad component, or with components too large to combine, are marked in
-    ``bad``."""
-    comps = [_cells(rows, i) for i in pose_cols]
-    wanted = np.isnan(values) & np.logical_and.reduce([_filled(c) for c in comps])
-    if not wanted.any():
-        return values
-    parsed = [parse_floats(c) for c in comps]
-    finite = np.logical_and.reduce([np.isfinite(p) for p in parsed])
-    bad |= wanted & ~finite
-    rows = wanted & finite
-    norms = map(_pose_norm, *(p[rows].tolist() for p in parsed))
-    values = values.copy()
-    values[rows] = np.fromiter(norms, float, np.count_nonzero(rows))
-    bad |= rows & np.isinf(values)
-    return values
-
-
 #: Pair label cells, as the codes ``PairFrame.predicted`` holds.
 _LABEL_CODES = {"same": 1, "different": 0}
-
-
-def _label_code(raw: str, pair_id: str, column: str) -> int:
-    code = _LABEL_CODES.get(raw)
-    if code is None:
-        raise ParseError(f"pair {pair_id!r}: {column} must be 'same' or 'different'")
-    return code
-
-
-def _check_pair_row(
-    row: list[str],
-    path: str | Path,
-    cols: tuple[int, int, int, int, int, int | None],
-    images: ImageFrame,
-    seen: Mapping[str, None],
-) -> None:
-    """Raise the error of the first bad cell of ``row``, checking the cells
-    in the order :func:`load_pairs` reads them; ``seen`` holds the pair ids
-    of the rows before it."""
-    id_col, a_col, b_col, truth_col, dist_col, pred_col = cols
-    pair_id = row[id_col].strip()
-    if not pair_id:
-        raise ParseError(f"{path}: row with empty pair_id")
-    if pair_id in seen:
-        raise ParseError(f"duplicate pair_id {pair_id!r}")
-    images.row(row[a_col].strip())
-    images.row(row[b_col].strip())
-    _label_code(row[truth_col].strip().lower(), pair_id, "ground_truth")
-    dist = _parse_finite(row[dist_col].strip(), "pair {!r} distance", pair_id)
-    pred_raw = row[pred_col].strip().lower() if pred_col is not None else ""
-    if pred_raw:
-        _label_code(pred_raw, pair_id, "predicted")
-    if dist < 0:
-        raise ParseError(f"pair {pair_id!r}: distance must be finite and >= 0, got {dist}")
 
 
 def load_pairs(path: str | Path, images: ImageFrame) -> PairFrame:
@@ -606,33 +573,36 @@ def load_pairs(path: str | Path, images: ImageFrame) -> PairFrame:
     non-negative.
 
     ``distance`` is parsed as one column and both image columns are resolved
-    with one lookup each per block of rows. When a block holds a bad cell,
-    its first bad row is checked cell by cell for the error to raise, so the
-    error is the one a row-by-row reader meets first.
+    with one lookup each per block of rows. Each check of a cell is one mask
+    over the block, stated once, in the order a row's cells are read: empty
+    id, repeated id, unknown ``image_a``, unknown ``image_b``, bad
+    ``ground_truth``, distance not finite, bad ``predicted``, negative
+    distance. The first flagged row raises the error of its first flagging
+    check, the one a row-by-row reader meets first.
     """
     index = images.index
     predicted_codes = {"": NO_PREDICTION, **_LABEL_CODES}
+    bad_label = "pair {!r}: {} must be 'same' or 'different'"
     seen: dict[str, None] = {}  # the pair ids, in order
     parts: dict[str, list[np.ndarray]] = {
         k: [] for k in ("image_a", "image_b", "is_pos", "distance", "predicted")
     }
     blocks = _csv_blocks(path, ("pair_id", "image_a", "image_b", "ground_truth", "distance"))
     columns = next(blocks)
-    cols = (
-        *(columns[c] for c in ("pair_id", "image_a", "image_b", "ground_truth", "distance")),
-        columns.get("predicted"),
+    id_col, a_col, b_col, truth_col, dist_col = (
+        columns[c] for c in ("pair_id", "image_a", "image_b", "ground_truth", "distance")
     )
-    id_col, a_col, b_col, truth_col, dist_col, pred_col = cols
+    pred_col = columns.get("predicted")
     for rows in blocks:
         m = len(rows)
         pair_ids = _cells(rows, id_col)
-        bad = ~_filled(pair_ids)
+        repeated = np.zeros(m, dtype=bool)
         before = len(seen)
         seen.update(dict.fromkeys(pair_ids))
         if len(seen) - before != m:  # a pair id repeats
             earlier = set(islice(seen, before))
             for i, pair_id in enumerate(pair_ids):
-                bad[i] |= pair_id in earlier
+                repeated[i] = pair_id in earlier
                 earlier.add(pair_id)
         image_a = np.fromiter(map(index.get, _cells(rows, a_col), repeat(-1)), np.intp, m)
         image_b = np.fromiter(map(index.get, _cells(rows, b_col), repeat(-1)), np.intp, m)
@@ -650,15 +620,19 @@ def load_pairs(path: str | Path, images: ImageFrame) -> PairFrame:
                 np.int8,
                 m,
             )
-        bad |= (image_a < 0) | (image_b < 0) | (truth < 0) | (predicted == -2)
-        bad |= ~(np.isfinite(distance) & (distance >= 0))
-        if bad.any():
-            first = int(np.argmax(bad))
-            prior = dict.fromkeys(islice(seen, before))
-            prior.update(dict.fromkeys(pair_ids[:first]))
-            for row, pair_id in zip(rows[first:], pair_ids[first:]):
-                _check_pair_row(row, path, cols, images, prior)
-                prior[pair_id] = None
+        _raise_first([
+            (~_filled(pair_ids), lambda i: ParseError(f"{path}: row with empty pair_id")),
+            (repeated, lambda i: ParseError(f"duplicate pair_id {pair_ids[i]!r}")),
+            (image_a < 0, lambda i: _unknown_image(rows[i][a_col].strip())),
+            (image_b < 0, lambda i: _unknown_image(rows[i][b_col].strip())),
+            (truth < 0, lambda i: ParseError(bad_label.format(pair_ids[i], "ground_truth"))),
+            (~np.isfinite(distance), lambda i: _parse_finite(
+                rows[i][dist_col].strip(), f"pair {pair_ids[i]!r} distance")),
+            (predicted == -2, lambda i: ParseError(bad_label.format(pair_ids[i], "predicted"))),
+            (distance < 0, lambda i: ParseError(
+                f"pair {pair_ids[i]!r}: distance must be finite and >= 0, got {float(distance[i])}"
+            )),
+        ])
         for name, values in (
             ("image_a", image_a), ("image_b", image_b), ("is_pos", truth == 1),
             ("distance", distance), ("predicted", predicted),
@@ -772,13 +746,17 @@ def covariates_for_pairs(
     if aggregate not in ("mean", "absdiff"):
         raise ValueError(f"unknown aggregate {aggregate!r}")
     rows_a, rows_b = pairs.image_a, pairs.image_b
-    failed = np.zeros(len(pairs), dtype=bool)
-    held_by: dict[str, np.ndarray] = {}
+    checks: list[_Check] = []
     categorical: dict[str, LevelCodes] = {}
     continuous: dict[str, np.ndarray] = {}
     for attr in schema.attributes:
-        held = held_by[attr.name] = images.held(attr)
-        failed |= ~held[rows_a] | ~held[rows_b]
+        held = images.held(attr)
+        if not held.all():
+            checks += [
+                (~held[rows], lambda i, rows=rows, name=attr.name: MissingAttribute(
+                    images.ids[rows[i]], name))
+                for rows in (rows_a, rows_b)
+            ]
         if attr.is_categorical:
             levels = attr.levels if CROSS_LEVEL in attr.levels else attr.levels + (CROSS_LEVEL,)
             codes = images.codes(attr).codes
@@ -791,12 +769,7 @@ def covariates_for_pairs(
             va, vb = values[rows_a], values[rows_b]
             continuous[attr.name] = (va + vb) / 2 if aggregate == "mean" else np.abs(va - vb)
 
-    if failed.any():
-        i = int(np.argmax(failed))
-        for attr in schema.attributes:
-            for side in (rows_a[i], rows_b[i]):
-                if not held_by[attr.name][side]:
-                    raise MissingAttribute(images.ids[side], attr.name)
+    _raise_first(checks)
     return CovariateFrame(categorical, continuous)
 
 

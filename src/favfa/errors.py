@@ -92,4 +92,5 @@ class InsufficientStyles(FavfaError):
 
 
 class ValueOutOfRange(FavfaError):
-    """A continuous value falls outside the declared bin range."""
+    """A continuous value falls outside the declared bin range, or outside
+    the float range a statistic of it needs."""

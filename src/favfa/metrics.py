@@ -132,8 +132,11 @@ def group_confusion(
     ``grouping`` attributes, and one ``np.bincount`` tallies the four
     outcomes of every segment. Groups with fewer than ``min_support`` pairs
     are omitted. Provided predictions are used verbatim; pairs without one
-    are classified by the threshold rule.
+    are classified by the threshold rule. A grouping that names an attribute
+    twice raises ``SchemaInvalid``.
     """
+    if len(set(grouping)) != len(grouping):
+        raise SchemaInvalid("grouping repeats an attribute")
     if len(frame) == 0:
         return []
     columns = []

@@ -7,8 +7,9 @@ pairs cannot resolve) and run through ``diversity``, ``weights`` and
 ``analyze``. The explicit examples are a seed corpus; Hypothesis adds its
 own. They include finite image values too large to combine (pose components
 whose squares overflow, soft scores whose sum does), which must fail as a
-``ParseError`` naming the image. ``plan`` is run on schemas that lack an
-attribute it bins styles by.
+``ParseError`` naming the image, and a finite distance too large to square,
+which must fail as a ``ValueOutOfRange`` without a numpy warning. ``plan`` is
+run on schemas that lack an attribute it bins styles by.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -67,6 +69,9 @@ def damaged(text: str, damage: str, where: int) -> str:
     elif damage == "non-numeric":
         cells[2 + where % (len(cells) - 2)] = "abc"  # past the id columns
         rows[i] = ",".join(cells)
+    elif damage == "huge-distance":  # finite, but its square is not
+        cells[header.split(",").index("distance")] = "1e200"
+        rows[i] = ",".join(cells)
     elif damage in OVERFLOWS:
         columns = header.split(",")
         for name, value in OVERFLOWS[damage][where % 2].items():
@@ -99,6 +104,7 @@ def damaged(text: str, damage: str, where: int) -> str:
 @example(command="diversity", target="images.csv", damage="huge-pose", where=9)
 @example(command="diversity", target="images.csv", damage="huge-scores", where=2)
 @example(command="analyze", target="images.csv", damage="huge-scores", where=13)
+@example(command="analyze", target="pairs.csv", damage="huge-distance", where=21)
 @settings(max_examples=50, deadline=None)
 def test_cli_contract_on_damaged_inputs(command, target, damage, where):
     texts = dict(base_texts())
@@ -113,7 +119,9 @@ def test_cli_contract_on_damaged_inputs(command, target, damage, where):
             args += ["--attrs", "gender,age"]
         if command == "analyze":
             args += ["--pairs", str(root / "pairs.csv"), "--out", str(root / "out")]
-        result = CliRunner().invoke(main, args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = CliRunner().invoke(main, args)
 
         assert result.exit_code in (0, 1), result.output
         assert result.exception is None or isinstance(result.exception, SystemExit), repr(
@@ -133,6 +141,10 @@ def test_cli_contract_on_damaged_inputs(command, target, damage, where):
             error = json.loads(result.stderr)
             assert result.exit_code == 1 and error["error"] == "ParseError", result.stderr
             assert f"image {image_id!r}" in error["message"], result.stderr
+        if damage == "huge-distance":
+            error = json.loads(result.stderr)
+            assert result.exit_code == 1 and error["error"] == "ValueOutOfRange", result.stderr
+            assert not caught, [str(w.message) for w in caught]
 
 
 @pytest.mark.parametrize("dropped", ["age", "pose"])

@@ -16,6 +16,7 @@ import math
 import random
 import tempfile
 from collections import Counter
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -568,6 +569,91 @@ def test_pose_checks_match_the_reference(tmp_path, monkeypatch, second, third):
         got = consolidated(path, schema)
         assert got[0] == want[0]
         assert got[1:] == want[1:] if got[0] == "raised" else image_rows(got[1]) == want[1].rows
+
+
+# --- the order of the checks ------------------------------------------------
+
+#: The images CSV of the order tests: its schema reads the cells of a row in
+#: the order of ``IMAGE_DEFECTS``.
+ORDER_SCHEMA = AttributeSchema(
+    tuple(SCHEMA[n] for n in ("gender", "ethnicity", "age", "pose", "glasses"))
+)
+ORDER_HEADER = (["image_id", "identity_id", "gender"] + [f"ethnicity:{l}" for l in ETHNICITIES]
+                + ["age", "pose", "pitch", "yaw", "roll", "glasses"])
+ORDER_IMAGES = [[f"im{i}", f"id{i // 2}", "Male", "0.25", "0.25", "0.25", "0.25", "30", "",
+                 "1", "2", "3", "No"] for i in range(6)]
+
+#: One defect per check of ``load_images``, in the order a row's cells are
+#: read: the cells to set.
+IMAGE_DEFECTS = {
+    "empty id": {"identity_id": ""},
+    "unknown level": {"gender": "Martian"},
+    "incomplete scores": {"ethnicity:Indian": ""},
+    "score not finite": {"ethnicity:Asian": "x"},
+    "negative score": {"ethnicity:Caucasian": "-0.25", "ethnicity:African": "0.75"},
+    "scores off 1": {"ethnicity:African": "0.5"},
+    "value not finite": {"age": "old"},
+    "component not finite": {"yaw": "inf"},
+    "components too large": {"pitch": "1e200"},
+    "missing value": {"glasses": ""},
+}
+
+ORDER_PAIRS_HEADER = ["pair_id", "image_a", "image_b", "ground_truth", "distance", "predicted"]
+ORDER_PAIRS = [[f"p{j}", f"im{j % 6}", f"im{(j + 1) % 6}", ("same", "different")[j % 2], "0.5",
+                ("same", "")[j % 2]] for j in range(6)]
+
+#: One defect per check of ``load_pairs``, in the order a row's cells are read.
+PAIR_DEFECTS = {
+    "empty id": {"pair_id": ""},
+    "repeated id": {"pair_id": "p0"},
+    "unknown image_a": {"image_a": "ghost"},
+    "unknown image_b": {"image_b": "phantom"},
+    "bad ground_truth": {"ground_truth": "maybe"},
+    "distance not finite": {"distance": "nan"},
+    "bad predicted": {"predicted": "perhaps"},
+    "negative distance": {"distance": "-0.5"},
+}
+
+
+def check_order(tmp_path, monkeypatch, header, rows, defects, load, reference):
+    """Every ordered pair of defects, in one row and in two consecutive rows
+    (row 0 stays clean), must raise what the reference reader raises, at any
+    block size."""
+    path = tmp_path / "table.csv"
+    for n, (first, second) in enumerate(permutations(defects, 2)):
+        k = 1 + n % 2  # with blocks of two rows, consecutive rows share a block or not
+        for placed in ({k: (first, second)}, {k: (first,), k + 1: (second,)}):
+            damaged = [list(row) for row in rows]
+            for i, names in placed.items():
+                for name in names:
+                    for column, cell in defects[name].items():
+                        damaged[i][header.index(column)] = cell
+            path.write_text(csv_text(header, damaged), encoding="utf-8")
+            want = outcome(reference, path)
+            assert want[0] == "raised", (placed, want)
+            for block_rows in (1, 2, 2048):
+                monkeypatch.setattr(favfa.data, "_BLOCK_ROWS", block_rows)
+                assert outcome(load, path) == want, (placed, block_rows)
+
+
+def test_image_checks_are_met_in_cell_order(tmp_path, monkeypatch):
+    check_order(
+        tmp_path, monkeypatch, ORDER_HEADER, ORDER_IMAGES, IMAGE_DEFECTS,
+        lambda path: image_rows(load_images(path, ORDER_SCHEMA)),
+        lambda path: reference_load_images(path, ORDER_SCHEMA).rows,
+    )
+
+
+def test_pair_checks_are_met_in_cell_order(tmp_path, monkeypatch):
+    images_path = tmp_path / "images.csv"
+    images_path.write_text(csv_text(ORDER_HEADER, ORDER_IMAGES), encoding="utf-8")
+    frame = load_images(images_path, ORDER_SCHEMA)
+    reference = reference_load_images(images_path, ORDER_SCHEMA)
+    check_order(
+        tmp_path, monkeypatch, ORDER_PAIRS_HEADER, ORDER_PAIRS, PAIR_DEFECTS,
+        lambda path: pair_rows(load_pairs(path, frame), frame),
+        lambda path: reference_load_pairs(path, reference),
+    )
 
 
 # --- the float parse -------------------------------------------------------

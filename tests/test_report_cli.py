@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 import runpy
@@ -152,6 +154,18 @@ def assert_one_json_error(result, error):
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == error
     assert "Traceback" not in result.output + result.stderr
+
+
+def test_cli_analyze_repeated_group_by_exit_1(demo_dir, tmp_path):
+    result = CliRunner().invoke(
+        main,
+        ["analyze", "--schema", str(demo_dir / "schema.json"),
+         "--images", str(demo_dir / "images.csv"), "--pairs", str(demo_dir / "pairs.csv"),
+         "--out", str(tmp_path / "out"), "--group-by", "gender,gender"],
+    )
+    assert_one_json_error(result, "SchemaInvalid")
+    assert json.loads(result.stderr)["message"] == "grouping repeats an attribute"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_analyze_bad_predicted_cell_exit_1(demo_dir, tmp_path):
@@ -527,6 +541,33 @@ def test_cli_weights_stdout(tmp_path):
     assert lines[0] == "image_id,weight,probability"
     assert lines[1].split(",") == ["i1", "0.5", "0.25"]
     assert lines[3].split(",") == ["i3", "1.0", "0.5"]
+
+
+def test_cli_weights_quotes_ids(tmp_path):
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(json.dumps({
+        "attributes": [
+            {"name": "ethnicity", "kind": "categorical", "scope": "image",
+             "levels": ["African", "Asian"], "reference": "African"},
+        ]
+    }))
+    ids = ['img,"odd"', "plain", 'img,"odd" 2']
+    images_path = tmp_path / "images.csv"
+    with open(images_path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(
+            [["image_id", "identity_id", "ethnicity"]]
+            + [[image_id, f"a{k}", "Asian" if k else "African"] for k, image_id in enumerate(ids)]
+        )
+    result = CliRunner().invoke(
+        main, ["weights", "--schema", str(schema_path), "--images", str(images_path),
+               "--attrs", "ethnicity"],
+    )
+    assert result.exit_code == 0, result.output
+    rows = list(csv.reader(io.StringIO(result.output)))
+    assert rows == [
+        ["image_id", "weight", "probability"],
+        [ids[0], "1.0", "0.5"], [ids[1], "0.5", "0.25"], [ids[2], "0.5", "0.25"],
+    ]
 
 
 #: sha256 of the outputs of the other consumers of image ingest, pinned to
