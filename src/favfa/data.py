@@ -123,16 +123,6 @@ class ImageFrame:
             return self.codes(attr).codes >= 0
         return ~np.isnan(self.floats(attr.name))
 
-    def value(self, row: int, name: str) -> str | float:
-        """The value image ``row`` holds for ``name``: its level or its float."""
-        col = self.categorical.get(name)
-        if col is not None and col.codes[row] >= 0:
-            return col.levels[col.codes[row]]
-        column = self.continuous.get(name)
-        if column is not None and not math.isnan(column[row]):
-            return float(column[row])
-        raise MissingAttribute(self.ids[row], name)
-
 
 @dataclass(frozen=True, eq=False)
 class PairFrame:
@@ -184,6 +174,22 @@ def bin_codes(attr: AttributeDef, values: np.ndarray) -> np.ndarray:
     return np.where(inside, np.searchsorted(lows, values, side="right") - 1, -1)
 
 
+def segment_codes(
+    n: int, columns: Sequence[LevelCodes]
+) -> tuple[np.ndarray, list[tuple[str, ...]]]:
+    """The mixed-radix code of each of ``n`` rows over the level codes of
+    ``columns``, -1 where a column has none, and the level tuple each code
+    stands for (the first column's levels vary slowest)."""
+    codes = np.zeros(n, dtype=np.intp)
+    held = np.ones(n, dtype=bool)
+    labels: list[tuple[str, ...]] = [()]
+    for col in columns:
+        codes = codes * len(col.levels) + col.codes
+        held &= col.codes >= 0
+        labels = [label + (level,) for label in labels for level in col.levels]
+    return np.where(held, codes, -1), labels
+
+
 def _unknown_image(image_id: str) -> UnresolvedImage:
     return UnresolvedImage(f"unknown image_id {image_id!r}")
 
@@ -203,7 +209,7 @@ def _parse_finite(raw: str, context: str) -> ParseError:
 _Check = tuple[np.ndarray, Callable[[int], Exception]]
 
 
-def _raise_first(checks: Sequence[_Check]) -> None:
+def raise_first(checks: Sequence[_Check]) -> None:
     """Raise the error a row-by-row reader meets first.
 
     ``checks`` come in the order a row's cells are read. The first row any
@@ -524,7 +530,7 @@ def load_images(path: str | Path, schema: AttributeSchema) -> ImageFrame:
             parts[spec.attr.name].append(values)
             if matrix is not None:
                 soft_parts[spec.attr.name].append(matrix)
-        _raise_first(checks)
+        raise_first(checks)
         del checks  # free the cells its errors would quote before the next block is read
 
     n = len(ids)
@@ -620,7 +626,7 @@ def load_pairs(path: str | Path, images: ImageFrame) -> PairFrame:
                 np.int8,
                 m,
             )
-        _raise_first([
+        raise_first([
             (~_filled(pair_ids), lambda i: ParseError(f"{path}: row with empty pair_id")),
             (repeated, lambda i: ParseError(f"duplicate pair_id {pair_ids[i]!r}")),
             (image_a < 0, lambda i: _unknown_image(rows[i][a_col].strip())),
@@ -767,9 +773,10 @@ def covariates_for_pairs(
         else:
             values = images.floats(attr.name)
             va, vb = values[rows_a], values[rows_b]
-            continuous[attr.name] = (va + vb) / 2 if aggregate == "mean" else np.abs(va - vb)
+            with np.errstate(over="ignore"):  # an infinite covariate fails its model
+                continuous[attr.name] = (va + vb) / 2 if aggregate == "mean" else np.abs(va - vb)
 
-    _raise_first(checks)
+    raise_first(checks)
     return CovariateFrame(categorical, continuous)
 
 
@@ -784,30 +791,41 @@ def _identity_holders(frame: ImageFrame) -> np.ndarray:
     return order[first]
 
 
+def key_checks(
+    frame: ImageFrame, attr: AttributeDef, rows: np.ndarray
+) -> tuple[np.ndarray, list[_Check]]:
+    """The counting key of the images ``rows`` for ``attr`` (its level code
+    or bin index, -1 where there is none) and the checks of those images, in
+    order: no value, then a value no bin holds. The masks, like the key,
+    run over ``rows``."""
+    def missing(i: int) -> MissingAttribute:
+        return MissingAttribute(frame.ids[rows[i]], attr.name)
+
+    if attr.is_categorical:
+        key = frame.codes(attr).codes[rows]
+        return key, [(key < 0, missing)]
+    values = frame.floats(attr.name)[rows]
+    key = bin_codes(attr, values)
+    lacking = np.isnan(values)
+    return key, [
+        (lacking, missing),
+        (~lacking & (key < 0), lambda i: attr.bin_error(float(values[i]))),
+    ]
+
+
 def attribute_frequencies(frame: ImageFrame, schema: AttributeSchema, name: str) -> list[float]:
     """Observed frequency table for one attribute, aligned with its levels
     (categorical) or bins (continuous).
 
     Image-scoped attributes count every image; identity-scoped ones count
     each identity once, via its lexicographically first image. The counts
-    are one ``np.bincount`` over the holders' level codes or bin indices.
-    The first holder without a value, or with one outside the bins, raises.
+    are one ``np.bincount`` over the holders' level codes or bin indices,
+    and the holders are judged by the masks of :func:`key_checks`: the
+    first holder without a value, or with one no bin holds, raises.
     """
     attr = schema[name]
+    size = len(attr.levels) if attr.is_categorical else attr.n_bins
     holders = _identity_holders(frame) if attr.scope is Scope.IDENTITY else np.arange(len(frame))
-    if attr.is_categorical:
-        size = len(attr.levels)
-        codes = frame.codes(attr).codes[holders]
-        ok = (codes >= 0) & (codes < size)
-    else:
-        size = attr.n_bins
-        codes = bin_codes(attr, frame.floats(name)[holders])
-        ok = codes >= 0
-    if not ok.all():
-        row = int(holders[np.argmin(ok)])
-        value = frame.value(row, name)
-        if attr.is_categorical:
-            attr.level_index(str(value))
-        else:
-            attr.bin_index(float(value))
+    codes, checks = key_checks(frame, attr, holders)
+    raise_first(checks)
     return np.bincount(codes, minlength=size).astype(float).tolist()

@@ -25,6 +25,7 @@ from .errors import (
     NotConverged,
     QuasiSeparation,
     SingularInformation,
+    ValueOutOfRange,
 )
 from .metrics import predicted_same
 from .schema import AttributeDef, AttributeSchema
@@ -85,7 +86,8 @@ def build_design(
     must occur in the subset; the ``Cross`` sentinel gets a column only when
     observed. Continuous covariates are standardized to zero mean and unit
     variance, with the constants kept for reporting effects per original
-    unit.
+    unit; values too large for a finite mean and standard deviation raise
+    ``ValueOutOfRange``.
     """
     rows = filter_subset(frame, subset)
     if not rows.any():
@@ -118,8 +120,14 @@ def build_design(
             categorical_columns[attr.name] = col_map
         else:
             raw = covs.continuous[attr.name][rows]
-            mean = float(raw.mean())
-            std = float(raw.std())
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean = float(raw.mean())
+                std = float(raw.std())
+            if not (math.isfinite(mean) and math.isfinite(std)):
+                raise ValueOutOfRange(
+                    f"attribute {attr.name!r}: values too large for a mean and "
+                    f"standard deviation over the {subset.value}"
+                )
             if std == 0.0:
                 raise ConstantColumn(attr.name)
             continuous_columns[attr.name] = len(columns)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import NO_PREDICTION, CovariateFrame, PairFrame
+from .data import NO_PREDICTION, CovariateFrame, PairFrame, segment_codes
 from .errors import (
     DegeneratePairs,
     DegenerateSupport,
@@ -128,8 +128,8 @@ def group_confusion(
 ) -> list[GroupStats]:
     """Confusion counts and rates per observed demographic segment.
 
-    The segment of a pair is a mixed-radix code over the level codes of the
-    ``grouping`` attributes, and one ``np.bincount`` tallies the four
+    The segment of a pair is its ``segment_codes`` code over the level codes
+    of the ``grouping`` attributes, and one ``np.bincount`` tallies the four
     outcomes of every segment. Groups with fewer than ``min_support`` pairs
     are omitted. Provided predictions are used verbatim; pairs without one
     are classified by the threshold rule. A grouping that names an attribute
@@ -139,33 +139,22 @@ def group_confusion(
         raise SchemaInvalid("grouping repeats an attribute")
     if len(frame) == 0:
         return []
-    columns = []
     for attr in grouping:
         if attr not in covs.categorical:
             raise SchemaInvalid(
                 f"grouping attribute {attr!r} is not a categorical covariate"
             )
-        columns.append((attr, covs.categorical[attr]))
     said_same = predicted_same(frame, threshold)
 
-    segment = np.zeros(len(frame), dtype=np.intp)
-    n_segments = 1
-    for _, col in columns:
-        segment = segment * len(col.levels) + col.codes
-        n_segments *= len(col.levels)
+    segment, labels = segment_codes(len(frame), [covs.categorical[a] for a in grouping])
     # outcome 0 tp, 1 fn, 2 tn, 3 fp: twice "negative" plus "wrong"
     outcome = 2 * ~frame.is_pos + (said_same != frame.is_pos)
-    counts = np.bincount(segment * 4 + outcome, minlength=4 * n_segments)
-    counts = counts.reshape(n_segments, 4)
+    counts = np.bincount(segment * 4 + outcome, minlength=4 * len(labels))
+    counts = counts.reshape(len(labels), 4)
 
     tallies: dict[GroupKey, list[int]] = {}
     for code in np.flatnonzero(counts.any(axis=1)).tolist():
-        items = []
-        rest = code
-        for attr, col in reversed(columns):
-            rest, digit = divmod(rest, len(col.levels))
-            items.append((attr, col.levels[digit]))
-        tallies[GroupKey(tuple(reversed(items)))] = counts[code].tolist()
+        tallies[GroupKey(tuple(zip(grouping, labels[code])))] = counts[code].tolist()
 
     out = []
     for key in sorted(tallies):

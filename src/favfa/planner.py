@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import ImageFrame, bin_codes
+from .data import ImageFrame, LevelCodes, key_checks, raise_first, segment_codes
 from .errors import (
     InsufficientCandidates,
     InsufficientStyles,
@@ -64,40 +64,20 @@ class GenerationPlan:
     segment_attrs: tuple[str, ...] = DEFAULT_SEGMENT_ATTRS
 
 
-def _weight_key(frame: ImageFrame, schema: AttributeSchema, name: str) -> np.ndarray:
-    """Counting key of every image for one attribute, as a code: the level
-    code, or the bin index; -1 for an image without one."""
-    attr = schema[name]
-    if attr.is_categorical:
-        return frame.codes(attr).codes
-    return bin_codes(attr, frame.floats(name))
-
-
-def _weight_value(frame: ImageFrame, row: int, schema: AttributeSchema, name: str) -> object:
-    """Counting key for one attribute of one image: the level, or the bin
-    index. Raises for an image without a value, or one outside the bins."""
-    attr = schema[name]
-    value = frame.value(row, name)
-    if attr.is_categorical:
-        return value
-    return attr.bin_index(float(value))
-
-
 def _raw_weights(
     frame: ImageFrame, schema: AttributeSchema, attrs: Sequence[str]
 ) -> np.ndarray:
     """Each image's weight, in frame order."""
+    if len(set(attrs)) != len(attrs):
+        raise SchemaInvalid("attrs repeats an attribute")
     for name in attrs:
         if name not in schema:
             raise SchemaInvalid(f"unknown attribute {name!r}")
-    keys = [_weight_key(frame, schema, name) for name in attrs]
-    lacking = [codes < 0 for codes in keys]
-    if any(mask.any() for mask in lacking):
-        row = int(np.argmax(np.logical_or.reduce(lacking)))
-        for name in attrs:  # raises for the image's first attribute without a key
-            _weight_value(frame, row, schema, name)
+    rows = np.arange(len(frame))
+    keyed = [key_checks(frame, schema[name], rows) for name in attrs]
+    raise_first([check for _, checks in keyed for check in checks])
     weights = np.ones(len(frame))
-    for codes in keys:
+    for codes, _ in keyed:
         weights *= 1.0 / np.bincount(codes)[codes]
     return weights
 
@@ -112,6 +92,9 @@ def sampling_weights(
     the attribute's level codes or bin indices); probabilities normalize the
     weights to unit total. Entries follow table order, but every probability
     is independent of that order (the normalizer is an exactly rounded sum).
+    An attribute named twice raises ``SchemaInvalid``; the first image
+    without a value, or with one no bin holds, raises for its first such
+    attribute.
     """
     weights = _raw_weights(frame, schema, attrs)
     denominator = math.fsum(weights.tolist())
@@ -149,39 +132,23 @@ def resample_epoch(weights: SamplingWeights, n: int, seed: int) -> list[str]:
     return [ids[i] for i in idx]
 
 
-def _segment_levels(
-    schema: AttributeSchema, segment_attrs: Sequence[str]
-) -> list[tuple[str, ...]]:
-    cells: list[tuple[str, ...]] = [()]
+def _segments(
+    frame: ImageFrame, schema: AttributeSchema, segment_attrs: Sequence[str], rows: np.ndarray
+) -> tuple[np.ndarray, list[tuple[str, ...]], list]:
+    """Segment of the images ``rows``: a code, -1 for an image lacking a
+    segment attribute, the segment each code stands for (every segment of
+    the schema's levels, in schema order), and the checks of the segment
+    attributes."""
+    columns = []
+    checks = []
     for name in segment_attrs:
         attr = schema[name] if name in schema else None
         if attr is None or not attr.is_categorical:
             raise SchemaInvalid(f"segment attribute {name!r} must be categorical")
-        cells = [cell + (level,) for cell in cells for level in attr.levels]
-    return cells
-
-
-def _segments(
-    frame: ImageFrame, schema: AttributeSchema, segment_attrs: Sequence[str]
-) -> tuple[np.ndarray, list[tuple[str, ...]]]:
-    """Segment of every image: a code, -1 for an image lacking a segment
-    attribute, and the segment each code stands for."""
-    cols = [frame.codes(schema[name]) for name in segment_attrs]
-    codes = np.zeros(len(frame), dtype=np.intp)
-    held = np.ones(len(frame), dtype=bool)
-    segments: list[tuple[str, ...]] = [()]
-    for col in cols:
-        codes = codes * len(col.levels) + col.codes
-        held &= col.codes >= 0
-        segments = [seg + (str(level),) for seg in segments for level in col.levels]
-    return np.where(held, codes, -1), segments
-
-
-def _image_segment(
-    frame: ImageFrame, row: int, segment_attrs: Sequence[str]
-) -> tuple[str, ...]:
-    """Segment of one image; raises for its first missing segment attribute."""
-    return tuple(str(frame.value(row, name)) for name in segment_attrs)
+        codes, attr_checks = key_checks(frame, attr, rows)
+        columns.append(LevelCodes(codes, attr.levels))
+        checks += attr_checks
+    return *segment_codes(len(rows), columns), checks
 
 
 def select_id_pool(
@@ -196,21 +163,20 @@ def select_id_pool(
     ``n_identities`` must divide evenly across the demographic cells; each
     cell contributes the same number of ids, drawn uniformly without
     replacement. Output is canonical: cells in schema order, ids sorted
-    within each cell.
+    within each cell. The segment attributes must be categorical; the first
+    image lacking one raises for its first such attribute, read off one mask
+    per attribute.
     """
-    cells = _segment_levels(schema, segment_attrs)
+    codes, cells, checks = _segments(frame, schema, segment_attrs, np.arange(len(frame)))
     per_cell, remainder = divmod(n_identities, len(cells))
     if remainder != 0:
         raise NotDivisible(
             f"{n_identities} identities do not divide across {len(cells)} cells"
         )
-    codes, segments = _segments(frame, schema, segment_attrs)
-    if (codes < 0).any():
-        _image_segment(frame, int(np.argmin(codes)), segment_attrs)
+    raise_first(checks)
     pools: dict[tuple[str, ...], list[str]] = {cell: [] for cell in cells}
     for code in np.unique(codes).tolist():
-        if segments[code] in pools:
-            pools[segments[code]] += [frame.ids[r] for r in np.flatnonzero(codes == code)]
+        pools[cells[code]] += [frame.ids[r] for r in np.flatnonzero(codes == code)]
     for cell in cells:
         if len(pools[cell]) < per_cell:
             raise InsufficientCandidates(cell, len(pools[cell]), per_cell)
@@ -243,16 +209,6 @@ def _greedy_fill(
     return chosen
 
 
-def _style_cell(
-    frame: ImageFrame, row: int, schema: AttributeSchema, segment_attrs: Sequence[str]
-) -> tuple[int, int]:
-    """(age bin, pose bin) of one style image. Raises for a missing segment
-    attribute, then a missing age or pose, then a value outside the bins."""
-    _image_segment(frame, row, segment_attrs)
-    age, pose = (float(frame.value(row, name)) for name in ("age", "pose"))
-    return schema["age"].bin_index(age), schema["pose"].bin_index(pose)
-
-
 def assign_styles(
     plan_ids: Sequence[str],
     frame: ImageFrame,
@@ -269,17 +225,22 @@ def assign_styles(
     style pool, so every identity of a segment gets the same style list:
     its entries share one ``styles`` tuple. The whole construction is
     deterministic, so equal inputs give byte-identical plans.
+
+    An unknown id in ``plan_ids`` raises first. The other inputs are judged
+    by one mask per check, and the first image a mask flags raises its first
+    error: a style image for a missing segment attribute, then a missing age
+    or pose, then an age or pose no bin holds; a planned identity for a
+    missing segment attribute, then a segment with too few style images.
     """
     for name in ("age", "pose"):
         attr = schema[name] if name in schema else None
         if attr is None or attr.is_categorical or attr.bins is None:
             raise SchemaInvalid(f"style attribute {name!r} must be continuous with bins")
-    style_codes, style_segments = _segments(styles, schema, segment_attrs)
-    age_bins = bin_codes(schema["age"], styles.floats("age"))
-    pose_bins = bin_codes(schema["pose"], styles.floats("pose"))
-    ok = (style_codes >= 0) & (age_bins >= 0) & (pose_bins >= 0)
-    if not ok.all():
-        _style_cell(styles, int(np.argmin(ok)), schema, segment_attrs)
+    everyone = np.arange(len(styles))
+    style_codes, style_segments, checks = _segments(styles, schema, segment_attrs, everyone)
+    age_bins, (age_missing, age_out) = key_checks(styles, schema["age"], everyone)
+    pose_bins, (pose_missing, pose_out) = key_checks(styles, schema["pose"], everyone)
+    raise_first(checks + [age_missing, pose_missing, age_out, pose_out])
     by_segment: dict[tuple[str, ...], dict[tuple[int, int], list[str]]] = {}
     for code, age_bin, pose_bin, image_id in zip(
         style_codes.tolist(), age_bins.tolist(), pose_bins.tolist(), styles.ids
@@ -290,20 +251,19 @@ def assign_styles(
         for ids in cells.values():
             ids.sort()
 
-    codes, segments = _segments(frame, schema, segment_attrs)
-    codes = codes.tolist()
+    rows = np.array([frame.row(image_id) for image_id in plan_ids], dtype=np.intp)
+    codes, segments, checks = _segments(frame, schema, segment_attrs, rows)
+    have = [sum(map(len, by_segment.get(segment, {}).values())) for segment in segments]
+    # a row without a segment (code -1) is flagged by an earlier check
+    short = np.array(have)[codes] < samples_per_identity
+    raise_first(checks + [(short, lambda i: InsufficientStyles(
+        segments[codes[i]], have[codes[i]], samples_per_identity))])
     fills: dict[tuple[str, ...], tuple[StyleAssignment, ...]] = {}
     entries = []
-    for image_id in plan_ids:
-        row = frame.row(image_id)
-        if codes[row] < 0:
-            _image_segment(frame, row, segment_attrs)
-        segment = segments[codes[row]]
+    for image_id, code in zip(plan_ids, codes.tolist()):
+        segment = segments[code]
         if segment not in fills:
             cells = by_segment.get(segment, {})
-            have = sum(len(ids) for ids in cells.values())
-            if have < samples_per_identity:
-                raise InsufficientStyles(segment, have, samples_per_identity)
             fills[segment] = tuple(
                 StyleAssignment(style_image=sid, age_bin=cell[0], pose_bin=cell[1])
                 for sid, cell in _greedy_fill(cells, samples_per_identity)

@@ -117,15 +117,20 @@ class AttributeDef:
             raise SchemaInvalid(f"attribute {self.name!r} declares no bins")
         return len(self.bins)
 
+    def bin_error(self, value: float) -> SchemaInvalid | ValueOutOfRange:
+        """The error of ``value`` when no bin holds it: the attribute
+        declares no bins, or the value lies outside them."""
+        if self.bins is None:
+            return SchemaInvalid(f"attribute {self.name!r} declares no bins")
+        return ValueOutOfRange(
+            f"attribute {self.name!r}: value {value} outside "
+            f"[{self.bins[0][0]}, {self.bins[-1][1]})"
+        )
+
     def bin_index(self, value: float) -> int:
         """Index of the half-open bin containing ``value``."""
-        if self.bins is None:
-            raise SchemaInvalid(f"attribute {self.name!r} declares no bins")
-        if not (self.bins[0][0] <= value < self.bins[-1][1]):
-            raise ValueOutOfRange(
-                f"attribute {self.name!r}: value {value} outside "
-                f"[{self.bins[0][0]}, {self.bins[-1][1]})"
-            )
+        if self.bins is None or not (self.bins[0][0] <= value < self.bins[-1][1]):
+            raise self.bin_error(value)
         lows = [lo for lo, _ in self.bins]
         return bisect_right(lows, value) - 1
 

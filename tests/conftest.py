@@ -111,6 +111,14 @@ def _cell(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
+def outcome(func, *args):
+    """The result of a call, or the type and message of what it raised."""
+    try:
+        return "ok", func(*args)
+    except Exception as exc:  # every route must fail alike, whatever the error
+        return "raised", type(exc).__name__, str(exc)
+
+
 def csv_text(header, rows) -> str:
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows([header, *rows])

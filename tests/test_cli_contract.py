@@ -7,9 +7,9 @@ pairs cannot resolve) and run through ``diversity``, ``weights`` and
 ``analyze``. The explicit examples are a seed corpus; Hypothesis adds its
 own. They include finite image values too large to combine (pose components
 whose squares overflow, soft scores whose sum does), which must fail as a
-``ParseError`` naming the image, and a finite distance too large to square,
-which must fail as a ``ValueOutOfRange`` without a numpy warning. ``plan`` is
-run on schemas that lack an attribute it bins styles by.
+``ParseError`` naming the image, and a finite distance or age too large to
+square, which must fail as a ``ValueOutOfRange`` without a numpy warning.
+``plan`` is run on schemas that lack an attribute it bins styles by.
 """
 
 from __future__ import annotations
@@ -29,6 +29,9 @@ from favfa.cli import main
 from favfa.synth import make_verification_dataset, write_dataset
 
 DAMAGES = ("header-only", "blank-lines", "ragged", "non-numeric", "unknown-id")
+
+#: Finite cells whose squares overflow, by damage: the column set to 1e200.
+HUGE = {"huge-distance": "distance", "huge-age": "age"}
 
 #: Finite images.csv cells whose squares or sum overflow, by damage: the
 #: image's cells to set, one choice per parity of ``where``.
@@ -69,8 +72,8 @@ def damaged(text: str, damage: str, where: int) -> str:
     elif damage == "non-numeric":
         cells[2 + where % (len(cells) - 2)] = "abc"  # past the id columns
         rows[i] = ",".join(cells)
-    elif damage == "huge-distance":  # finite, but its square is not
-        cells[header.split(",").index("distance")] = "1e200"
+    elif damage in HUGE:  # finite, but its square is not
+        cells[header.split(",").index(HUGE[damage])] = "1e200"
         rows[i] = ",".join(cells)
     elif damage in OVERFLOWS:
         columns = header.split(",")
@@ -105,6 +108,7 @@ def damaged(text: str, damage: str, where: int) -> str:
 @example(command="diversity", target="images.csv", damage="huge-scores", where=2)
 @example(command="analyze", target="images.csv", damage="huge-scores", where=13)
 @example(command="analyze", target="pairs.csv", damage="huge-distance", where=21)
+@example(command="analyze", target="images.csv", damage="huge-age", where=5)
 @settings(max_examples=50, deadline=None)
 def test_cli_contract_on_damaged_inputs(command, target, damage, where):
     texts = dict(base_texts())
@@ -141,7 +145,7 @@ def test_cli_contract_on_damaged_inputs(command, target, damage, where):
             error = json.loads(result.stderr)
             assert result.exit_code == 1 and error["error"] == "ParseError", result.stderr
             assert f"image {image_id!r}" in error["message"], result.stderr
-        if damage == "huge-distance":
+        if damage in HUGE:
             error = json.loads(result.stderr)
             assert result.exit_code == 1 and error["error"] == "ValueOutOfRange", result.stderr
             assert not caught, [str(w.message) for w in caught]

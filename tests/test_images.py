@@ -31,6 +31,7 @@ from conftest import (
     csv_text,
     image_rows,
     load_tables,
+    outcome,
     pair_rows,
 )
 from favfa.data import (
@@ -44,7 +45,7 @@ from favfa.data import (
     load_pairs,
     parse_floats,
 )
-from favfa.errors import MissingAttribute, ParseError, UnresolvedImage
+from favfa.errors import MissingAttribute, ParseError, SchemaInvalid, UnresolvedImage
 from favfa.planner import sampling_weights
 from favfa.schema import (
     DEFAULT_AGE_BINS,
@@ -278,6 +279,9 @@ def reference_frequencies(table: ReferenceTable, schema, name) -> list[float]:
 
 
 def reference_weights(table: ReferenceTable, schema, attrs) -> list[tuple[str, float, float]]:
+    if len(set(attrs)) != len(attrs):
+        raise SchemaInvalid("attrs repeats an attribute")
+
     def key(rec, name):
         value = reference_required(rec, name)
         attr = schema[name]
@@ -296,14 +300,6 @@ def reference_weights(table: ReferenceTable, schema, attrs) -> list[tuple[str, f
 
 
 # --- generated tables ------------------------------------------------------
-
-
-def outcome(func, *args):
-    """The result of a call, or the type and message of what it raised."""
-    try:
-        return "ok", func(*args)
-    except Exception as exc:  # every route must fail alike, whatever the error
-        return "raised", type(exc).__name__, str(exc)
 
 
 def soft_cells(draw, k):

@@ -4,16 +4,20 @@ import json
 import math
 from collections import Counter
 from dataclasses import replace
+from itertools import permutations
 
 import numpy as np
 import pytest
 
-from conftest import ImageRow, image, image_rows, load_tables
+from conftest import ImageRow, image, image_rows, load_tables, outcome
+from favfa.data import LevelCodes
 from favfa.errors import (
     InsufficientCandidates,
     InsufficientStyles,
     MissingAttribute,
     NotDivisible,
+    SchemaInvalid,
+    ValueOutOfRange,
 )
 from favfa.metrics import diversity
 from favfa.planner import (
@@ -426,3 +430,95 @@ def test_greedy_beats_random_baseline():
     )
     assert greedy_report["age"] >= random_age
     assert greedy_report["pose"] >= random_pose
+
+
+# --- errors read off masks against an image-by-image reference ---
+
+#: Defects of one style image: a missing value, or one no bin holds.
+STYLE_DEFECTS = (
+    ("gender", None), ("ethnicity", None), ("age", None), ("pose", None),
+    ("age", -5.0), ("pose", -1.0),
+)
+
+
+def with_defects(frame, defects):
+    """``frame`` with each ``(row, (name, value))`` applied: a categorical
+    value removed, or a continuous one set (NaN for None)."""
+    categorical = {k: c.codes.copy() for k, c in frame.categorical.items()}
+    continuous = {k: v.copy() for k, v in frame.continuous.items()}
+    for row, (name, value) in defects:
+        if name in categorical:
+            categorical[name][row] = -1
+        else:
+            continuous[name][row] = math.nan if value is None else value
+    return replace(
+        frame,
+        categorical={k: LevelCodes(c, frame.categorical[k].levels) for k, c in categorical.items()},
+        continuous=continuous,
+    )
+
+
+def reference_first_error(frame, schema, names, binned=()):
+    """The error an image-by-image reader meets first: per image, its first
+    missing attribute of ``names``, then the first of ``binned`` no bin
+    holds."""
+    for row, image_id in enumerate(frame.ids):
+        for name in names:
+            attr = schema[name]
+            held = frame.codes(attr).codes[row] >= 0 if attr.is_categorical else (
+                not math.isnan(frame.floats(name)[row]))
+            if not held:
+                return "raised", "MissingAttribute", str(MissingAttribute(image_id, name))
+        for name in binned:
+            try:
+                schema[name].bin_index(float(frame.floats(name)[row]))
+            except ValueOutOfRange as exc:
+                return "raised", type(exc).__name__, str(exc)
+    return None
+
+
+def test_assign_styles_first_error_equals_per_image_reference():
+    schema_p, ids, styles = make_planner_pools(ids_per_cell=1, styles_per_segment=6)
+    pool = select_id_pool(ids, schema_p, 8, seed=0)
+    n = len(styles)
+    for first, second in permutations(STYLE_DEFECTS, 2):
+        for row in (0, 5, n - 2):
+            for placed in ([(row, first), (row, second)], [(row, first), (row + 1, second)]):
+                damaged = with_defects(styles, placed)
+                want = reference_first_error(
+                    damaged, schema_p, ("gender", "ethnicity", "age", "pose"), ("age", "pose")
+                )
+                assert want is not None
+                assert outcome(assign_styles, pool, ids, damaged, schema_p, 4) == want, placed
+
+
+def test_select_id_pool_first_error_equals_per_image_reference():
+    schema_p, ids, _ = make_planner_pools(ids_per_cell=3)
+    n = len(ids)
+    for first, second in permutations(STYLE_DEFECTS[:2], 2):
+        for row in (0, 7, n - 2):
+            for placed in ([(row, first), (row, second)], [(row, first), (row + 1, second)]):
+                damaged = with_defects(ids, placed)
+                want = reference_first_error(damaged, schema_p, ("gender", "ethnicity"))
+                assert want is not None
+                assert outcome(select_id_pool, damaged, schema_p, 8, 0) == want, placed
+
+
+@pytest.mark.parametrize("segment_attrs", [("age",), ("height",), ("gender", "pose")])
+def test_segment_attributes_must_be_categorical(segment_attrs):
+    schema_p, ids, styles = make_planner_pools(ids_per_cell=1, styles_per_segment=6)
+    pool = select_id_pool(ids, schema_p, 8, seed=0)
+    message = f"segment attribute {segment_attrs[-1]!r} must be categorical"
+    with pytest.raises(SchemaInvalid, match=message):
+        assign_styles(pool, ids, styles, schema_p, 4, segment_attrs)
+    with pytest.raises(SchemaInvalid, match=message):
+        select_id_pool(ids, schema_p, 8, 0, segment_attrs)
+
+
+@pytest.mark.parametrize("attrs", [["gender", "gender"], ["age", "gender", "age"]])
+def test_weights_repeated_attribute(schema, attrs):
+    images = aab_table()
+    with pytest.raises(SchemaInvalid, match="attrs repeats an attribute"):
+        sampling_weights(images, schema, attrs)
+    with pytest.raises(SchemaInvalid, match="attrs repeats an attribute"):
+        loss_weights(images, schema, attrs, ["i1"])

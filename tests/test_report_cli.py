@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import ast
 import csv
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -729,3 +731,16 @@ def test_bundle_digest_reports_numeric_differences(tmp_path):
         "effects.csv": f"max relative difference {rel}, non-numeric differences 1",
         "effects.json": "layouts differ",
     }
+
+
+def test_perfbench_wrapped_names_resolve():
+    """Every function the benchmark's tracer wraps is still where it looks."""
+    tree = ast.parse((REPO / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    (wrapped,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["WRAPPED"]
+    ]
+    assert wrapped
+    for module, attr, _ in wrapped:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
