@@ -13,10 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, kolmogorov
 
 from .errors import NotConverged
-from .logit import DesignMatrix, LogitFit
+from .logit import DesignMatrix, LogitFit, expit
 
 #: Replicate rows per vectorized block: at most 64, and few enough that a
 #: block holds about this many float64 elements, which bounds peak memory.
@@ -45,18 +44,59 @@ def _rank_p(observed: float, simulated: np.ndarray) -> float:
     return float(min(1.0, 2.0 * min(r, 1.0 - r)))
 
 
+#: Below this x, exp(-pi^2 / (8 x^2)) would fall under the smallest normal
+#: double; the survival function rounds to 1 well above it.
+_KOLMOGOROV_ONE = math.pi / math.sqrt(8 * 708.3964185322641)
+
+
+def kolmogorov(x: float) -> float:
+    """Survival function of Kolmogorov's limiting distribution,
+    P(sqrt(n) D_n >= x) as n grows (Marsaglia, Tsang & Wang 2003).
+
+    Two series, each cut after its first terms: for x <= 0.82 the Jacobi
+    theta form 1 - (sqrt(2 pi) / x) u (1 + u^8 + u^24 + u^48) with
+    u = exp(-pi^2 / (8 x^2)), and above it 2 (v - v^4 + v^9 - v^16) with
+    v = exp(-2 x^2), both evaluated in nested (Horner) order. The operations
+    and their order are those of ``scipy.special.kolmogorov``, and
+    ``math.exp``/``math.pow`` call the same C library, so the result is
+    bit-identical to scipy's. NaN gives NaN; the result is clamped to
+    [0, 1]."""
+    if math.isnan(x):
+        return math.nan
+    if x <= _KOLMOGOROV_ONE:
+        return 1.0
+    if x <= 0.82:
+        w = math.sqrt(2 * math.pi) / x
+        log_u8 = -math.pi * math.pi / (x * x)
+        u = math.exp(log_u8 / 8)
+        u8 = math.exp(log_u8)
+        p = 1 + math.pow(u8, 3)
+        p = 1 + u8 * u8 * p
+        p = 1 + u8 * p
+        sf = 1 - w * u * p
+    else:
+        v = math.exp(-2 * x * x)
+        v3 = math.pow(v, 3)
+        p = 1 - v3 * v3 * v
+        p = 1 - v3 * (v * v) * p
+        p = 1 - v3 * p
+        sf = 2 * v * p
+    return min(max(sf, 0.0), 1.0)
+
+
 def ks_uniform(sample: np.ndarray) -> tuple[float, float]:
     """Two-sided Kolmogorov-Smirnov test of ``sample`` against uniform(0, 1)
     with the asymptotic distribution: D = max(D+, D-) over the sorted
-    sample, p = Kolmogorov survival function at D sqrt(n). The same
-    arithmetic as ``scipy.stats.kstest(sample, "uniform", method="asymp")``,
-    without the cost of importing scipy.stats."""
+    sample, p = ``kolmogorov(D sqrt(n))``, the survival function's two
+    short series. The same arithmetic as
+    ``scipy.stats.kstest(sample, "uniform", method="asymp")``, bit for bit,
+    without importing scipy."""
     n = len(sample)
     cdf = np.clip(np.sort(sample), 0.0, 1.0)
     d_plus = np.max(np.arange(1.0, n + 1) / n - cdf)
     d_minus = np.max(cdf - np.arange(0.0, n) / n)
     d = max(d_plus, d_minus)
-    return float(d), float(np.clip(kolmogorov(d * math.sqrt(n)), 0.0, 1.0))
+    return float(d), kolmogorov(float(d) * math.sqrt(n))
 
 
 def simulate_residuals(

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .data import CROSS_LEVEL, CovariateFrame, PairFrame, Subset, filter_subset, one_hot
 from .errors import (
@@ -178,6 +177,18 @@ class _Fits:
     trace: list[np.ndarray]  # every row's log-likelihood after 0, 1, ... iterations
 
 
+def expit(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The logistic function 1 / (1 + exp(-x)) of an array, elementwise, into
+    ``out`` when it is given (which may be ``x`` itself). Exact at 0 and
+    +-inf and NaN at NaN; ``exp(-x)`` may overflow to inf for x below about
+    -709, which gives 0 without a warning."""
+    out = np.negative(x, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
+
+
 def _log_likelihood(eta: np.ndarray, y: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Per row of ``eta``, the sum over observations of count * (y*eta -
     log(1 + exp(eta))), with the softplus as max(eta, 0) + log1p(exp(-|eta|))."""
@@ -284,7 +295,7 @@ def _irls(
 
     for it in range(max_iter + 1):
         # the block-sized arrays are dropped as soon as they are used up
-        mu = expit(eta)
+        mu = expit(eta, out=eta)
         del eta
         resid = y - mu
         resid *= counts

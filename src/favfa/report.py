@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .anova import AnovaTable, anova_distances
@@ -278,7 +277,6 @@ def _manifest(
         "versions": {
             "favfa": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
     }

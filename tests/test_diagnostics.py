@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +12,9 @@ import pytest
 
 import favfa
 from favfa.data import Subset
-from favfa.diagnostics import ks_uniform, simulate_residuals
+from favfa.diagnostics import kolmogorov, ks_uniform, simulate_residuals
 from favfa.errors import NotConverged
-from favfa.logit import DesignMatrix, LogitFit, fit_logit
+from favfa.logit import DesignMatrix, LogitFit, expit, fit_logit
 
 
 def intercept_design(y):
@@ -131,23 +133,63 @@ def test_ks_uniform_equals_scipy_kstest_asymp():
         assert ks_uniform(u) == (float(expected.statistic), float(expected.pvalue))
 
 
+def test_kolmogorov_equals_scipy_bit_for_bit():
+    from scipy.special import kolmogorov as scipy_kolmogorov
+
+    # the cut-overs: favfa returns 1.0 up to pi / sqrt(8 * 708.396...)
+    # (0.0417); below it scipy has its own cut-over near 0.0406 and, up to
+    # 0.0407, a branch for exp(-pi^2 / (8 x^2)) underflowing to 0; the two
+    # series meet at 0.82
+    edges = [math.pi / math.sqrt(8 * 708.3964185322641), 0.040611972203751713, 0.82]
+    points = [0.0, -1.0, -np.inf, math.nan, 40.0, np.inf, 5e-324]
+    for edge in edges:
+        points += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
+    grid = np.concatenate(
+        [np.linspace(0.0, 8.0, 200_001), np.linspace(0.0400, 0.0420, 2_001), points]
+    )
+    expected = scipy_kolmogorov(grid)
+    got = np.array([kolmogorov(float(x)) for x in grid])
+    assert np.array_equal(got, expected, equal_nan=True)
+
+
+def test_expit_matches_scipy():
+    from scipy.special import expit as scipy_expit
+
+    x = np.random.default_rng(5).normal(0.0, 50.0, 200_000)
+    expected = scipy_expit(x)
+    # both are 1 / (1 + exp(-x)); numpy's exp may differ from the C
+    # library's by one ulp (2**-52 relative), and each side rounds the sum
+    # and the reciprocal once more (2**-53 relative each)
+    assert np.all(np.abs(expit(x) - expected) <= 3 * 2.0**-52 * expected)
+    inplace = x.copy()
+    assert expit(inplace, out=inplace) is inplace
+    assert np.array_equal(inplace, expit(x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        edges = expit(np.array([0.0, np.inf, -np.inf, math.nan, 800.0, -800.0]))
+    assert np.array_equal(edges, [0.5, 1.0, 0.0, math.nan, 1.0, 0.0], equal_nan=True)
+
+
 def test_cli_import_does_not_load_scipy_stats():
-    # importing scipy.stats would add its cost to every invocation's start-up
+    # importing scipy would add its cost to every invocation's start-up
     src = str(Path(favfa.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    code = "import sys, favfa.cli; print('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, favfa.cli; "
+        "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules, "
+        "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "False", "False"]
 
 
 def full_draw_reference(fit, design, n_sim, seed):
     """The diagnostics with every replicate drawn in one (n_sim, n) call:
     the reference the block-by-block draws must reproduce to the bit."""
     from favfa.diagnostics import ResidualDiagnostics, _rank_p
-    from scipy.special import expit
 
     x, y = design.X, design.y
     prob = expit(x @ fit.beta)
