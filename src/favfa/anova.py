@@ -42,32 +42,12 @@ class AnovaTable:
     n: int
     warnings: tuple[str, ...]
 
-    def as_dict(self) -> dict:
-        """JSON-ready representation."""
-        return {
-            "subset": self.subset.value,
-            "n": self.n,
-            "factors": [
-                {
-                    "name": f.name,
-                    "df": f.df,
-                    "sum_squares": f.sum_squares,
-                    "eta_squared": f.eta_squared,
-                }
-                for f in self.factors
-            ],
-            "residual_ss": self.residual_ss,
-            "total_ss": self.total_ss,
-            "r_squared": self.r_squared,
-            "warnings": list(self.warnings),
-        }
-
 
 #: Rows of the model matrix folded into its R factor at a time.
 _FOLD_ROWS = 4096
 
 
-def _r_factor(m: np.ndarray) -> np.ndarray:
+def r_factor(m: np.ndarray) -> np.ndarray:
     """The R factor of ``m``'s QR decomposition, so that R'R = M'M.
 
     ``m`` is reduced one fixed ``_FOLD_ROWS`` slice at a time, in order: each
@@ -135,7 +115,7 @@ def anova_distances(
     is dropped with a warning entry instead of failing. Distances whose
     total sum of squares is beyond the float range raise
     ``ValueOutOfRange``. The table does not depend on the OpenBLAS thread
-    count (see ``_r_factor``).
+    count (see ``r_factor``).
     """
     rows = filter_subset(frame, subset)
     if not rows.any():
@@ -162,7 +142,7 @@ def anova_distances(
 
     cols = [0]
     with np.errstate(over="ignore", invalid="ignore"):
-        r = _r_factor(np.hstack([np.ones((n, 1)), *(b for _, b in blocks), d[:, None]]))
+        r = r_factor(np.hstack([np.ones((n, 1)), *(b for _, b in blocks), d[:, None]]))
         rss_prev, rank_prev = _rss(r, cols, n)
     total_ss = rss_prev
     if not math.isfinite(total_ss):

@@ -15,6 +15,9 @@ PALETTE = (
 
 _FONT = 'font-family="sans-serif"'
 
+#: Order statistics drawn per QQ panel at most, so the SVG stays compact.
+_QQ_POINTS = 512
+
 
 def _fmt(x: float) -> str:
     return f"{x:.4f}"
@@ -28,26 +31,25 @@ def _svg(width: int, height: int, body: list[str]) -> str:
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
-def marginal_effects_svg(
-    effects_by_model: Mapping[str, Sequence[MarginalEffect]],
-    title: str = "Mean marginal effects (probability points)",
-) -> str:
+def marginal_effects_svg(effects_by_model: Mapping[str, Sequence[MarginalEffect]]) -> str:
+    """One bar group per effect any model has, in the order the models
+    (sorted by name) first list it, and one bar per model that has it."""
     models = sorted(effects_by_model)
-    labels: list[str] = []
-    for effect in effects_by_model[models[0]]:
-        labels.append(
-            f"{effect.attribute}={effect.level}" if effect.level is not None
-            else f"{effect.attribute} (per {effect.unit})"
-        )
     series = {
         model: {
             (e.attribute, e.level): e for e in effects_by_model[model]
         }
         for model in models
     }
-    keys = [
-        (e.attribute, e.level) for e in effects_by_model[models[0]]
-    ]
+    labels: dict[tuple[str, str | None], str] = {}
+    for model in models:
+        for effect in effects_by_model[model]:
+            labels.setdefault(
+                (effect.attribute, effect.level),
+                f"{effect.attribute}={effect.level}" if effect.level is not None
+                else f"{effect.attribute} (per {effect.unit})",
+            )
+    keys = list(labels)
 
     bar_w, gap, group_gap = 22, 4, 28
     group_w = len(models) * (bar_w + gap) + group_gap
@@ -63,7 +65,8 @@ def marginal_effects_svg(
     zero_y = margin_t + plot_h / 2
 
     body = [
-        f'<text x="{margin_l}" y="24" {_FONT} font-size="15">{escape(title)}</text>',
+        f'<text x="{margin_l}" y="24" {_FONT} font-size="15">'
+        "Mean marginal effects (probability points)</text>",
         f'<line x1="{margin_l}" y1="{_fmt(zero_y)}" x2="{width - 20}" '
         f'y2="{_fmt(zero_y)}" stroke="#444444" stroke-width="1"/>',
         f'<text x="8" y="{_fmt(zero_y + 4)}" {_FONT} font-size="11">0.00</text>',
@@ -88,7 +91,7 @@ def marginal_effects_svg(
         body.append(
             f'<text x="{_fmt(gx)}" y="{margin_t + plot_h + 20}" {_FONT} '
             f'font-size="10" transform="rotate(30 {_fmt(gx)} '
-            f'{margin_t + plot_h + 20})">{escape(labels[gi])}</text>'
+            f'{margin_t + plot_h + 20})">{escape(labels[key])}</text>'
         )
     for mi, model in enumerate(models):
         lx = margin_l + mi * 110
@@ -101,10 +104,7 @@ def marginal_effects_svg(
     return _svg(width, height, body)
 
 
-def eta_squared_svg(
-    tables: Mapping[str, AnovaTable],
-    title: str = "Distance variance explained per attribute",
-) -> str:
+def eta_squared_svg(tables: Mapping[str, AnovaTable]) -> str:
     names = sorted(tables)
     factor_names: list[str] = []
     for table in tables.values():
@@ -122,7 +122,8 @@ def eta_squared_svg(
     base_y = margin_t + plot_h
 
     body = [
-        f'<text x="{margin_l}" y="24" {_FONT} font-size="15">{escape(title)}</text>',
+        f'<text x="{margin_l}" y="24" {_FONT} font-size="15">'
+        "Distance variance explained per attribute</text>",
         f'<line x1="{margin_l}" y1="{base_y}" x2="{width - 150}" y2="{base_y}" '
         f'stroke="#444444" stroke-width="1"/>',
     ]
@@ -159,30 +160,26 @@ def eta_squared_svg(
     return _svg(width, height, body)
 
 
-def qq_plot_svg(
-    panels: Mapping[str, Sequence[float]],
-    title: str = "Scaled residuals vs uniform quantiles",
-    max_points: int = 512,
-) -> str:
-    """One QQ panel per named residual vector; long vectors are thinned to
-    evenly spaced order statistics so output stays compact."""
+def qq_plot_svg(panels: Mapping[str, Sequence[float]]) -> str:
+    """One QQ panel per named residual vector: ``m = min(n, _QQ_POINTS)``
+    evenly spaced order statistics, the ``(i * n) // m``-th for i < m (every
+    one when n <= m), against their uniform quantiles."""
     names = sorted(panels)
     size, margin, spacing = 260, 50, 40
     width = margin + len(names) * (size + spacing)
     height = size + 2 * margin
 
-    body = [f'<text x="{margin}" y="26" {_FONT} font-size="15">{escape(title)}</text>']
+    body = [
+        f'<text x="{margin}" y="26" {_FONT} font-size="15">'
+        "Scaled residuals vs uniform quantiles</text>"
+    ]
     for pi, name in enumerate(names):
         ox = margin + pi * (size + spacing)
         oy = margin + 10
         values = sorted(panels[name])
         n = len(values)
-        if n > max_points:
-            picks = [values[(i * n) // max_points] for i in range(max_points)]
-            theory = [((i * n) // max_points + 0.5) / n for i in range(max_points)]
-        else:
-            picks = values
-            theory = [(i + 0.5) / n for i in range(n)]
+        m = min(n, _QQ_POINTS)
+        ranks = [(i * n) // m for i in range(m)]
         body.append(
             f'<rect x="{ox}" y="{oy}" width="{size}" height="{size}" fill="none" '
             f'stroke="#444444"/>'
@@ -191,9 +188,9 @@ def qq_plot_svg(
             f'<line x1="{ox}" y1="{oy + size}" x2="{ox + size}" y2="{oy}" '
             f'stroke="#999999" stroke-dasharray="4 3"/>'
         )
-        for t, v in zip(theory, picks):
-            cx = ox + t * size
-            cy = oy + size - v * size
+        for rank in ranks:
+            cx = ox + (rank + 0.5) / n * size
+            cy = oy + size - values[rank] * size
             body.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="1.5" fill="#4878cf"/>')
         body.append(
             f'<text x="{ox}" y="{oy + size + 24}" {_FONT} font-size="12">{escape(name)}</text>'

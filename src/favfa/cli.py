@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 domain error (reported as one JSON line on stderr),
-2 usage error. Aggregate fairness metrics are printed as percentages; files
-always carry raw proportions.
+Exit codes: 0 success, 1 domain error or an output that cannot be written
+(reported as one JSON line on stderr), 2 usage error, such as an attribute
+list that names no attribute. Aggregate fairness metrics are printed as
+percentages; files always carry raw proportions.
 """
 
 from __future__ import annotations
@@ -11,15 +12,16 @@ import csv
 import io
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
+from typing import Iterable
 
 import click
 
 from .data import attribute_frequencies, consolidate_identity_attributes, load_images
-from .errors import FavfaError, ParseError
+from .errors import FavfaError, OutputError, ParseError
 from .metrics import diversity
 from .planner import (
+    GenerationPlan,
     assign_styles,
     plan_diversity_report,
     plan_to_jsonl,
@@ -44,10 +46,25 @@ def _fail(error: FavfaError) -> None:
     sys.exit(1)
 
 
-def _comma_list(value: str | None) -> tuple[str, ...] | None:
-    if not value:
+def _comma_list(ctx, param, value: str | None) -> tuple[str, ...] | None:
+    """Option callback: the attribute names of a comma-separated list; a
+    list that names none is a usage error."""
+    if value is None:
         return None
-    return tuple(part.strip() for part in value.split(",") if part.strip())
+    names = tuple(part.strip() for part in value.split(",") if part.strip())
+    if not names:
+        raise click.BadParameter(f"{value!r} names no attribute")
+    return names
+
+
+def _write(path: str, chunks: Iterable[str]) -> None:
+    """Write the text chunks to ``path``, or fail with an OutputError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+    except OSError as error:
+        _fail(OutputError(path, error))
 
 
 def _diversity_table(scores: dict[str, float]) -> str:
@@ -67,11 +84,11 @@ def main() -> None:
 @click.option("--images", "images_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--pairs", "pairs_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-@click.option("--group-by", default="gender,ethnicity", show_default=True,
+@click.option("--group-by", default="gender,ethnicity", show_default=True, callback=_comma_list,
               help="Comma-separated categorical attributes defining the segments.")
 @click.option("--min-support", default=30, show_default=True, type=click.IntRange(min=0))
 @click.option("--alpha", default=0.05, show_default=True, type=click.FloatRange(0, 1))
-@click.option("--factor-order", default=None,
+@click.option("--factor-order", default=None, callback=_comma_list,
               help="Comma-separated attribute order for the variance decomposition.")
 @click.option("--pair-aggregate", default="mean", show_default=True,
               type=click.Choice(["mean", "absdiff"]))
@@ -88,10 +105,10 @@ def cmd_analyze(schema_path, images_path, pairs_path, out_dir, group_by, min_sup
         images_path=Path(images_path),
         pairs_path=Path(pairs_path),
         out_dir=Path(out_dir),
-        grouping=_comma_list(group_by) or ("gender", "ethnicity"),
+        grouping=group_by,
         min_support=min_support,
         alpha=alpha,
-        factor_order=_comma_list(factor_order),
+        factor_order=factor_order,
         pair_aggregate=pair_aggregate,
         seed=seed,
         bootstrap=bootstrap,
@@ -169,10 +186,13 @@ def cmd_plan(schema_path, ids_path, styles_path, n_identities, samples, seed, ou
         scores = plan_diversity_report(plan, schema)
     except FavfaError as error:
         _fail(error)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for start in range(0, len(plan.entries), _PLAN_CHUNK):
-            chunk = replace(plan, entries=plan.entries[start : start + _PLAN_CHUNK])
-            fh.write(plan_to_jsonl(chunk))
+    _write(
+        out_path,
+        (
+            plan_to_jsonl(GenerationPlan(plan.entries[start : start + _PLAN_CHUNK]))
+            for start in range(0, len(plan.entries), _PLAN_CHUNK)
+        ),
+    )
     click.echo(_diversity_table(scores))
     click.echo(f"wrote {len(plan.entries)} identities × {samples} styles to {out_path}")
 
@@ -180,7 +200,7 @@ def cmd_plan(schema_path, ids_path, styles_path, n_identities, samples, seed, ou
 @main.command("weights")
 @click.option("--schema", "schema_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--images", "images_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--attrs", required=True,
+@click.option("--attrs", required=True, callback=_comma_list,
               help="Comma-separated attributes the weights balance for.")
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False),
               help="Write CSV here instead of stdout.")
@@ -189,7 +209,7 @@ def cmd_weights(schema_path, images_path, attrs, out_path):
     try:
         schema = load_schema(schema_path)
         images = consolidate_identity_attributes(load_images(images_path, schema), schema)
-        weights = sampling_weights(images, schema, _comma_list(attrs) or ())
+        weights = sampling_weights(images, schema, attrs)
     except FavfaError as error:
         _fail(error)
     out = io.StringIO()
@@ -198,7 +218,7 @@ def cmd_weights(schema_path, images_path, attrs, out_path):
     writer.writerows([e.image_id, repr(e.weight), repr(e.probability)] for e in weights.entries)
     text = out.getvalue()
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        _write(out_path, [text])
         click.echo(f"wrote {len(weights.entries)} rows to {out_path}")
     else:
         click.echo(text, nl=False)

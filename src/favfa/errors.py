@@ -62,7 +62,7 @@ class QuasiSeparation(FavfaError):
 
 
 class SingularInformation(FavfaError):
-    """The weighted normal equations are rank-deficient."""
+    """The design columns, or the weighted normal equations, are rank-deficient."""
 
 
 class NotConverged(FavfaError):
@@ -89,6 +89,13 @@ class InsufficientStyles(FavfaError):
         self.segment = segment
         self.have = have
         self.need = need
+
+
+class OutputError(FavfaError):
+    """An output file or directory cannot be written where it was asked for."""
+
+    def __init__(self, path: object, error: OSError):
+        super().__init__(f"cannot write {str(path)!r}: {error.strerror or error}")
 
 
 class ValueOutOfRange(FavfaError):

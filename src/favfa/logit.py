@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .anova import r_factor
 from .data import CROSS_LEVEL, CovariateFrame, PairFrame, Subset, filter_subset, one_hot
 from .errors import (
     ConstantColumn,
@@ -378,7 +379,8 @@ def fit_logit(design: DesignMatrix, max_iter: int = 50, tol: float = 1e-8) -> Lo
     log-likelihood at the estimate. Diverging coefficients (|beta| beyond
     ``COEF_LIMIT``, or growth until ``max_iter``) raise QuasiSeparation since
     no MLE exists under separation. The fit is the bootstrap's IRLS kernel
-    run on one row of unit frequency weights.
+    run on one row of unit frequency weights. A design whose columns are
+    linearly dependent raises SingularInformation before any iteration.
     """
     X, y = design.X, design.y
     n, p = X.shape
@@ -388,6 +390,11 @@ def fit_logit(design: DesignMatrix, max_iter: int = 50, tol: float = 1e-8) -> Lo
         raise DegenerateResponse(
             f"{design.subset.value}: response takes a single value; no model to fit"
         )
+    # rank is decided once, on X, with lstsq's cut-off: the information
+    # matrix of a dependent design may still factorize through rounding
+    singular = np.linalg.svd(r_factor(X), compute_uv=False)
+    if not singular[-1] > np.finfo(float).eps * n * singular[0]:
+        raise SingularInformation(f"{design.subset.value}: design columns are linearly dependent")
 
     fits = _irls(X, y, np.ones((1, n)), max_iter, tol)
     status, iterations = fits.status[0], int(fits.iterations[0])

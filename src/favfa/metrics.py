@@ -124,14 +124,13 @@ def group_confusion(
     covs: CovariateFrame,
     threshold: float | None,
     grouping: Sequence[str],
-    min_support: int = 0,
 ) -> list[GroupStats]:
     """Confusion counts and rates per observed demographic segment.
 
     The segment of a pair is its ``segment_codes`` code over the level codes
     of the ``grouping`` attributes, and one ``np.bincount`` tallies the four
-    outcomes of every segment. Groups with fewer than ``min_support`` pairs
-    are omitted. Provided predictions are used verbatim; pairs without one
+    outcomes of every segment; every observed segment is returned, however
+    few its pairs. Provided predictions are used verbatim; pairs without one
     are classified by the threshold rule. A grouping that names an attribute
     twice raises ``SchemaInvalid``.
     """
@@ -162,8 +161,6 @@ def group_confusion(
         n_pos = tp + fn
         n_neg = fp + tn
         n = n_pos + n_neg
-        if n < min_support:
-            continue
         out.append(
             GroupStats(
                 group=key,
@@ -264,17 +261,17 @@ def fairness_report(
     covs: CovariateFrame,
     grouping: Sequence[str],
     min_support: int = 30,
-    threshold: float | None = None,
 ) -> FairnessReport:
-    """Full fairness summary at one operating threshold.
+    """Full fairness summary at the accuracy-optimal threshold.
 
-    When no threshold is given it is optimized on the pairs first. Groups
-    below ``min_support`` pairs are reported as excluded and do not enter the
-    aggregate metrics.
+    The threshold is optimized on the pairs when any pair lacks a
+    prediction, and is None otherwise. For another threshold, pass
+    ``group_confusion``'s statistics at it to ``fairness_from_groups``.
     """
-    if threshold is None and (frame.predicted == NO_PREDICTION).any():
-        threshold = optimize_threshold(frame)
-    stats = group_confusion(frame, covs, threshold, grouping, min_support=0)
+    threshold = (
+        optimize_threshold(frame) if (frame.predicted == NO_PREDICTION).any() else None
+    )
+    stats = group_confusion(frame, covs, threshold, grouping)
     return fairness_from_groups(stats, min_support, threshold)
 
 
@@ -282,8 +279,9 @@ def fairness_from_groups(
     stats: Sequence[GroupStats], min_support: int, threshold: float | None
 ) -> FairnessReport:
     """Fairness summary from the confusion statistics of every group (as
-    ``group_confusion`` returns them with ``min_support=0``) at the
-    threshold they were computed with."""
+    ``group_confusion`` returns them) at the threshold they were computed
+    with. Groups of fewer than ``min_support`` pairs are reported as
+    excluded and do not enter the aggregate metrics."""
     included = [g for g in stats if g.n_pos + g.n_neg >= min_support]
     excluded = tuple(g.group for g in stats if g.n_pos + g.n_neg < min_support)
     dpd, dpr = demographic_parity(included)

@@ -2,9 +2,10 @@
 
 Weights follow the inverse-count rule (an image's weight is the product over
 the selected attributes of 1/count of its value, continuous values binned
-first). The generation planner draws a demographically exact identity pool
-and greedily assigns style donors so each identity covers its least-filled
-(age bin, pose bin) cells, with deterministic tie-breaking throughout.
+first). The generation planner draws an identity pool exactly balanced over
+the gender x ethnicity segments (``SEGMENT_ATTRS``) and greedily assigns
+style donors so each identity covers its least-filled (age bin, pose bin)
+cells, with deterministic tie-breaking throughout.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from .errors import (
 from .metrics import diversity
 from .schema import AttributeSchema
 
-DEFAULT_SEGMENT_ATTRS = ("gender", "ethnicity")
+#: The attributes whose joint levels make a planner segment.
+SEGMENT_ATTRS = ("gender", "ethnicity")
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,6 @@ class PlanEntry:
 @dataclass(frozen=True)
 class GenerationPlan:
     entries: tuple[PlanEntry, ...]
-    samples_per_identity: int
-    segment_attrs: tuple[str, ...] = DEFAULT_SEGMENT_ATTRS
 
 
 def _raw_weights(
@@ -133,15 +133,15 @@ def resample_epoch(weights: SamplingWeights, n: int, seed: int) -> list[str]:
 
 
 def _segments(
-    frame: ImageFrame, schema: AttributeSchema, segment_attrs: Sequence[str], rows: np.ndarray
+    frame: ImageFrame, schema: AttributeSchema, rows: np.ndarray
 ) -> tuple[np.ndarray, list[tuple[str, ...]], list]:
     """Segment of the images ``rows``: a code, -1 for an image lacking a
     segment attribute, the segment each code stands for (every segment of
-    the schema's levels, in schema order), and the checks of the segment
-    attributes."""
+    the schema's levels, in schema order), and the checks of the
+    ``SEGMENT_ATTRS``. A schema must declare each of them categorical."""
     columns = []
     checks = []
-    for name in segment_attrs:
+    for name in SEGMENT_ATTRS:
         attr = schema[name] if name in schema else None
         if attr is None or not attr.is_categorical:
             raise SchemaInvalid(f"segment attribute {name!r} must be categorical")
@@ -156,18 +156,17 @@ def select_id_pool(
     schema: AttributeSchema,
     n_identities: int,
     seed: int,
-    segment_attrs: Sequence[str] = DEFAULT_SEGMENT_ATTRS,
 ) -> list[str]:
     """Identity-image pool with an exactly uniform joint segment distribution.
 
-    ``n_identities`` must divide evenly across the demographic cells; each
-    cell contributes the same number of ids, drawn uniformly without
+    ``n_identities`` must divide evenly across the ``SEGMENT_ATTRS`` cells;
+    each cell contributes the same number of ids, drawn uniformly without
     replacement. Output is canonical: cells in schema order, ids sorted
     within each cell. The segment attributes must be categorical; the first
     image lacking one raises for its first such attribute, read off one mask
     per attribute.
     """
-    codes, cells, checks = _segments(frame, schema, segment_attrs, np.arange(len(frame)))
+    codes, cells, checks = _segments(frame, schema, np.arange(len(frame)))
     per_cell, remainder = divmod(n_identities, len(cells))
     if remainder != 0:
         raise NotDivisible(
@@ -215,7 +214,6 @@ def assign_styles(
     styles: ImageFrame,
     schema: AttributeSchema,
     samples_per_identity: int,
-    segment_attrs: Sequence[str] = DEFAULT_SEGMENT_ATTRS,
 ) -> GenerationPlan:
     """Assign ``samples_per_identity`` style donors to every planned identity.
 
@@ -237,7 +235,7 @@ def assign_styles(
         if attr is None or attr.is_categorical or attr.bins is None:
             raise SchemaInvalid(f"style attribute {name!r} must be continuous with bins")
     everyone = np.arange(len(styles))
-    style_codes, style_segments, checks = _segments(styles, schema, segment_attrs, everyone)
+    style_codes, style_segments, checks = _segments(styles, schema, everyone)
     age_bins, (age_missing, age_out) = key_checks(styles, schema["age"], everyone)
     pose_bins, (pose_missing, pose_out) = key_checks(styles, schema["pose"], everyone)
     raise_first(checks + [age_missing, pose_missing, age_out, pose_out])
@@ -252,7 +250,7 @@ def assign_styles(
             ids.sort()
 
     rows = np.array([frame.row(image_id) for image_id in plan_ids], dtype=np.intp)
-    codes, segments, checks = _segments(frame, schema, segment_attrs, rows)
+    codes, segments, checks = _segments(frame, schema, rows)
     have = [sum(map(len, by_segment.get(segment, {}).values())) for segment in segments]
     # a row without a segment (code -1) is flagged by an earlier check
     short = np.array(have)[codes] < samples_per_identity
@@ -269,7 +267,7 @@ def assign_styles(
                 for sid, cell in _greedy_fill(cells, samples_per_identity)
             )
         entries.append(PlanEntry(id_image=image_id, segment=segment, styles=fills[segment]))
-    return GenerationPlan(tuple(entries), samples_per_identity, tuple(segment_attrs))
+    return GenerationPlan(tuple(entries))
 
 
 def plan_diversity_report(
@@ -278,7 +276,7 @@ def plan_diversity_report(
     """Diversity of the plan's segment attributes (over identities) and of
     its age and pose bins (over style assignments)."""
     out: dict[str, float] = {}
-    for i, name in enumerate(plan.segment_attrs):
+    for i, name in enumerate(SEGMENT_ATTRS):
         levels = schema[name].levels
         counts = Counter(e.segment[i] for e in plan.entries)
         out[name] = diversity([counts.get(l, 0) for l in levels], len(levels))
@@ -319,7 +317,7 @@ def plan_to_jsonl(plan: GenerationPlan) -> str:
         if tail is None:
             tail = tails[key] = json.dumps(
                 {
-                    "segment": dict(zip(plan.segment_attrs, entry.segment)),
+                    "segment": dict(zip(SEGMENT_ATTRS, entry.segment)),
                     "styles": [
                         {
                             "style_image": s.style_image,

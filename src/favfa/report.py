@@ -34,8 +34,8 @@ from .data import (
     load_pairs,
 )
 from .diagnostics import ResidualDiagnostics, simulate_residuals
+from .errors import OutputError
 from .logit import (
-    DesignMatrix,
     LogitFit,
     MarginalEffect,
     bootstrap_marginal_effects,
@@ -79,7 +79,6 @@ class AnalysisConfig:
 class AnalysisResult:
     report: FairnessReport
     fits: dict[str, LogitFit]
-    designs: dict[str, DesignMatrix]
     effects: dict[str, list[MarginalEffect]]
     bootstrap_se: dict[str, dict[tuple[str, str | None], float]]
     bootstrap_used: dict[str, int]  # resamples used per model, empty without a bootstrap
@@ -301,10 +300,9 @@ def run_analysis(config: AnalysisConfig) -> AnalysisResult:
     threshold = (
         optimize_threshold(pairs) if (pairs.predicted == NO_PREDICTION).any() else None
     )
-    all_groups = group_confusion(pairs, covariates, threshold, config.grouping, 0)
+    all_groups = group_confusion(pairs, covariates, threshold, config.grouping)
     report = fairness_from_groups(all_groups, config.min_support, threshold)
 
-    designs: dict[str, DesignMatrix] = {}
     fits: dict[str, LogitFit] = {}
     effects: dict[str, list[MarginalEffect]] = {}
     bootstrap_se: dict[str, dict[tuple[str, str | None], float]] = {}
@@ -313,7 +311,7 @@ def run_analysis(config: AnalysisConfig) -> AnalysisResult:
     anova_tables: dict[str, AnovaTable] = {}
     for m in sorted(MODEL_SUBSETS):
         subset = MODEL_SUBSETS[m]
-        design = designs[m] = build_design(pairs, covariates, schema, subset, threshold)
+        design = build_design(pairs, covariates, schema, subset, threshold)
         fit = fits[m] = fit_logit(design)
         effects[m] = marginal_effects(fit, design, schema, config.alpha)
         if config.bootstrap > 0:
@@ -333,7 +331,6 @@ def run_analysis(config: AnalysisConfig) -> AnalysisResult:
     result = AnalysisResult(
         report=report,
         fits=fits,
-        designs=designs,
         effects=effects,
         bootstrap_se=bootstrap_se,
         bootstrap_used=bootstrap_used,
@@ -365,15 +362,18 @@ def run_analysis(config: AnalysisConfig) -> AnalysisResult:
     )
 
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=".favfa-staging-", dir=out_dir.parent))
     try:
-        for name, text in files.items():
-            (staging / name).write_text(text, encoding="utf-8")
-        for name in files:
-            os.replace(staging / name, out_dir / name)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        staging = Path(tempfile.mkdtemp(prefix=".favfa-staging-", dir=out_dir.parent))
+        try:
+            for name, text in files.items():
+                (staging / name).write_text(text, encoding="utf-8")
+            for name in files:
+                os.replace(staging / name, out_dir / name)
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
+    except OSError as error:
+        raise OutputError(out_dir, error) from error
 
     result.outputs = {name: out_dir / name for name in files}
     return result

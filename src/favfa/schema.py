@@ -108,9 +108,6 @@ class AttributeDef:
         assert isinstance(self.kind, Categorical)
         return self.kind.reference
 
-    def level_index(self, level: str) -> int:
-        return self.levels.index(level)
-
     @property
     def n_bins(self) -> int:
         if self.bins is None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -76,8 +76,6 @@ class SyntheticDataset:
     schema: AttributeSchema
     images: ImageFrame
     pairs: PairFrame
-    nominal_threshold: float = 0.5
-    identity_attrs: dict[str, tuple[str, str]] = field(default_factory=dict)
 
 
 def make_verification_dataset(
@@ -171,13 +169,7 @@ def make_verification_dataset(
         distance=np.array(distances, dtype=float),
         predicted=np.full(n_pairs, NO_PREDICTION, dtype=np.int8),
     )
-    return SyntheticDataset(
-        schema=schema,
-        images=images,
-        pairs=pairs,
-        nominal_threshold=tau,
-        identity_attrs=identity_attrs,
-    )
+    return SyntheticDataset(schema=schema, images=images, pairs=pairs)
 
 
 def make_planner_pools(

@@ -20,6 +20,7 @@ from scipy.special import expit
 from favfa.errors import DegenerateResponse, QuasiSeparation, SingularInformation
 
 COEF_LIMIT = 30.0
+UNIT_ROUNDOFF = 2.0**-53
 
 
 def tally_groups(rows):
@@ -282,6 +283,50 @@ def fit_logit_rowcopy(X, y, subset="positives", max_iter=50, tol=1e-8):
     )
 
 
+def score_rounding(X, y, beta):
+    """A bound on the rounding of the score ``X' (y - mu)`` at ``beta``:
+    ``u * colsum(|X| * r)`` with, per row, ``r = (n + 1)|y - mu|`` for the
+    n-term sum, plus 2 for the rounding of ``mu`` and ``w (p + 1) |x| @
+    |beta|`` for that of the linear predictor (``w = mu (1 - mu)``). At an
+    estimate, a score moved by ``dg`` moves the coefficients by ``cov @ dg``."""
+    n, p = X.shape
+    abs_x = np.abs(X)
+    mu = expit(X @ beta)
+    w = mu * (1.0 - mu)
+    per_row = (n + 1) * np.abs(y - mu) + 2.0 + w * (p + 1) * (abs_x @ np.abs(beta))
+    return UNIT_ROUNDOFF * (per_row @ abs_x)
+
+
+def fit_rounding_allowance(X, y, fit):
+    """Per coefficient and per covariance entry, to first order, how far two
+    fits of the same rows that sum in different orders can lie apart at a
+    converged estimate, counted once for each fit.
+
+    The coefficients move by at most ``|cov| @ dg`` (``score_rounding``).
+    The covariance ``C = I^-1`` moves by ``-C dI C``: through the moved
+    coefficients ``dI = sum_i w'_i (x_i . delta) x_i x_i'`` with ``w' = w (1 -
+    2 mu)`` and ``|x_i . delta| = |(C x_i) . dg| <= |C x_i| @ dg``, and
+    through the rounding of I itself and of its inverse by at most ``|C|_2^2
+    (n + p + 3) u |X' diag(w) X|_2``. For a fit whose information matrix has
+    a condition number near 50 that is 1e-13 to 1e-11 of the largest entry;
+    a near-separated one, with a condition number near 1e10, allows far
+    more."""
+    n, p = X.shape
+    cov = fit.covariance
+    dg = score_rounding(X, y, fit.beta)
+    mu = expit(X @ fit.beta)
+    w = mu * (1.0 - mu)
+    abs_z = np.abs(X @ cov)
+    through_beta = (abs_z * (np.abs(w * (1.0 - 2.0 * mu)) * (abs_z @ dg))[:, None]).T @ abs_z
+    through_sums = (
+        np.linalg.norm(cov, 2) ** 2
+        * (n + p + 3)
+        * UNIT_ROUNDOFF
+        * np.linalg.norm((X * w[:, None]).T @ X, 2)
+    )
+    return 2.0 * (np.abs(cov) @ dg), 2.0 * (through_beta + through_sums)
+
+
 def bootstrap_rowcopy(design, schema, n_boot, seed, max_iter=50, tol=1e-8):
     """The bootstrap as it was before frequency weights: each resample's rows
     copied, refitted with ``fit_logit_rowcopy`` and its effects taken from
@@ -292,11 +337,8 @@ def bootstrap_rowcopy(design, schema, n_boot, seed, max_iter=50, tol=1e-8):
     The allowance bounds, to first order, how far the standard deviation
     can move when every resample's sums are taken in another order, as a
     fit on frequency weights takes them. At a resample's estimate, rounding
-    its score ``X_b' (y_b - mu)`` moves the coefficients by ``cov @ dg``,
-    where ``|dg|`` is at most ``u * colsum(|X_b| * r)`` with, per row,
-    ``r = (n + 1)|y - mu|`` for the n-term sum, plus 2 for the rounding of
-    ``mu`` and ``w (p + 1) |x| @ |beta|`` for that of the linear predictor
-    (``w = mu (1 - mu)``). An effect with gradient ``a`` then moves by at
+    its score moves the coefficients by ``cov @ dg``, with ``|dg|`` bounded
+    by ``score_rounding``. An effect with gradient ``a`` then moves by at
     most ``|cov @ a| @ |dg|``, and the standard deviation over the resamples
     by at most the norm of those moves over ``sqrt(used - 1)``, counted once
     for each of the two fits. Over well-conditioned resamples the allowance
@@ -304,7 +346,6 @@ def bootstrap_rowcopy(design, schema, n_boot, seed, max_iter=50, tol=1e-8):
     whose information matrix has a condition number near 1e10, allows far
     more, and only for the effects that depend on its ill-determined
     coefficients."""
-    unit_roundoff = 2.0**-53
     samples, moves, used, n = {}, {}, 0, design.n
     for child in np.random.SeedSequence(seed).spawn(n_boot):
         idx = np.random.default_rng(child).integers(0, n, size=n)
@@ -323,14 +364,10 @@ def bootstrap_rowcopy(design, schema, n_boot, seed, max_iter=50, tol=1e-8):
             continue
         if not fit.converged:
             continue
-        abs_x, p = np.abs(design_b.X), design_b.X.shape[1]
-        mu = expit(design_b.X @ fit.beta)
-        w = mu * (1.0 - mu)
-        per_row = (n + 1) * np.abs(design_b.y - mu) + 2.0 + w * (p + 1) * (abs_x @ np.abs(fit.beta))
-        score_rounding = unit_roundoff * (per_row @ abs_x)
+        dg = score_rounding(design_b.X, design_b.y, fit.beta)
         for key, estimate, grad in effect_gradients_copy(design_b, fit.beta, schema):
             samples.setdefault(key, []).append(estimate)
-            moves.setdefault(key, []).append(float(np.abs(fit.covariance @ grad) @ score_rounding))
+            moves.setdefault(key, []).append(float(np.abs(fit.covariance @ grad) @ dg))
         used += 1
     ses, allowances = {}, {}
     for key, values in samples.items():
@@ -407,3 +444,18 @@ def anova_reference(d, blocks):
         factors.append((name, gained, max(0.0, rss_prev - rss)))
         x, rss_prev, rank_prev = candidate, rss, rank
     return factors, rss_prev, total_ss, warnings
+
+
+def qq_points(values, max_points=512):
+    """The QQ panel's points as two branches drew them: every sorted value
+    against its uniform quantile when there are at most ``max_points``,
+    else ``max_points`` evenly spaced order statistics."""
+    values = sorted(values)
+    n = len(values)
+    if n > max_points:
+        picks = [values[(i * n) // max_points] for i in range(max_points)]
+        theory = [((i * n) // max_points + 0.5) / n for i in range(max_points)]
+    else:
+        picks = values
+        theory = [(i + 0.5) / n for i in range(n)]
+    return list(zip(theory, picks))

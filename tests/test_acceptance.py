@@ -86,7 +86,7 @@ def test_criterion_1_metric_oracle_equivalence():
                 covs[pid] = Covariates({"g": level}, {})
                 rows.append(((("g", level),), bool(is_pos[i]), bool(said[i])))
 
-            stats = group_confusion(*frames(pairs, covs), None, ["g"], min_support=0)
+            stats = group_confusion(*frames(pairs, covs), None, ["g"])
             expected = oracles.fairness_metrics(oracles.tally_groups(rows))
 
             assert degree_of_bias(stats) == expected["dob"]

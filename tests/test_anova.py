@@ -177,17 +177,6 @@ def test_empty_subset():
         anova(pairs, covs, SCHEMA_G, Subset.NEGATIVES, ["g"])
 
 
-def test_as_dict_round_trips_through_json():
-    import json
-
-    pairs, covs = dataset([(("A",), 1.0), (("A",), 1.0), (("B",), 3.0), (("B",), 3.0)])
-    table = anova(pairs, covs, SCHEMA_G, Subset.POSITIVES, ["g"])
-    payload = json.loads(json.dumps(table.as_dict()))
-    assert payload["subset"] == "positives"
-    assert payload["factors"][0]["eta_squared"] == 1.0
-    assert payload["r_squared"] == table.r_squared
-
-
 def test_continuous_factor_df_one():
     schema = AttributeSchema(
         (

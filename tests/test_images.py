@@ -270,7 +270,7 @@ def reference_frequencies(table: ReferenceTable, schema, name) -> list[float]:
     if attr.is_categorical:
         counts = [0] * len(attr.levels)
         for rec in holders:
-            counts[attr.level_index(str(reference_required(rec, name)))] += 1
+            counts[attr.levels.index(str(reference_required(rec, name)))] += 1
     else:
         counts = [0] * attr.n_bins
         for rec in holders:

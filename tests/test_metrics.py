@@ -209,11 +209,19 @@ def test_group_confusion_small_case():
     assert stats2[0].accuracy == 0.75
 
 
-def test_group_confusion_min_support():
-    prs = [pair("p1", "a", "b", True, 0.1), pair("p2", "a", "b", False, 0.9)]
-    covs = {p.pair_id: make_cov(p.pair_id, "G") for p in prs}
-    assert group_confusion(*frames(prs, covs), 0.5, ["g"], min_support=5) == []
-    assert len(group_confusion(*frames(prs, covs), 0.5, ["g"], min_support=2)) == 1
+def test_fairness_from_groups_min_support_boundary():
+    # groups A and B hold exactly min_support = 4 pairs, group C one fewer
+    prs, covs = [], {}
+    for level, size in (("A", 4), ("B", 4), ("C", 3)):
+        for i in range(size):
+            pid = f"{level}{i}"
+            prs.append(pair(pid, "a", "b", i % 2 == 0, 0.1 if i < 2 else 0.9))
+            covs[pid] = make_cov(pid, level)
+    stats = group_confusion(*frames(prs, covs), 0.5, ["g"])
+    assert [s.n_pos + s.n_neg for s in stats] == [4, 4, 3]
+    report = fairness_from_groups(stats, 4, 0.5)
+    assert [g.group.items for g in report.per_group] == [(("g", "A"),), (("g", "B"),)]
+    assert [k.items for k in report.excluded_groups] == [(("g", "C"),)]
 
 
 def test_group_confusion_uses_provided_predictions():
@@ -254,7 +262,7 @@ def test_group_counts_sum_to_global():
         pid = f"p{i}"
         prs.append(pair(pid, "a", "b", bool(rng.integers(2)), float(rng.random())))
         covs[pid] = make_cov(pid, "ABC"[rng.integers(3)], gender="MF"[rng.integers(2)])
-    stats = group_confusion(*frames(prs, covs), 0.5, ["g", "gender"], min_support=0)
+    stats = group_confusion(*frames(prs, covs), 0.5, ["g", "gender"])
     total = np.array([(s.tp, s.fp, s.tn, s.fn) for s in stats]).sum(axis=0)
     said = [p.distance < 0.5 for p in prs]
     is_pos = [p.ground_truth is Label.SAME for p in prs]
@@ -374,5 +382,5 @@ def test_fairness_report_excludes_small_groups():
     assert 0.0 <= report.eor <= 1.0
 
     # the same report from precomputed statistics of every group
-    stats = group_confusion(*frames(prs, covs), report.threshold, ["g"], min_support=0)
+    stats = group_confusion(*frames(prs, covs), report.threshold, ["g"])
     assert fairness_from_groups(stats, 30, report.threshold) == report

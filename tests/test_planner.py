@@ -32,7 +32,7 @@ from favfa.planner import (
     sampling_weights,
     select_id_pool,
 )
-from favfa.schema import AttributeSchema, Scope
+from favfa.schema import AttributeDef, AttributeSchema, Continuous, Scope
 from favfa.synth import default_schema, make_planner_pools
 
 # --- weights ---
@@ -306,7 +306,7 @@ def reference_jsonl(plan):
         json.dumps(
             {
                 "id_image": entry.id_image,
-                "segment": dict(zip(plan.segment_attrs, entry.segment)),
+                "segment": dict(zip(("gender", "ethnicity"), entry.segment)),
                 "styles": [
                     {"style_image": s.style_image, "age_bin": s.age_bin, "pose_bin": s.pose_bin}
                     for s in entry.styles
@@ -344,8 +344,7 @@ def hand_built_plan():
             PlanEntry("id2", male_asian, equal),
             PlanEntry("id3", male_asian, other),
             PlanEntry('id"4', female_african, shared),
-        ),
-        samples_per_identity=2,
+        )
     )
 
 
@@ -504,15 +503,19 @@ def test_select_id_pool_first_error_equals_per_image_reference():
                 assert outcome(select_id_pool, damaged, schema_p, 8, 0) == want, placed
 
 
-@pytest.mark.parametrize("segment_attrs", [("age",), ("height",), ("gender", "pose")])
-def test_segment_attributes_must_be_categorical(segment_attrs):
+@pytest.mark.parametrize("ethnicity", [None, Continuous("score")], ids=["missing", "continuous"])
+def test_segment_attributes_must_be_categorical(ethnicity):
     schema_p, ids, styles = make_planner_pools(ids_per_cell=1, styles_per_segment=6)
     pool = select_id_pool(ids, schema_p, 8, seed=0)
-    message = f"segment attribute {segment_attrs[-1]!r} must be categorical"
+    attributes = [a for a in schema_p.attributes if a.name != "ethnicity"]
+    if ethnicity is not None:
+        attributes.append(AttributeDef("ethnicity", ethnicity, Scope.IDENTITY))
+    schema = AttributeSchema(tuple(attributes))
+    message = "segment attribute 'ethnicity' must be categorical"
     with pytest.raises(SchemaInvalid, match=message):
-        assign_styles(pool, ids, styles, schema_p, 4, segment_attrs)
+        assign_styles(pool, ids, styles, schema, 4)
     with pytest.raises(SchemaInvalid, match=message):
-        select_id_pool(ids, schema_p, 8, 0, segment_attrs)
+        select_id_pool(ids, schema, 8, 0)
 
 
 @pytest.mark.parametrize("attrs", [["gender", "gender"], ["age", "gender", "age"]])

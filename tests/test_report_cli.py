@@ -297,7 +297,7 @@ from favfa.synth import make_verification_dataset
 data = make_verification_dataset(n_identities=2000, n_positive=12000, n_negative=12000, seed=3)
 covs = covariates_for_pairs(data.pairs, data.images, data.schema)
 for subset in (Subset.POSITIVES, Subset.NEGATIVES):
-    print(anova_distances(data.pairs, covs, data.schema, subset, interactions=True).as_dict())
+    print(repr(anova_distances(data.pairs, covs, data.schema, subset, interactions=True)))
 
 rng = np.random.default_rng(0)
 X = np.column_stack([np.ones(100_000), rng.integers(0, 2, size=(100_000, 9))]).astype(float)
@@ -628,20 +628,38 @@ def overlong(path: Path) -> None:
         fh.write("x" * (csv.field_size_limit() + 1) + "\n")
 
 
+PLAN_ARGS = ["plan", "--schema", "{schema}", "--ids", "{ids}", "--styles", "{styles}",
+             "--n-identities", "8", "--samples", "4", "--out", "{out}"]
+ANALYZE_ARGS = ["analyze", "--schema", "{schema}", "--images", "{images}", "--pairs", "{pairs}",
+                "--out", "{out}"]
+IMAGES_ONLY = ["--schema", "{schema}", "--images", "{images}"]
+WEIGHTS_ARGS = ["weights", *IMAGES_ONLY, "--attrs", "gender", "--out", "{out}"]
+
+
+def input_paths(tmp_path, command, out):
+    """The demo and planner inputs copied under ``tmp_path / "in"``, by the
+    names the argument lists use."""
+    shutil.copytree(DEMO, tmp_path / "in")
+    schema_path, ids_path, styles_path = write_planner_inputs(tmp_path / "in")
+    return {
+        "images": tmp_path / "in" / "images.csv",
+        "pairs": tmp_path / "in" / "pairs.csv",
+        "ids": ids_path,
+        "styles": styles_path,
+        "schema": schema_path if command == "plan" else tmp_path / "in" / "schema.json",
+        "out": out,
+    }
+
+
 def unreadable_cases():
-    plan = ["plan", "--schema", "{schema}", "--ids", "{ids}", "--styles", "{styles}",
-            "--n-identities", "8", "--samples", "4", "--out", "{out}"]
-    analyze = ["analyze", "--schema", "{schema}", "--images", "{images}", "--pairs", "{pairs}",
-               "--out", "{out}"]
-    images_only = ["--schema", "{schema}", "--images", "{images}"]
     for damage in (undecodable, overlong):
         for target in ("images", "pairs"):
-            yield analyze, target, damage
-        yield ["diversity", *images_only], "images", damage
-        yield ["weights", *images_only, "--attrs", "gender", "--out", "{out}"], "images", damage
+            yield ANALYZE_ARGS, target, damage
+        yield ["diversity", *IMAGES_ONLY], "images", damage
+        yield WEIGHTS_ARGS, "images", damage
         for target in ("ids", "styles"):
-            yield plan, target, damage
-    for args in (analyze, plan, ["diversity", *images_only]):
+            yield PLAN_ARGS, target, damage
+    for args in (ANALYZE_ARGS, PLAN_ARGS, ["diversity", *IMAGES_ONLY]):
         yield args, "schema", undecodable
 
 
@@ -651,20 +669,44 @@ def unreadable_cases():
     ids=lambda v: v.__name__ if callable(v) else (v if isinstance(v, str) else v[0]),
 )
 def test_cli_unreadable_input_exit_1(tmp_path, args, target, damage):
-    shutil.copytree(DEMO, tmp_path / "in")
-    schema_path, ids_path, styles_path = write_planner_inputs(tmp_path / "in")
-    paths = {
-        "images": tmp_path / "in" / "images.csv",
-        "pairs": tmp_path / "in" / "pairs.csv",
-        "ids": ids_path,
-        "styles": styles_path,
-        "schema": schema_path if args[0] == "plan" else tmp_path / "in" / "schema.json",
-        "out": tmp_path / "out",
-    }
+    paths = input_paths(tmp_path, args[0], tmp_path / "out")
     damage(paths[target])
     result = CliRunner().invoke(main, [a.format(**paths) for a in args])
     assert_one_json_error(result, "ParseError")
     assert str(paths[target]) in json.loads(result.stderr)["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    ("args", "parent"),
+    [(WEIGHTS_ARGS, "missing"), (WEIGHTS_ARGS, "file"), (PLAN_ARGS, "missing"),
+     (PLAN_ARGS, "file"), (ANALYZE_ARGS, "file")],
+    ids=lambda v: v if isinstance(v, str) else v[0],
+)
+def test_cli_unwritable_out_exit_1(tmp_path, args, parent):
+    # --out under a directory that does not exist, or under a regular file
+    (tmp_path / "file").write_text("kept\n")
+    out = tmp_path / parent / "out"
+    paths = input_paths(tmp_path, args[0], out)
+    result = CliRunner().invoke(main, [a.format(**paths) for a in args])
+    assert_one_json_error(result, "OutputError")
+    assert repr(str(out)) in json.loads(result.stderr)["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "in"]
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [[*ANALYZE_ARGS, "--factor-order", ","], [*ANALYZE_ARGS, "--group-by", " , "],
+     [*WEIGHTS_ARGS, "--attrs", ","]],
+    ids=["factor-order", "group-by", "attrs"],
+)
+def test_cli_list_naming_no_attribute_is_a_usage_error(tmp_path, args):
+    paths = input_paths(tmp_path, args[0], tmp_path / "out")
+    result = CliRunner().invoke(main, [a.format(**paths) for a in args])
+    assert result.exit_code == 2, result.output
+    assert "names no attribute" in result.stderr
+    assert "Traceback" not in result.output + result.stderr
     assert not (tmp_path / "out").exists()
 
 
