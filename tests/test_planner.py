@@ -503,15 +503,22 @@ def test_select_id_pool_first_error_equals_per_image_reference():
                 assert outcome(select_id_pool, damaged, schema_p, 8, 0) == want, placed
 
 
-@pytest.mark.parametrize("ethnicity", [None, Continuous("score")], ids=["missing", "continuous"])
-def test_segment_attributes_must_be_categorical(ethnicity):
+@pytest.mark.parametrize(
+    "segment_attrs",
+    # (segment attribute to replace, its new kind; None drops it)
+    [("gender", Continuous("score")), ("ethnicity", None), ("ethnicity", Continuous("score"))],
+)
+def test_segment_attributes_must_be_categorical(segment_attrs):
+    name, kind = segment_attrs
     schema_p, ids, styles = make_planner_pools(ids_per_cell=1, styles_per_segment=6)
     pool = select_id_pool(ids, schema_p, 8, seed=0)
-    attributes = [a for a in schema_p.attributes if a.name != "ethnicity"]
-    if ethnicity is not None:
-        attributes.append(AttributeDef("ethnicity", ethnicity, Scope.IDENTITY))
+    attributes = [
+        a if a.name != name else AttributeDef(name, kind, a.scope)
+        for a in schema_p.attributes
+        if a.name != name or kind is not None
+    ]
     schema = AttributeSchema(tuple(attributes))
-    message = "segment attribute 'ethnicity' must be categorical"
+    message = f"segment attribute {name!r} must be categorical"
     with pytest.raises(SchemaInvalid, match=message):
         assign_styles(pool, ids, styles, schema, 4)
     with pytest.raises(SchemaInvalid, match=message):
