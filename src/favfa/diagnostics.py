@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotConverged
-from .logit import DesignMatrix, LogitFit, expit
+from .logit import DesignMatrix, LogitFit, _sum_over_rows, expit
 
 #: Replicate rows per vectorized block: at most 64, and few enough that a
 #: block holds about this many float64 elements, which bounds peak memory.
@@ -111,6 +111,13 @@ def simulate_residuals(
     the observed Pearson-residual variance to the mean simulated one; the
     zero-inflation ratio compares observed and mean simulated zero counts.
     Both get rank-based two-sided p-values. Bit-reproducible for a fixed seed.
+
+    The replicates are drawn in blocks of rows that consume the generator's
+    stream as one (n_sim, n) draw would. No residual is materialised. A
+    block's variances and zero counts come from one product: the indicator
+    of draws that took each observation's less likely outcome, times three
+    fixed n-vectors, summed in fixed 512-row slices. So the result does not
+    depend on the OpenBLAS thread count.
     """
     if not fit.converged:
         raise NotConverged("diagnostics need a converged fit")
@@ -124,12 +131,24 @@ def simulate_residuals(
 
     sd = np.sqrt(np.clip(prob * (1.0 - prob), 1e-24, None))
     var_observed = float(((y - prob) / sd).var())
+    # a replicate's Pearson residual is c + q d: c that of the observation's
+    # likelier outcome, d = -+1/sd the step to the other outcome, and q = 1
+    # where the draw took the less likely one. Where p rounds to 0 or 1 (sd
+    # clipped) q is always 0, so no +-1/sd terms enter the sums to cancel.
+    # One product of a block's q with w gives each replicate's count of ones
+    # less that of the likelier outcomes, sum(r) - sum(c), sum(r^2) - sum(c^2)
+    likely = prob >= 0.5
+    c = np.where(likely, 1.0 - prob, -prob) / sd
+    d = np.where(likely, -1.0, 1.0) / sd
+    w = np.column_stack([1.0 - 2.0 * likely, d, d * (d + 2.0 * c)])
+    likely_total, c_total, c2_total = float(likely.sum()), float(c.sum()), float((c * c).sum())
     var_simulated = np.empty(n_sim)
     zero_counts = np.empty(n_sim)
-    ones = np.zeros(n, dtype=np.intp)
+    unlikely = np.zeros(n)
     block_rows = max(1, min(64, _SIM_ELEMENTS // max(n, 1)))
     draws = np.empty((min(block_rows, n_sim), n))
     sims = np.empty(draws.shape, dtype=bool)
+    tally = np.ones(len(draws))
     # replicate outcomes, one row each, drawn block by block: the blocks
     # consume the generator's stream in the order one (n_sim, n) draw would
     for start in range(0, n_sim, block_rows):
@@ -137,14 +156,16 @@ def simulate_residuals(
         block, chunk = draws[:rows], sims[:rows]
         rng.random(out=block)
         np.less(block, prob, out=chunk)
-        ones += chunk.sum(axis=0)
-        np.subtract(chunk, prob, out=block)
-        block /= sd
-        var_simulated[start : start + rows] = block.var(axis=1)
-        zero_counts[start : start + rows] = (~chunk).sum(axis=1)
+        np.not_equal(chunk, likely, out=block)
+        # column sums as a product: counts of at most 64, summed exactly
+        unlikely += tally[:rows] @ block
+        extra_ones, r_sum, r2_sum = _sum_over_rows(block, w).T
+        r_mean = (c_total + r_sum) / n
+        var_simulated[start : start + rows] = (c2_total + r2_sum) / n - r_mean * r_mean
+        zero_counts[start : start + rows] = n - (likely_total + extra_ones)
     uniform_draw = rng.random(n)
 
-    ones_frac = ones / n_sim
+    ones_frac = np.where(likely, n_sim - unlikely, unlikely) / n_sim
     zeros_frac = 1.0 - ones_frac
     scaled = np.where(
         y > 0.5,
@@ -162,7 +183,7 @@ def simulate_residuals(
         zero_ratio = 1.0 if zeros_observed == 0 else float("inf")
 
     return ResidualDiagnostics(
-        scaled_residuals=tuple(float(u) for u in scaled),
+        scaled_residuals=tuple(scaled.tolist()),
         ks_statistic=ks_stat,
         ks_p_value=ks_p,
         dispersion_ratio=dispersion_ratio,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import os
 import platform
 import shutil
@@ -233,19 +234,34 @@ def _report_json(report: FairnessReport, config: AnalysisConfig) -> dict:
     }
 
 
-def _diagnostics_json(diag: ResidualDiagnostics) -> dict:
-    return {
-        "ks_statistic": diag.ks_statistic,
-        "ks_p_value": diag.ks_p_value,
-        "dispersion_ratio": diag.dispersion_ratio,
-        "dispersion_p": diag.dispersion_p,
-        "zero_inflation_ratio": diag.zero_inflation_ratio,
-        "zero_inflation_p": diag.zero_inflation_p,
-        "n_simulations": diag.n_simulations,
-        "n_observations": len(diag.scaled_residuals),
-        "seed": diag.seed,
-        "scaled_residuals": list(diag.scaled_residuals),
-    }
+def _diagnostics_json(diagnostics: dict[str, ResidualDiagnostics]) -> str:
+    """``canonical_json`` of every model's diagnostics. Each residual list is
+    written by json's C encoder and spliced in, indented as the (pure Python)
+    indenting encoder would: both write a float as its repr, and no repr
+    holds ", ", so the text is the same."""
+    fields, lists = {}, {}
+    for model, diag in sorted(diagnostics.items()):
+        marker = f"@scaled_residuals:{model}@"
+        fields[model] = {
+            "ks_statistic": diag.ks_statistic,
+            "ks_p_value": diag.ks_p_value,
+            "dispersion_ratio": diag.dispersion_ratio,
+            "dispersion_p": diag.dispersion_p,
+            "zero_inflation_ratio": diag.zero_inflation_ratio,
+            "zero_inflation_p": diag.zero_inflation_p,
+            "n_simulations": diag.n_simulations,
+            "n_observations": len(diag.scaled_residuals),
+            "seed": diag.seed,
+            "scaled_residuals": marker,
+        }
+        residuals = json.dumps(diag.scaled_residuals, allow_nan=False)
+        if diag.scaled_residuals:
+            residuals = "[\n      " + residuals[1:-1].replace(", ", ",\n      ") + "\n    ]"
+        lists[json.dumps(marker)] = residuals
+    text = canonical_json(fields)
+    for marker, residuals in lists.items():
+        text = text.replace(marker, residuals, 1)
+    return text
 
 
 def _manifest(
@@ -350,9 +366,7 @@ def run_analysis(config: AnalysisConfig) -> AnalysisResult:
         "anova_neg.csv": _anova_csv(anova_tables["fmr"]),
         "anova_pos.svg": eta_squared_svg({"positives": anova_tables["tmr"]}),
         "anova_neg.svg": eta_squared_svg({"negatives": anova_tables["fmr"]}),
-        "diagnostics.json": canonical_json(
-            {m: _diagnostics_json(diagnostics[m]) for m in sorted(diagnostics)}
-        ),
+        "diagnostics.json": _diagnostics_json(diagnostics),
         "diagnostics_qq.svg": qq_plot_svg(
             {m: diagnostics[m].scaled_residuals for m in sorted(diagnostics)}
         ),

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -187,8 +188,9 @@ def test_cli_import_does_not_load_scipy_stats():
 
 
 def full_draw_reference(fit, design, n_sim, seed):
-    """The diagnostics with every replicate drawn in one (n_sim, n) call:
-    the reference the block-by-block draws must reproduce to the bit."""
+    """The diagnostics with every replicate drawn in one (n_sim, n) call and
+    every replicate's residuals materialised: the reference the
+    block-by-block draws must reproduce (see ``assert_equals_reference``)."""
     from favfa.diagnostics import ResidualDiagnostics, _rank_p
 
     x, y = design.X, design.y
@@ -218,14 +220,22 @@ def full_draw_reference(fit, design, n_sim, seed):
     )
 
 
+def assert_equals_reference(got, want):
+    """Every field to the bit but ``dispersion_ratio``, which sums the
+    replicate residuals in another order: within 1e-12 relative."""
+    assert got.dispersion_ratio == pytest.approx(want.dispersion_ratio, rel=1e-12, abs=0.0)
+    assert replace(got, dispersion_ratio=0.0) == replace(want, dispersion_ratio=0.0)
+
+
 # 20,000 observations take blocks of 2**20 // 20000 = 52 rows, not 64
 @pytest.mark.parametrize(
     ("n", "n_sim", "seed"), [(3000, 250, 4), (500, 100, 0), (1200, 193, 8), (20000, 150, 3)]
 )
 def test_block_draws_equal_one_full_draw(n, n_sim, seed):
     fit, design = fitted_on_simulated(seed + 40, n=n)
-    assert simulate_residuals(fit, design, n_sim=n_sim, seed=seed) == full_draw_reference(
-        fit, design, n_sim, seed
+    assert_equals_reference(
+        simulate_residuals(fit, design, n_sim=n_sim, seed=seed),
+        full_draw_reference(fit, design, n_sim, seed),
     )
 
 
@@ -236,6 +246,31 @@ def test_blocks_sized_by_elements_equal_one_full_draw(monkeypatch, n, budget):
 
     monkeypatch.setattr(favfa.diagnostics, "_SIM_ELEMENTS", budget)
     fit, design = fitted_on_simulated(n, n=n)
-    assert simulate_residuals(fit, design, n_sim=101, seed=n) == full_draw_reference(
-        fit, design, 101, n
+    assert_equals_reference(
+        simulate_residuals(fit, design, n_sim=101, seed=n), full_draw_reference(fit, design, 101, n)
+    )
+
+
+def test_clipped_probabilities_equal_one_full_draw():
+    # p rounds to 1.0 above eta = 37 and to 0.0 below about -745; below
+    # about -55, p (1 - p) is under 1e-24 and sd is clipped to 1e-12. Summed
+    # as s / sd - p / sd, the replicate residuals of such rows cancel terms
+    # of 1e12 and the variance loses every digit
+    rng = np.random.default_rng(12)
+    tails = rng.uniform(21.0, 60.0, 400) * rng.choice([-1.0, 1.0], 400)
+    eta = np.concatenate([rng.normal(0.0, 1.5, 2600), tails, [800.0, -800.0, 37.5, -37.5]])
+    prob = expit(eta)
+    assert np.count_nonzero(prob == 1.0) > 50 and np.count_nonzero(prob == 0.0) == 1
+    assert np.count_nonzero((prob > 0.0) & (prob < 1e-9)) > 150
+    assert np.count_nonzero(prob * (1.0 - prob) < 1e-24) > 50
+    y = (rng.random(len(eta)) < prob).astype(float)
+    design = DesignMatrix(
+        X=np.column_stack([np.ones(len(eta)), eta]), y=y, columns=("intercept", "eta"),
+        categorical_columns={}, continuous_columns={}, standardization={},
+        subset=Subset.POSITIVES,
+    )
+    fit = manual_fit([0.0, 1.0], 2)
+    assert_equals_reference(
+        simulate_residuals(fit, design, n_sim=250, seed=7),
+        full_draw_reference(fit, design, 250, 7),
     )

@@ -516,6 +516,19 @@ def test_bootstrap_equals_copy_oracle_loop(
         assert_close(se, want[key], allowances[key])
 
 
+def assert_same_error_message(got, want):
+    """The same message, except that the iteration counts of two
+    ``COEF_LIMIT`` messages may differ by one: the two routes sum the score
+    and the information in different orders, so coefficients that grow
+    without bound can cross the limit one iteration apart."""
+    crossed = f"coefficient magnitude exceeded {logit.COEF_LIMIT} after "
+    if got.startswith(crossed) and want.startswith(crossed):
+        counts = [int(m.removeprefix(crossed).removesuffix(" iterations")) for m in (got, want)]
+        assert abs(counts[0] - counts[1]) <= 1, (got, want)
+    else:
+        assert got == want
+
+
 @given(
     *design_params, st.integers(8, 80), st.floats(0.0, 4.0), st.integers(1, 50), st.booleans()
 )
@@ -525,6 +538,8 @@ def test_bootstrap_equals_copy_oracle_loop(
 @example(362017, 2, 2, 1, 47, 2.0, 21, False)
 # a doubled column whose information matrix factorizes through rounding
 @example(2, 4, 2, 1, 75, 3.0, 2, True)
+# separated: the oracle's coefficients pass COEF_LIMIT one iteration later
+@example(281418624, 4, 3, 2, 12, 0.022723336243564596, 26, False)
 def test_fit_logit_equals_rowcopy_oracle(
     seed, a_levels, b_levels, n_continuous, n, coef_scale, max_iter, collinear
 ):
@@ -548,7 +563,7 @@ def test_fit_logit_equals_rowcopy_oracle(
     except FavfaError as exc:
         with pytest.raises(type(exc)) as raised:
             fit_logit(design, max_iter=max_iter)
-        assert str(raised.value) == str(exc)
+        assert_same_error_message(str(raised.value), str(exc))
         return
     fit = fit_logit(design, max_iter=max_iter)
     assert (fit.iterations, fit.converged) == (want.iterations, want.converged)

@@ -25,7 +25,7 @@ from favfa.planner import assign_styles, plan_to_jsonl, select_id_pool
 from favfa.report import AnalysisConfig, run_analysis
 from favfa.schema import load_schema
 from favfa.synth import make_verification_dataset, write_dataset
-from favfa.util import named_seed
+from favfa.util import canonical_json, named_seed
 
 BUNDLE = [
     "fairness_report.json", "per_group.csv", "logit_tmr.csv", "logit_fmr.csv",
@@ -250,6 +250,18 @@ def test_demo_bundle_pinned(tmp_path, flags):
         assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest, name
 
 
+def test_demo_bundle_json_is_canonical(tmp_path):
+    # diagnostics.json splices its residual lists into canonical_json's text
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, demo_args(DEMO / "pairs.csv", out))
+    assert result.exit_code == 0, result.output
+    names = sorted(path.name for path in out.glob("*.json"))
+    assert names == sorted(name for name in BUNDLE if name.endswith(".json"))
+    for name in names:
+        text = (out / name).read_text(encoding="utf-8")
+        assert text == canonical_json(json.loads(text)), name
+
+
 #: sha256 of marginal_effects.csv for ``favfa analyze --bootstrap 20`` on
 #: data/demo: the delta-method and bootstrap columns, pinned for determinism.
 #: Re-pinned when ``logit.expit`` replaced scipy's expit: numpy's exp differs
@@ -284,13 +296,15 @@ def test_bootstrap_effects_independent_of_openblas_threads(tmp_path):
     assert bundles[0] == bundles[1]
 
 
-#: ANOVA tables with interactions of a 24,000-pair set, and a logit fit on a
-#: 100,000 x 10 design: both summed over all rows in one BLAS call each,
-#: their last bits followed the OpenBLAS thread count.
+#: ANOVA tables with interactions of a 24,000-pair set, a logit fit on a
+#: 100,000 x 10 design and its residual diagnostics: each summed over all
+#: rows in one BLAS call, their last bits would follow the OpenBLAS thread
+#: count.
 THREAD_PROBE = """
 import numpy as np
 from favfa.anova import anova_distances
 from favfa.data import Subset, covariates_for_pairs
+from favfa.diagnostics import simulate_residuals
 from favfa.logit import DesignMatrix, fit_logit
 from favfa.synth import make_verification_dataset
 
@@ -302,8 +316,11 @@ for subset in (Subset.POSITIVES, Subset.NEGATIVES):
 rng = np.random.default_rng(0)
 X = np.column_stack([np.ones(100_000), rng.integers(0, 2, size=(100_000, 9))]).astype(float)
 y = (rng.random(100_000) < 1 / (1 + np.exp(-(X @ rng.normal(scale=0.3, size=10))))) * 1.0
-fit = fit_logit(DesignMatrix(X, y, tuple(map(str, range(10))), {}, {}, {}, Subset.POSITIVES))
+design = DesignMatrix(X, y, tuple(map(str, range(10))), {}, {}, {}, Subset.POSITIVES)
+fit = fit_logit(design)
 print(fit.beta.tobytes().hex(), fit.covariance.tobytes().hex())
+diag = simulate_residuals(fit, design, seed=0)
+print(diag.dispersion_ratio.hex(), repr(diag.zero_inflation_ratio), repr(diag.ks_statistic))
 """
 
 
@@ -448,7 +465,6 @@ def test_cli_diversity_extremes(tmp_path):
 def write_planner_inputs(tmp_path):
     from favfa.schema import schema_to_dict
     from favfa.synth import make_planner_pools
-    from favfa.util import canonical_json
 
     schema, ids, styles = make_planner_pools(ids_per_cell=2, styles_per_segment=40)
     schema_path = tmp_path / "schema.json"
