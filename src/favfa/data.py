@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -44,6 +46,16 @@ NO_PREDICTION = -1
 #: of a large file out of memory and the block in cache while its columns
 #: are read.
 _BLOCK_ROWS = 2048
+
+#: Characters in the string fields numpy's C parser first reads a block
+#: into. It cuts longer cells short without a word, so a block with a cell
+#: this long is parsed again at the length of its longest line, at most
+#: ``_MAX_TEXT_WIDTH``, and later blocks one character wider than its
+#: longest cell. The parse takes time and memory in proportion to the width.
+_TEXT_WIDTH = 16
+_MAX_TEXT_WIDTH = 256
+
+_T = TypeVar("_T")
 
 
 class Label(str, Enum):
@@ -208,6 +220,9 @@ def _parse_finite(raw: str, context: str) -> ParseError:
 #: it, and the error of a failing row from its index in the block.
 _Check = tuple[np.ndarray, Callable[[int], Exception]]
 
+#: What is done with the checks of a block, all of them at once.
+_Settle = Callable[[Sequence[_Check]], None]
+
 
 def raise_first(checks: Sequence[_Check]) -> None:
     """Raise the error a row-by-row reader meets first.
@@ -239,16 +254,64 @@ def parse_floats(cells: Sequence[str]) -> np.ndarray:
         return np.fromiter(map(_float_or_nan, cells), float, len(cells))
 
 
-def _filled(cells: list[str]) -> np.ndarray:
-    """Mask of the non-empty cells."""
-    if "" not in cells:
-        return np.ones(len(cells), dtype=bool)
-    return np.fromiter(map(bool, cells), bool, len(cells))
+#: One column of a block: its stripped cells, or, as numpy's C parser read
+#: it, a fixed-width string array or a float64 array.
+_Column = list[str] | np.ndarray
+
+
+def _texts(column: _Column) -> list[str]:
+    """The stripped cells of a column of strings."""
+    if isinstance(column, np.ndarray):
+        return list(map(str.strip, column.tolist()))
+    return column
+
+
+def _floats(column: _Column) -> np.ndarray:
+    """The values of a column of floats, NaN for cells that are empty or
+    not a number (see :func:`parse_floats`)."""
+    return column if isinstance(column, np.ndarray) else parse_floats(column)
+
+
+def _filled(column: _Column) -> np.ndarray:
+    """Mask of the non-empty cells of a column of cells or floats; a float64
+    array has none empty."""
+    if isinstance(column, np.ndarray) or "" not in column:
+        return np.ones(len(column), dtype=bool)
+    return np.fromiter(map(bool, column), bool, len(column))
+
+
+def _codes(
+    column: _Column, codes: Mapping[str, int], default: int, dtype: type, fold: bool = False
+) -> np.ndarray:
+    """The code of each cell of a column of strings, ``default`` for a cell
+    that is not a key of ``codes``; with ``fold``, a cell in any case.
+
+    A string array is compared whole, so a cell with whitespace around it,
+    or, with ``fold``, in another case, takes ``default``: a check flags it,
+    and the block reader reads it.
+    """
+    if isinstance(column, np.ndarray):
+        out = np.full(len(column), default, dtype=dtype)
+        for cell, code in codes.items():
+            out[column == cell] = code
+        return out
+    cells = map(str.lower, column) if fold else column
+    return np.fromiter(map(codes.get, cells, repeat(default)), dtype, len(column))
 
 
 def _cells(rows: list[list[str]], col: int) -> list[str]:
     """Column ``col`` of a block of rows, each cell stripped."""
     return list(map(str.strip, map(itemgetter(col), rows)))
+
+
+def _repeats(ids: list[str], earlier: Iterable[str] = ()) -> np.ndarray:
+    """Mask of the ids that appear in ``earlier`` or before them in ``ids``."""
+    seen = set(earlier)
+    mask = np.zeros(len(ids), dtype=bool)
+    for i, name in enumerate(ids):
+        mask[i] = name in seen
+        seen.add(name)
+    return mask
 
 
 def _joined(blocks: list[np.ndarray], empty: np.ndarray) -> np.ndarray:
@@ -267,15 +330,15 @@ def _csv_blocks(
     """A CSV file read as ``csv.DictReader`` reads it, in blocks of rows.
 
     The first item is the column index of the header; a repeated column
-    name means its last occurrence. Then come blocks of up to
-    ``_BLOCK_ROWS`` data rows: blank lines are skipped, cells missing from a
-    short row read as empty and cells beyond the header are ignored. A file
-    that is not UTF-8 or that the csv module cannot read raises
-    ``ParseError``.
+    name means its last occurrence, and a UTF-8 byte-order mark before it is
+    skipped. Then come blocks of up to ``_BLOCK_ROWS`` data rows: blank
+    lines are skipped, cells missing from a short row read as empty and
+    cells beyond the header are ignored. A file that is not UTF-8 or that
+    the csv module cannot read raises ``ParseError``.
     """
     reader = None
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -296,6 +359,109 @@ def _csv_blocks(
     except csv.Error as exc:
         line = f" line {reader.line_num}:" if reader is not None else ""
         raise ParseError(f"{path}:{line} {exc}") from None
+
+
+class _Fallback(Exception):
+    """numpy's C parser might read a block otherwise than the block reader,
+    or a check flags a row of it."""
+
+
+def _parse_block(lines: list[str], dtype: np.dtype, usecols: list[int]) -> np.ndarray:
+    """The lines as numpy's C parser reads them into the fields of
+    ``dtype``; ``_Fallback`` where it raises or warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                              quotechar=None, usecols=usecols, ndmin=1)
+        except (ValueError, Warning):
+            raise _Fallback from None
+
+
+def _widest(table: np.ndarray, cols: Sequence[int]) -> int:
+    """The length of the longest string in the columns ``cols`` of a parsed block."""
+    return max(int(np.char.str_len(table[str(c)]).max()) for c in cols)
+
+
+def _parsed_blocks(
+    path: str | Path, texts: Sequence[int], floats: Sequence[int]
+) -> Iterator[dict[int, _Column]]:
+    """The data rows of a CSV file as numpy's C parser reads them, in blocks
+    of up to ``_BLOCK_ROWS`` lines: a string array of each of the columns
+    ``texts`` and a float64 array of each of the columns ``floats``.
+
+    Raises ``_Fallback`` wherever that read might differ from the block
+    reader's (:func:`_csv_blocks`): a column is wanted as both; a line holds
+    a quote (a quoted cell may hold a comma or a line break), a NUL (numpy
+    drops trailing ones) or more characters than the csv module's field
+    limit; a string cell holds ``_MAX_TEXT_WIDTH`` characters or more; the
+    parser raises or warns (a cell that is not a number as
+    ``float()`` reads it, ``1_0`` and non-ASCII digits included; a row short
+    of a column read; a line of whitespace; a block of blank lines); or the
+    file is not UTF-8.
+    """
+    if set(texts) & set(floats):
+        raise _Fallback
+    usecols = sorted({*texts, *floats})
+
+    def dtype(width: int) -> np.dtype:
+        return np.dtype([(str(c), f"U{width}" if c in texts else "f8") for c in usecols])
+
+    width = _TEXT_WIDTH
+    limit = csv.field_size_limit()
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            next(csv.reader(fh), None)  # the header, which _csv_blocks has read
+            while lines := list(islice(fh, _BLOCK_ROWS)):
+                longest = max(map(len, lines))
+                text = "".join(lines)
+                if '"' in text or "\0" in text or longest > limit:
+                    raise _Fallback
+                table = _parse_block(lines, dtype(width), usecols)
+                if _widest(table, texts) >= width:  # a cell may have been cut short
+                    width = min(longest, _MAX_TEXT_WIDTH)  # a line is longer than its cells
+                    table = _parse_block(lines, dtype(width), usecols)
+                    widest = _widest(table, texts)
+                    if widest >= width:
+                        raise _Fallback
+                    width = widest + 1
+                # floats copied, so that the columns kept do not hold the table
+                yield {c: table[str(c)] if c in texts else table[str(c)].copy() for c in usecols}
+    except UnicodeDecodeError:
+        raise _Fallback from None
+
+
+def _passed(checks: Sequence[_Check]) -> None:
+    """Fall back to the block reader where any check flags a row: the error
+    is the block reader's to raise."""
+    if any(mask.any() for mask, _ in checks):
+        raise _Fallback
+
+
+def _read(
+    blocks: Iterator[list[list[str]]],
+    path: str | Path,
+    texts: Sequence[int],
+    floats: Sequence[int],
+    build: Callable[[Iterator[dict[int, _Column]], _Settle], _T],
+) -> _T:
+    """``build(blocks, settle)`` over the data rows of the CSV file whose
+    header the block reader ``blocks`` has read: ``build`` hands the checks
+    of each block of columns to ``settle``.
+
+    It runs first over the blocks numpy's C parser reads, every check
+    required to pass. Where that parse might differ from the block reader's,
+    or a check flags a row, all of it is thrown away and ``build`` runs again
+    over the stripped cells of the block reader's rows, the first flagged
+    row raising its error (:func:`raise_first`).
+    """
+    with closing(blocks):
+        try:
+            return build(_parsed_blocks(path, texts, floats), _passed)
+        except _Fallback:
+            pass  # out of the handler, so what was built is freed first
+        cols = [*texts, *floats]
+        return build(({c: _cells(rows, c) for c in cols} for rows in blocks), raise_first)
 
 
 def _soft_columns(attr: AttributeDef, columns: Mapping[str, int]) -> list[int] | None:
@@ -325,8 +491,13 @@ def _pose_norm(*components: float) -> float:
 
     Python's ``x ** 2`` (``pow(x, 2)``) calls libm pow, which differs from
     ``x * x`` in the last bit for some inputs: 8.4569 ** 2 != 8.4569 * 8.4569.
-    numpy's ``** 2`` is ``x * x``, so squaring arrays would move pose values;
-    the squares are Python's, their sum exactly rounded (fsum).
+    The squares are Python's, their sum exactly rounded (fsum), so the norm
+    stays a computation per row: numpy has no array form of either. Over 2M
+    values in [0, 60) rounded to 4 decimals, ``np.power`` with an array
+    exponent differs from ``pow`` in 5.4 % of them and ``x * x`` (numpy's
+    ``x ** 2``) in 0.07 %, and over 667k such triples a plain three-term sum
+    of the squares moves 9.6 % of the norms. Pose values, and every bundle
+    byte that depends on them, would move with either.
     """
     try:
         return math.sqrt(math.fsum(map(pow, components, repeat(2))))
@@ -353,15 +524,15 @@ class _ImageColumn:
 
 
 def _soft_block(
-    rows: list[list[str]], soft_cols: list[int], attr: AttributeDef, image_ids: list[str]
+    cells: list[_Column], attr: AttributeDef, image_ids: list[str]
 ) -> tuple[np.ndarray, np.ndarray, list[_Check]]:
-    """Score matrix of one attribute over a block of rows (NaN rows where
-    the cells are empty), the mask of rows that carry scores, and the checks
-    of the scores: incomplete, not finite, negative, not summing to 1."""
-    cells = [_cells(rows, i) for i in soft_cols]
+    """Score matrix of one attribute from its soft-score columns over a
+    block (NaN rows where the cells are empty), the mask of rows that carry
+    scores, and the checks of the scores: incomplete, not finite, negative,
+    not summing to 1."""
     filled = np.count_nonzero([_filled(c) for c in cells], axis=0)
     has = filled == len(cells)
-    matrix = np.column_stack([parse_floats(c) for c in cells])
+    matrix = np.column_stack([_floats(c) for c in cells])
     with np.errstate(invalid="ignore", over="ignore"):
         finite = np.isfinite(matrix)
         ok = has & finite.all(axis=1)
@@ -390,22 +561,26 @@ def _soft_block(
 
 
 def _pose_values(
-    rows: list[list[str]], pose_cols: list[int], values: np.ndarray, image_ids: list[str]
+    comps: list[_Column], values: np.ndarray, image_ids: list[str]
 ) -> tuple[np.ndarray, list[_Check]]:
     """``values`` with the rows that have no pose value but all three
-    rotation components filled in set to the components' norm, and the
-    checks of those rows: a component that is not finite, and components
+    rotation components ``comps`` filled in set to the components' norm, and
+    the checks of those rows: a component that is not finite, and components
     too large to combine."""
-    comps = [_cells(rows, i) for i in pose_cols]
     wanted = np.isnan(values) & np.logical_and.reduce([_filled(c) for c in comps])
     if not wanted.any():
         return values, []
-    parsed = [parse_floats(c) for c in comps]
+    parsed = [_floats(c) for c in comps]
     finite = np.isfinite(parsed)
     rows = wanted & finite.all(axis=0)
-    norms = map(_pose_norm, *(p[rows].tolist() for p in parsed))
+    components = [p[rows].tolist() for p in parsed]
+    count = np.count_nonzero(rows)
     values = values.copy()
-    values[rows] = np.fromiter(norms, float, np.count_nonzero(rows))
+    try:  # _pose_norm's squares and sums, without a call per row
+        sums = map(math.fsum, zip(*(map(pow, c, repeat(2)) for c in components)))
+        values[rows] = np.sqrt(np.fromiter(sums, float, count))
+    except OverflowError:  # a square or a sum is beyond the float range
+        values[rows] = np.fromiter(map(_pose_norm, *components), float, count)
 
     def not_finite(i: int) -> ParseError:
         raw = comps[int(np.argmin(finite[:, i]))][i]
@@ -420,18 +595,18 @@ def _pose_values(
 
 def _attribute_block(
     spec: _ImageColumn,
-    rows: list[list[str]],
+    block: Mapping[int, _Column],
     image_ids: list[str],
     pose_cols: list[int] | None,
     checks: list[_Check],
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """One attribute's column over a block of rows: level codes (categorical)
-    or floats (continuous), and the score matrix (None without soft-score
-    columns). The checks of its cells are appended to ``checks`` in the
-    order the cells are read."""
+    """One attribute's column over a block of columns: level codes
+    (categorical) or floats (continuous), and the score matrix (None without
+    soft-score columns). The checks of its cells are appended to ``checks``
+    in the order the cells are read."""
     attr = spec.attr
-    m = len(rows)
-    raw = _cells(rows, spec.col) if spec.col is not None else None
+    m = len(image_ids)
+    raw = block[spec.col] if spec.col is not None else None
     matrix = None
     if attr.is_categorical:
         if raw is None:
@@ -439,12 +614,14 @@ def _attribute_block(
         else:
             lookup = {level: i for i, level in enumerate(attr.levels)}
             lookup[""] = -1
-            values = np.fromiter(map(lookup.get, raw, repeat(-2)), np.intp, m)
+            values = _codes(raw, lookup, -2, np.intp)
             checks.append((values == -2, lambda i: ParseError(
                 f"image {image_ids[i]!r}: unknown level {raw[i]!r} for attribute {attr.name!r}")))
         held = values >= 0
         if spec.soft_cols is not None:
-            matrix, has, soft_checks = _soft_block(rows, spec.soft_cols, attr, image_ids)
+            matrix, has, soft_checks = _soft_block(
+                [block[c] for c in spec.soft_cols], attr, image_ids
+            )
             checks += soft_checks
             held |= has
             if attr.scope is Scope.IMAGE:
@@ -455,11 +632,11 @@ def _attribute_block(
         if raw is None:
             values = np.full(m, math.nan)
         else:
-            values = parse_floats(raw)
+            values = _floats(raw)
             checks.append((_filled(raw) & ~np.isfinite(values), lambda i: _parse_finite(
                 raw[i], f"image {image_ids[i]!r} {attr.name!r}")))
         if attr.name == "pose" and pose_cols is not None:
-            values, pose_checks = _pose_values(rows, pose_cols, values, image_ids)
+            values, pose_checks = _pose_values([block[c] for c in pose_cols], values, image_ids)
             checks += pose_checks
         held = ~np.isnan(values)
     if attr.scope is Scope.IMAGE:
@@ -480,23 +657,20 @@ def load_images(path: str | Path, schema: AttributeSchema) -> ImageFrame:
     takes its highest-scoring level); identity-scoped ones may be left for
     consolidation.
 
-    Each column is read in one pass over a block of rows, and each check of
-    a cell is one mask over the block, stated once, in the order a row's
-    cells are read: empty ids; then per attribute an unknown level, the soft
-    scores (incomplete, not finite, negative, not summing to 1), a value that
-    is not finite, the pose components (not finite, too large to combine)
-    and a missing image-scoped value. The first flagged row raises the error
-    of its first flagging check, the one a row-by-row reader meets first.
-    Image ids must be unique, which is checked once every row has been read.
+    The file is read in blocks of columns, by numpy's C parser where it reads
+    the file as the csv module does and by the csv module otherwise (see
+    :func:`_read`). Each check of a cell is one mask over a block, stated
+    once, in the order a row's cells are read: empty ids; then per attribute
+    an unknown level, the soft scores (incomplete, not finite, negative, not
+    summing to 1), a value that is not finite, the pose components (not
+    finite, too large to combine) and a missing image-scoped value. The
+    first flagged row raises the error of its first flagging check, the one a
+    row-by-row reader meets first. Image ids must be unique, which is
+    checked once every row has been read.
     """
     blocks = _csv_blocks(path, ("image_id", "identity_id"))
     columns = next(blocks)
     id_col, identity_col = columns["image_id"], columns["identity_id"]
-    pose_cols = (
-        [columns[c] for c in POSE_COMPONENT_COLUMNS]
-        if all(c in columns for c in POSE_COMPONENT_COLUMNS)
-        else None
-    )
     plan = [
         _ImageColumn(
             attr,
@@ -505,64 +679,75 @@ def load_images(path: str | Path, schema: AttributeSchema) -> ImageFrame:
         )
         for attr in schema.attributes
     ]
-
-    ids: list[str] = []
-    identity_codes: dict[str, int] = {}
-    identity: list[np.ndarray] = []
-    parts: dict[str, list[np.ndarray]] = {spec.attr.name: [] for spec in plan}
-    soft_parts: dict[str, list[np.ndarray]] = {
-        spec.attr.name: [] for spec in plan if spec.soft_cols is not None
-    }
-    for rows in blocks:
-        m = len(rows)
-        block_ids = _cells(rows, id_col)
-        block_identities = _cells(rows, identity_col)
-        checks: list[_Check] = [(
-            ~(_filled(block_ids) & _filled(block_identities)),
-            lambda i: ParseError(f"{path}: row with empty image_id or identity_id"),
-        )]
-        for name in dict.fromkeys(block_identities):
-            identity_codes.setdefault(name, len(identity_codes))
-        identity.append(np.fromiter(map(identity_codes.get, block_identities), np.intp, m))
-        ids += block_ids
-        for spec in plan:
-            values, matrix = _attribute_block(spec, rows, block_ids, pose_cols, checks)
-            parts[spec.attr.name].append(values)
-            if matrix is not None:
-                soft_parts[spec.attr.name].append(matrix)
-        raise_first(checks)
-        del checks  # free the cells its errors would quote before the next block is read
-
-    n = len(ids)
-    index = dict(zip(ids, range(n)))
-    if len(index) != n:
-        seen: set[str] = set()
-        for image_id in ids:
-            if image_id in seen:
-                raise ParseError(f"duplicate image_id {image_id!r}")
-            seen.add(image_id)
-
-    categorical: dict[str, LevelCodes] = {}
-    continuous: dict[str, np.ndarray] = {}
-    scores: dict[str, np.ndarray] = {}
-    for spec in plan:
-        attr = spec.attr
-        if attr.is_categorical:
-            codes = _joined(parts[attr.name], np.empty(0, dtype=np.intp))
-            categorical[attr.name] = LevelCodes(codes, attr.levels)
-            if spec.soft_cols is not None:
-                scores[attr.name] = _joined(soft_parts[attr.name], np.empty((0, len(attr.levels))))
-        else:
-            continuous[attr.name] = _joined(parts[attr.name], np.empty(0))
-    return ImageFrame(
-        tuple(ids),
-        _joined(identity, np.empty(0, dtype=np.intp)),
-        tuple(identity_codes),
-        categorical,
-        scores,
-        continuous,
-        index,
+    pose_cols = (
+        [columns[c] for c in POSE_COMPONENT_COLUMNS]
+        if all(c in columns for c in POSE_COMPONENT_COLUMNS)
+        and any(spec.attr.name == "pose" and not spec.attr.is_categorical for spec in plan)
+        else None
     )
+    texts = [id_col, identity_col]
+    texts += [spec.col for spec in plan if spec.attr.is_categorical and spec.col is not None]
+    floats = [c for spec in plan for c in spec.soft_cols or ()] + (pose_cols or [])
+    floats += [spec.col for spec in plan if not spec.attr.is_categorical and spec.col is not None]
+
+    def build(blocks: Iterator[dict[int, _Column]], settle: _Settle) -> ImageFrame:
+        ids: list[str] = []
+        identity_codes: dict[str, int] = {}
+        identity: list[np.ndarray] = []
+        parts: dict[str, list[np.ndarray]] = {spec.attr.name: [] for spec in plan}
+        soft_parts: dict[str, list[np.ndarray]] = {
+            spec.attr.name: [] for spec in plan if spec.soft_cols is not None
+        }
+        for block in blocks:
+            block_ids = _texts(block[id_col])
+            block_identities = _texts(block[identity_col])
+            m = len(block_ids)
+            checks: list[_Check] = [(
+                ~(_filled(block_ids) & _filled(block_identities)),
+                lambda i: ParseError(f"{path}: row with empty image_id or identity_id"),
+            )]
+            for name in dict.fromkeys(block_identities):
+                identity_codes.setdefault(name, len(identity_codes))
+            identity.append(np.fromiter(map(identity_codes.get, block_identities), np.intp, m))
+            ids += block_ids
+            for spec in plan:
+                values, matrix = _attribute_block(spec, block, block_ids, pose_cols, checks)
+                parts[spec.attr.name].append(values)
+                if matrix is not None:
+                    soft_parts[spec.attr.name].append(matrix)
+            settle(checks)
+            del checks  # free the cells its errors would quote before the next block is read
+
+        n = len(ids)
+        index = dict(zip(ids, range(n)))
+        if len(index) != n:
+            settle([(_repeats(ids), lambda i: ParseError(f"duplicate image_id {ids[i]!r}"))])
+
+        categorical: dict[str, LevelCodes] = {}
+        continuous: dict[str, np.ndarray] = {}
+        scores: dict[str, np.ndarray] = {}
+        for spec in plan:
+            attr = spec.attr
+            if attr.is_categorical:
+                codes = _joined(parts[attr.name], np.empty(0, dtype=np.intp))
+                categorical[attr.name] = LevelCodes(codes, attr.levels)
+                if spec.soft_cols is not None:
+                    scores[attr.name] = _joined(
+                        soft_parts[attr.name], np.empty((0, len(attr.levels)))
+                    )
+            else:
+                continuous[attr.name] = _joined(parts[attr.name], np.empty(0))
+        return ImageFrame(
+            tuple(ids),
+            _joined(identity, np.empty(0, dtype=np.intp)),
+            tuple(identity_codes),
+            categorical,
+            scores,
+            continuous,
+            index,
+        )
+
+    return _read(blocks, path, texts, floats, build)
 
 
 #: Pair label cells, as the codes ``PairFrame.predicted`` holds.
@@ -578,10 +763,11 @@ def load_pairs(path: str | Path, images: ImageFrame) -> PairFrame:
     ``predicted`` cell means no prediction), and distances must be finite and
     non-negative.
 
-    ``distance`` is parsed as one column and both image columns are resolved
-    with one lookup each per block of rows. Each check of a cell is one mask
-    over the block, stated once, in the order a row's cells are read: empty
-    id, repeated id, unknown ``image_a``, unknown ``image_b``, bad
+    The file is read in blocks of columns as :func:`load_images` reads
+    its file. ``distance`` is parsed as one column and both image columns
+    are resolved with one lookup each per block. Each check of a cell is one
+    mask over the block, stated once, in the order a row's cells are read:
+    empty id, repeated id, unknown ``image_a``, unknown ``image_b``, bad
     ``ground_truth``, distance not finite, bad ``predicted``, negative
     distance. The first flagged row raises the error of its first flagging
     check, the one a row-by-row reader meets first.
@@ -589,70 +775,67 @@ def load_pairs(path: str | Path, images: ImageFrame) -> PairFrame:
     index = images.index
     predicted_codes = {"": NO_PREDICTION, **_LABEL_CODES}
     bad_label = "pair {!r}: {} must be 'same' or 'different'"
-    seen: dict[str, None] = {}  # the pair ids, in order
-    parts: dict[str, list[np.ndarray]] = {
-        k: [] for k in ("image_a", "image_b", "is_pos", "distance", "predicted")
-    }
     blocks = _csv_blocks(path, ("pair_id", "image_a", "image_b", "ground_truth", "distance"))
     columns = next(blocks)
     id_col, a_col, b_col, truth_col, dist_col = (
         columns[c] for c in ("pair_id", "image_a", "image_b", "ground_truth", "distance")
     )
     pred_col = columns.get("predicted")
-    for rows in blocks:
-        m = len(rows)
-        pair_ids = _cells(rows, id_col)
-        repeated = np.zeros(m, dtype=bool)
-        before = len(seen)
-        seen.update(dict.fromkeys(pair_ids))
-        if len(seen) - before != m:  # a pair id repeats
-            earlier = set(islice(seen, before))
-            for i, pair_id in enumerate(pair_ids):
-                repeated[i] = pair_id in earlier
-                earlier.add(pair_id)
-        image_a = np.fromiter(map(index.get, _cells(rows, a_col), repeat(-1)), np.intp, m)
-        image_b = np.fromiter(map(index.get, _cells(rows, b_col), repeat(-1)), np.intp, m)
-        truth = np.fromiter(
-            map(_LABEL_CODES.get, map(str.lower, _cells(rows, truth_col)), repeat(-1)),
-            np.int8,
-            m,
-        )
-        distance = parse_floats(_cells(rows, dist_col))
-        if pred_col is None:
-            predicted = np.full(m, NO_PREDICTION, dtype=np.int8)
-        else:
-            predicted = np.fromiter(
-                map(predicted_codes.get, map(str.lower, _cells(rows, pred_col)), repeat(-2)),
-                np.int8,
-                m,
-            )
-        raise_first([
-            (~_filled(pair_ids), lambda i: ParseError(f"{path}: row with empty pair_id")),
-            (repeated, lambda i: ParseError(f"duplicate pair_id {pair_ids[i]!r}")),
-            (image_a < 0, lambda i: _unknown_image(rows[i][a_col].strip())),
-            (image_b < 0, lambda i: _unknown_image(rows[i][b_col].strip())),
-            (truth < 0, lambda i: ParseError(bad_label.format(pair_ids[i], "ground_truth"))),
-            (~np.isfinite(distance), lambda i: _parse_finite(
-                rows[i][dist_col].strip(), f"pair {pair_ids[i]!r} distance")),
-            (predicted == -2, lambda i: ParseError(bad_label.format(pair_ids[i], "predicted"))),
-            (distance < 0, lambda i: ParseError(
-                f"pair {pair_ids[i]!r}: distance must be finite and >= 0, got {float(distance[i])}"
-            )),
-        ])
-        for name, values in (
-            ("image_a", image_a), ("image_b", image_b), ("is_pos", truth == 1),
-            ("distance", distance), ("predicted", predicted),
-        ):
-            parts[name].append(values)
+    texts = [id_col, a_col, b_col, truth_col] + ([] if pred_col is None else [pred_col])
 
-    return PairFrame(
-        pair_id=tuple(seen),
-        image_a=_joined(parts["image_a"], np.empty(0, dtype=np.intp)),
-        image_b=_joined(parts["image_b"], np.empty(0, dtype=np.intp)),
-        is_pos=_joined(parts["is_pos"], np.empty(0, dtype=bool)),
-        distance=_joined(parts["distance"], np.empty(0)),
-        predicted=_joined(parts["predicted"], np.empty(0, dtype=np.int8)),
-    )
+    def build(blocks: Iterator[dict[int, _Column]], settle: _Settle) -> PairFrame:
+        ids: list[str] = []
+        seen: set[str] = set()
+        parts: dict[str, list[np.ndarray]] = {
+            k: [] for k in ("image_a", "image_b", "is_pos", "distance", "predicted")
+        }
+        for block in blocks:
+            pair_ids, cells_a, cells_b = map(_texts, (block[id_col], block[a_col], block[b_col]))
+            m = len(pair_ids)
+            before = len(seen)
+            seen.update(pair_ids)
+            repeated = (
+                _repeats(pair_ids, ids) if len(seen) - before != m else np.zeros(m, dtype=bool)
+            )
+            ids += pair_ids
+            image_a = np.fromiter(map(index.get, cells_a, repeat(-1)), np.intp, m)
+            image_b = np.fromiter(map(index.get, cells_b, repeat(-1)), np.intp, m)
+            truth = _codes(block[truth_col], _LABEL_CODES, -1, np.int8, fold=True)
+            distance = _floats(block[dist_col])
+            if pred_col is None:
+                predicted = np.full(m, NO_PREDICTION, dtype=np.int8)
+            else:
+                predicted = _codes(block[pred_col], predicted_codes, -2, np.int8, fold=True)
+            settle([
+                (~_filled(pair_ids), lambda i: ParseError(f"{path}: row with empty pair_id")),
+                (repeated, lambda i: ParseError(f"duplicate pair_id {pair_ids[i]!r}")),
+                (image_a < 0, lambda i: _unknown_image(cells_a[i])),
+                (image_b < 0, lambda i: _unknown_image(cells_b[i])),
+                (truth < 0, lambda i: ParseError(bad_label.format(pair_ids[i], "ground_truth"))),
+                (~np.isfinite(distance), lambda i: _parse_finite(
+                    block[dist_col][i], f"pair {pair_ids[i]!r} distance")),
+                (predicted == -2, lambda i: ParseError(bad_label.format(pair_ids[i], "predicted"))),
+                (distance < 0, lambda i: ParseError(
+                    f"pair {pair_ids[i]!r}: distance must be finite and >= 0, "
+                    f"got {float(distance[i])}"
+                )),
+            ])
+            for name, values in (
+                ("image_a", image_a), ("image_b", image_b), ("is_pos", truth == 1),
+                ("distance", distance), ("predicted", predicted),
+            ):
+                parts[name].append(values)
+
+        return PairFrame(
+            pair_id=tuple(ids),
+            image_a=_joined(parts["image_a"], np.empty(0, dtype=np.intp)),
+            image_b=_joined(parts["image_b"], np.empty(0, dtype=np.intp)),
+            is_pos=_joined(parts["is_pos"], np.empty(0, dtype=bool)),
+            distance=_joined(parts["distance"], np.empty(0)),
+            predicted=_joined(parts["predicted"], np.empty(0, dtype=np.int8)),
+        )
+
+    return _read(blocks, path, texts, [dist_col], build)
 
 
 def _consolidation_error(

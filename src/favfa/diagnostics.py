@@ -17,9 +17,17 @@ import numpy as np
 from .errors import NotConverged
 from .logit import DesignMatrix, LogitFit, _sum_over_rows, expit
 
-#: Replicate rows per vectorized block: at most 64, and few enough that a
-#: block holds about this many float64 elements, which bounds peak memory.
-_SIM_ELEMENTS = 2**20
+#: Replicate rows per vectorized block: at most 64, at least 2, and
+#: otherwise few enough that a block holds at most this many float64
+#: elements (1 MiB), which bounds peak memory. A small block also keeps the
+#: peak steady: numpy asks the kernel for transparent huge pages on arrays of
+#: 4 MiB and more, and in glibc's heap such 2 MB pages stay resident after
+#: the block is freed, so a larger block would move the peak by whole pages,
+#: or not, depending on where the heap happened to place it. Two rows
+#: reach 4 MiB only from 2**18 observations on, where one-row blocks would
+#: double the count of ``_sum_over_rows``'s products over 512-observation
+#: slices (1.5 times the time at 500,000 observations).
+_SIM_ELEMENTS = 2**17
 
 
 @dataclass(frozen=True)
@@ -145,7 +153,7 @@ def simulate_residuals(
     var_simulated = np.empty(n_sim)
     zero_counts = np.empty(n_sim)
     unlikely = np.zeros(n)
-    block_rows = max(1, min(64, _SIM_ELEMENTS // max(n, 1)))
+    block_rows = max(2, min(64, _SIM_ELEMENTS // max(n, 1)))
     draws = np.empty((min(block_rows, n_sim), n))
     sims = np.empty(draws.shape, dtype=bool)
     tally = np.ones(len(draws))

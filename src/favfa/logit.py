@@ -156,8 +156,7 @@ _BOOT_ELEMENTS = 2**16
 #: when a block has at least ``p (p + 1) / (2 * _BOOT_ARRAYS)`` resamples to
 #: share it (it pays off only when one product serves several rows: a
 #: single fit gains nothing from it), and a block's working set stays within
-#: ``2 * _BOOT_ARRAYS * _BOOT_ELEMENTS`` float64 elements (6 MB), below the
-#: diagnostics block's bound of ``diagnostics._SIM_ELEMENTS``.
+#: ``2 * _BOOT_ARRAYS * _BOOT_ELEMENTS`` float64 elements (6 MB).
 _BOOT_ARRAYS = 6
 #: Observations per slice of every product that sums over the observations
 #: (see ``_sum_over_rows``).

@@ -5,7 +5,9 @@ Image and pair rows become frames the way the CLI reads them:
 :func:`load_tables` writes them as CSV text and reads it back with
 ``load_images`` and ``load_pairs``. Pairs whose covariates a test writes out
 directly, without images behind them, become a PairFrame and a
-CovariateFrame through :func:`frames`, built from columns.
+CovariateFrame through :func:`frames`, built from columns. :func:`route`
+picks the reader ingest takes: numpy's C parser, falling back to the block
+reader where it must, or the block reader alone.
 """
 
 from __future__ import annotations
@@ -15,14 +17,17 @@ import io
 import math
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import favfa.data
 from favfa.data import (
     CROSS_LEVEL,
     NO_PREDICTION,
@@ -117,6 +122,29 @@ def outcome(func, *args):
         return "ok", func(*args)
     except Exception as exc:  # every route must fail alike, whatever the error
         return "raised", type(exc).__name__, str(exc)
+
+
+def block_reader_only():
+    """Ingest with numpy's C parser never tried."""
+    return mock.patch.object(favfa.data, "_parsed_blocks", side_effect=favfa.data._Fallback)
+
+
+def parser_only():
+    """Ingest with the block reader refused: a fallback fails."""
+    return mock.patch.object(
+        favfa.data, "_cells", side_effect=AssertionError("fell back to the block reader")
+    )
+
+
+@contextmanager
+def route(name: str):
+    """Ingest as shipped (``parsed``, falling back where it must) or through
+    the block reader alone (``cells``)."""
+    if name == "cells":
+        with block_reader_only():
+            yield
+    else:
+        yield
 
 
 def csv_text(header, rows) -> str:

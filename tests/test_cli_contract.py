@@ -9,7 +9,8 @@ own. They include finite image values too large to combine (pose components
 whose squares overflow, soft scores whose sum does), which must fail as a
 ``ParseError`` naming the image, and a finite distance or age too large to
 square, which must fail as a ``ValueOutOfRange`` without a numpy warning.
-``plan`` is run on schemas that lack an attribute it bins styles by.
+``plan`` is run on damaged ``--ids`` and ``--styles`` tables, and on schemas
+that lack an attribute it bins styles by.
 """
 
 from __future__ import annotations
@@ -149,6 +150,51 @@ def test_cli_contract_on_damaged_inputs(command, target, damage, where):
             error = json.loads(result.stderr)
             assert result.exit_code == 1 and error["error"] == "ValueOutOfRange", result.stderr
             assert not caught, [str(w.message) for w in caught]
+
+
+@given(
+    target=st.sampled_from(["ids", "styles"]),
+    damage=st.sampled_from(DAMAGES + tuple(OVERFLOWS) + ("huge-age",)),
+    where=st.integers(0, 10**6),
+)
+@example(target="ids", damage="header-only", where=0)
+@example(target="styles", damage="header-only", where=0)
+@example(target="styles", damage="blank-lines", where=3)
+@example(target="ids", damage="ragged", where=5)
+@example(target="styles", damage="non-numeric", where=7)
+@example(target="styles", damage="unknown-id", where=11)
+@example(target="styles", damage="huge-pose", where=4)
+@example(target="ids", damage="huge-scores", where=2)
+@example(target="styles", damage="huge-age", where=5)
+@settings(max_examples=25, deadline=None)
+def test_cli_plan_contract_on_damaged_inputs(target, damage, where):
+    texts = base_texts()
+    tables = {"ids": texts["images.csv"], "styles": texts["images.csv"]}
+    tables[target] = damaged(tables[target], damage, where)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "schema.json").write_text(texts["schema.json"], encoding="utf-8")
+        for name, text in tables.items():
+            (root / f"{name}.csv").write_text(text, encoding="utf-8")
+        out = root / "plan.jsonl"
+        result = CliRunner().invoke(
+            main,
+            ["plan", "--schema", str(root / "schema.json"), "--ids", str(root / "ids.csv"),
+             "--styles", str(root / "styles.csv"), "--n-identities", "8", "--samples", "2",
+             "--out", str(out)],
+        )
+        assert result.exit_code in (0, 1), result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit), repr(
+            result.exception
+        )
+        assert "Traceback" not in result.output + result.stderr
+        if result.exit_code == 1:
+            lines = result.stderr.splitlines()
+            assert len(lines) == 1, result.stderr
+            assert set(json.loads(lines[0])) == {"error", "message"}
+            assert not out.exists()
+        else:
+            assert out.exists()
 
 
 @pytest.mark.parametrize("dropped", ["age", "pose"])

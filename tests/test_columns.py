@@ -1,5 +1,6 @@
 """The columnar pair core against a per-pair recomputation and the oracles,
-and CSV ingestion against csv.DictReader.
+and CSV ingestion against csv.DictReader, through numpy's C parser and through
+the block reader alone.
 
 Every statistic runs on a PairFrame and a CovariateFrame loaded from CSV
 text. The covariates must equal those recomputed pair by pair from the two
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import csv_text, covariate_rows, image_rows, pair, pair_frame, pair_rows
+from conftest import csv_text, covariate_rows, image_rows, pair, pair_frame, pair_rows, route
 from favfa.anova import anova_distances
 from favfa.data import (
     CROSS_LEVEL,
@@ -292,19 +293,20 @@ def test_ragged_rows_and_blank_lines_read_as_dictreader_reads_them(tables, data)
     image_cells, pair_cells = tables
     images_text = data.draw(ragged(IMAGE_HEADER, image_cells))
     pairs_text = data.draw(ragged(PAIR_HEADER, pair_cells))
-    with tempfile.TemporaryDirectory() as tmp:
-        left, right = Path(tmp) / "as_written", Path(tmp) / "as_dictreader"
-        left.mkdir()
-        right.mkdir()
-        got = outcome(load, left, images_text, pairs_text)
-        want = outcome(load, right, dictreader_text(images_text), dictreader_text(pairs_text))
-    if want[0] == "ok":
-        assert got[0] == "ok", got
-        assert same_tables(got[1], want[1])
-    else:
-        assert want[1] in ("ParseError", "MissingAttribute", "UnresolvedImage"), want
-        assert got[:2] == want[:2]
-        assert got[2].replace(str(left), "<dir>") == want[2].replace(str(right), "<dir>")
+    for reader in ("parsed", "cells"):
+        with tempfile.TemporaryDirectory() as tmp, route(reader):
+            left, right = Path(tmp) / "as_written", Path(tmp) / "as_dictreader"
+            left.mkdir()
+            right.mkdir()
+            got = outcome(load, left, images_text, pairs_text)
+            want = outcome(load, right, dictreader_text(images_text), dictreader_text(pairs_text))
+        if want[0] == "ok":
+            assert got[0] == "ok", (reader, got)
+            assert same_tables(got[1], want[1]), reader
+        else:
+            assert want[1] in ("ParseError", "MissingAttribute", "UnresolvedImage"), want
+            assert got[:2] == want[:2], reader
+            assert got[2].replace(str(left), "<dir>") == want[2].replace(str(right), "<dir>")
 
 
 def test_pair_frame_columns_and_covariates(tmp_path):

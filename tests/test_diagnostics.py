@@ -227,7 +227,7 @@ def assert_equals_reference(got, want):
     assert replace(got, dispersion_ratio=0.0) == replace(want, dispersion_ratio=0.0)
 
 
-# 20,000 observations take blocks of 2**20 // 20000 = 52 rows, not 64
+# 20,000 observations take blocks of 2**17 // 20000 = 6 rows, not 64
 @pytest.mark.parametrize(
     ("n", "n_sim", "seed"), [(3000, 250, 4), (500, 100, 0), (1200, 193, 8), (20000, 150, 3)]
 )
@@ -241,7 +241,9 @@ def test_block_draws_equal_one_full_draw(n, n_sim, seed):
 
 @pytest.mark.parametrize(("n", "budget"), [(500, 3000), (500, 499), (1200, 7000)])
 def test_blocks_sized_by_elements_equal_one_full_draw(monkeypatch, n, budget):
-    # blocks of 6 rows, of 1 row (the budget is below one row) and of 5 rows
+    # blocks of 6 rows, of 2 rows (the budget is below one row, and a block
+    # holds at least two; the last of the 101 replicates is a block of one)
+    # and of 5 rows
     import favfa.diagnostics
 
     monkeypatch.setattr(favfa.diagnostics, "_SIM_ELEMENTS", budget)

@@ -27,12 +27,15 @@ import favfa.data
 from conftest import (
     ImageRow,
     PairRow,
+    block_reader_only,
     covariate_rows,
     csv_text,
     image_rows,
     load_tables,
     outcome,
     pair_rows,
+    parser_only,
+    route,
 )
 from favfa.data import (
     CROSS_LEVEL,
@@ -809,19 +812,22 @@ def test_missing_identity_label_names_the_reference_image(tmp_path):
 
 
 def test_blocks_give_the_same_frame(tmp_path, monkeypatch):
-    import favfa.data
-
     text = (DEMO / "images.csv").read_text()
     path = tmp_path / "images.csv"
     path.write_text(text.replace("\n", "\n\n", 7))  # blank lines inside the first blocks
     from favfa.schema import load_schema
 
     schema = load_schema(DEMO / "schema.json")
-    whole = consolidate_identity_attributes(load_images(path, schema), schema)
-    monkeypatch.setattr(favfa.data, "_BLOCK_ROWS", 7)
-    blocked = consolidate_identity_attributes(load_images(path, schema), schema)
-    assert image_rows(blocked) == image_rows(whole)
     pairs = (DEMO / "pairs.csv").read_text().splitlines()
     (tmp_path / "pairs.csv").write_text("\n".join(pairs + [pairs[20]]) + "\n")
-    with pytest.raises(ParseError, match="duplicate pair_id"):
-        load_pairs(tmp_path / "pairs.csv", blocked)
+    # blank lines are the C parser's to skip: it must not fall back on them
+    for only in (parser_only, block_reader_only):
+        with only():
+            monkeypatch.setattr(favfa.data, "_BLOCK_ROWS", 2048)
+            whole = consolidate_identity_attributes(load_images(path, schema), schema)
+            monkeypatch.setattr(favfa.data, "_BLOCK_ROWS", 7)
+            blocked = consolidate_identity_attributes(load_images(path, schema), schema)
+        assert image_rows(blocked) == image_rows(whole)
+        with route("cells" if only is block_reader_only else "parsed"):
+            with pytest.raises(ParseError, match="duplicate pair_id"):
+                load_pairs(tmp_path / "pairs.csv", blocked)
