@@ -22,6 +22,12 @@ or ``layouts differ`` when the rows, keys or list lengths do not line up
 (or a file is not UTF-8 CSV or JSON)::
 
     marginal_effects.csv  <sha256>  <sha256>  max relative difference 1.72e-15, non-numeric differences 0
+
+For a ``.jsonl`` file (a plan) it goes on with the number of lines that
+differ and the number of the first one, or ``layouts differ`` when the two
+files do not have the same number of lines::
+
+    plan.jsonl  <sha256>  <sha256>  differing lines 2, first at line 1437
 """
 
 from __future__ import annotations
@@ -111,6 +117,15 @@ def numeric_difference(a: Path, b: Path) -> str:
     return f"max relative difference {largest:.2e}, non-numeric differences {other}"
 
 
+def line_difference(a: Path, b: Path) -> str:
+    """How the lines of two JSONL files differ, as one phrase."""
+    lines_a, lines_b = a.read_bytes().split(b"\n"), b.read_bytes().split(b"\n")
+    if len(lines_a) != len(lines_b):
+        return "layouts differ"
+    differ = [i for i, (x, y) in enumerate(zip(lines_a, lines_b), 1) if x != y]
+    return f"differing lines {len(differ)}, first at line {differ[0]}"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) not in (1, 2):
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
@@ -134,10 +149,11 @@ def main(argv: list[str]) -> int:
         line = f"{name}  {a}  {b}"
         if a != b:
             differ.append(name)
-            if "-" not in (a, b) and Path(name).suffix in (".csv", ".json"):
-                line += "  " + numeric_difference(
-                    *(p / name if p.is_dir() else p for p in map(Path, argv))
-                )
+            suffix = Path(name).suffix
+            if "-" not in (a, b) and suffix in (".csv", ".json", ".jsonl"):
+                pair = (p / name if p.is_dir() else p for p in map(Path, argv))
+                compare = line_difference if suffix == ".jsonl" else numeric_difference
+                line += "  " + compare(*pair)
         print(line)
     print(f"differ ({len(differ)}): {', '.join(differ) if differ else 'none'}")
     return 1 if differ else 0

@@ -53,7 +53,6 @@ from .metrics import (
 )
 from .planner import (
     GenerationPlan,
-    PlanEntry,
     SamplingWeights,
     StyleAssignment,
     WeightEntry,

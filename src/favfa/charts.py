@@ -5,6 +5,8 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 from xml.sax.saxutils import escape
 
+import numpy as np
+
 from .anova import AnovaTable
 from .logit import MarginalEffect
 
@@ -176,7 +178,7 @@ def qq_plot_svg(panels: Mapping[str, Sequence[float]]) -> str:
     for pi, name in enumerate(names):
         ox = margin + pi * (size + spacing)
         oy = margin + 10
-        values = sorted(panels[name])
+        values = np.sort(np.asarray(panels[name])).tolist()
         n = len(values)
         m = min(n, _QQ_POINTS)
         ranks = [(i * n) // m for i in range(m)]

@@ -8,9 +8,11 @@ percentages; files always carry raw proportions.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Iterable
@@ -33,7 +35,7 @@ from .schema import load_schema
 from .util import named_seed
 
 
-#: Plan entries serialised per write: the JSONL of a DCFace-scale plan
+#: Plan lines serialised per write: the JSONL of a DCFace-scale plan
 #: (10,000 identities x 50 styles) is 30 MB, and is never held whole.
 _PLAN_CHUNK = 1000
 
@@ -58,13 +60,24 @@ def _comma_list(ctx, param, value: str | None) -> tuple[str, ...] | None:
 
 
 def _write(path: str, chunks: Iterable[str]) -> None:
-    """Write the text chunks to ``path``, or fail with an OutputError."""
+    """Write the text chunks to a temporary sibling of ``path`` and move it
+    onto ``path`` once all are written, or fail with an OutputError: a
+    failed write leaves no partial file, and any earlier file unchanged."""
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+        fh = open(tmp, "x", encoding="utf-8")
     except OSError as error:
         _fail(OutputError(path, error))
+    try:
+        with fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException as error:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(error, OSError):
+            _fail(OutputError(path, error))
+        raise
 
 
 def _diversity_table(scores: dict[str, float]) -> str:
@@ -189,12 +202,16 @@ def cmd_plan(schema_path, ids_path, styles_path, n_identities, samples, seed, ou
     _write(
         out_path,
         (
-            plan_to_jsonl(GenerationPlan(plan.entries[start : start + _PLAN_CHUNK]))
-            for start in range(0, len(plan.entries), _PLAN_CHUNK)
+            plan_to_jsonl(GenerationPlan(
+                plan.ids[start : start + _PLAN_CHUNK],
+                plan.group[start : start + _PLAN_CHUNK],
+                plan.groups,
+            ))
+            for start in range(0, len(plan.ids), _PLAN_CHUNK)
         ),
     )
     click.echo(_diversity_table(scores))
-    click.echo(f"wrote {len(plan.entries)} identities × {samples} styles to {out_path}")
+    click.echo(f"wrote {len(plan.ids)} identities × {samples} styles to {out_path}")
 
 
 @main.command("weights")

@@ -14,6 +14,8 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 import numpy as np
@@ -52,16 +54,15 @@ class StyleAssignment:
     pose_bin: int
 
 
-@dataclass(frozen=True)
-class PlanEntry:
-    id_image: str
-    segment: tuple[str, ...]
-    styles: tuple[StyleAssignment, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GenerationPlan:
-    entries: tuple[PlanEntry, ...]
+    """A plan as columns: identity ``ids[i]`` is in group ``group[i]``, and
+    ``groups[g]`` is group g's segment and the styles every identity of it
+    gets."""
+
+    ids: tuple[str, ...]
+    group: np.ndarray
+    groups: tuple[tuple[tuple[str, ...], tuple[StyleAssignment, ...]], ...]
 
 
 def _raw_weights(
@@ -192,20 +193,19 @@ def select_id_pool(
 def _greedy_fill(
     cells: dict[tuple[int, int], list[str]], k: int
 ) -> list[tuple[str, tuple[int, int]]]:
-    """Pick k styles one at a time, always from the least-filled cell that
-    still has unused candidates; ties break to the lowest cell index, then
-    candidates are consumed in id order."""
+    """The first k styles in (rank within cell, cell) order, each cell's
+    candidates ranked in id order: picking one at a time from the
+    least-filled cell that still has candidates, lowest cell first, visits
+    the cells round-robin in exactly this order."""
     order = sorted(cells)
-    cursor = {cell: 0 for cell in order}
-    counts = {cell: 0 for cell in order}
-    chosen: list[tuple[str, tuple[int, int]]] = []
-    for _ in range(k):
-        available = [c for c in order if cursor[c] < len(cells[c])]
-        cell = min(available, key=lambda c: (counts[c], c))
-        chosen.append((cells[cell][cursor[cell]], cell))
-        cursor[cell] += 1
-        counts[cell] += 1
-    return chosen
+    depth = max(map(len, cells.values()), default=0)
+    ranked = (
+        (cells[cell][rank], cell)
+        for rank in range(depth)
+        for cell in order
+        if rank < len(cells[cell])
+    )
+    return list(islice(ranked, k))
 
 
 def assign_styles(
@@ -221,8 +221,9 @@ def assign_styles(
     identity styles are distinct and chosen greedily to keep its (age bin,
     pose bin) cell counts level. The fill depends only on the segment's
     style pool, so every identity of a segment gets the same style list:
-    its entries share one ``styles`` tuple. The whole construction is
-    deterministic, so equal inputs give byte-identical plans.
+    the plan holds one group per segment, in schema order, and one
+    ``styles`` tuple per group. The whole construction is deterministic, so
+    equal inputs give byte-identical plans.
 
     An unknown id in ``plan_ids`` raises first. The other inputs are judged
     by one mask per check, and the first image a mask flags raises its first
@@ -249,85 +250,69 @@ def assign_styles(
         for ids in cells.values():
             ids.sort()
 
-    rows = np.array([frame.row(image_id) for image_id in plan_ids], dtype=np.intp)
+    rows = np.array(list(map(frame.row, plan_ids)), dtype=np.intp)
     codes, segments, checks = _segments(frame, schema, rows)
     have = [sum(map(len, by_segment.get(segment, {}).values())) for segment in segments]
     # a row without a segment (code -1) is flagged by an earlier check
     short = np.array(have)[codes] < samples_per_identity
     raise_first(checks + [(short, lambda i: InsufficientStyles(
         segments[codes[i]], have[codes[i]], samples_per_identity))])
-    fills: dict[tuple[str, ...], tuple[StyleAssignment, ...]] = {}
-    entries = []
-    for image_id, code in zip(plan_ids, codes.tolist()):
-        segment = segments[code]
-        if segment not in fills:
-            cells = by_segment.get(segment, {})
-            fills[segment] = tuple(
-                StyleAssignment(style_image=sid, age_bin=cell[0], pose_bin=cell[1])
-                for sid, cell in _greedy_fill(cells, samples_per_identity)
-            )
-        entries.append(PlanEntry(id_image=image_id, segment=segment, styles=fills[segment]))
-    return GenerationPlan(tuple(entries))
+    present, group = np.unique(codes, return_inverse=True)
+    groups = []
+    for code in present.tolist():
+        fill = _greedy_fill(by_segment.get(segments[code], {}), samples_per_identity)
+        groups.append((segments[code], tuple(
+            StyleAssignment(style_image=sid, age_bin=cell[0], pose_bin=cell[1])
+            for sid, cell in fill
+        )))
+    return GenerationPlan(tuple(plan_ids), group, tuple(groups))
 
 
 def plan_diversity_report(
     plan: GenerationPlan, schema: AttributeSchema
 ) -> dict[str, float]:
     """Diversity of the plan's segment attributes (over identities) and of
-    its age and pose bins (over style assignments)."""
+    its age and pose bins (over style assignments): each group counts once,
+    weighted by its number of identities."""
+    sizes = np.bincount(plan.group, minlength=len(plan.groups)).tolist()
+    counts: dict[str, Counter] = {name: Counter() for name in (*SEGMENT_ATTRS, "age", "pose")}
+    for (segment, styles), n in zip(plan.groups, sizes):
+        for name, level in zip(SEGMENT_ATTRS, segment):
+            counts[name][level] += n
+        for s in styles:
+            counts["age"][s.age_bin] += n
+            counts["pose"][s.pose_bin] += n
     out: dict[str, float] = {}
-    for i, name in enumerate(SEGMENT_ATTRS):
-        levels = schema[name].levels
-        counts = Counter(e.segment[i] for e in plan.entries)
-        out[name] = diversity([counts.get(l, 0) for l in levels], len(levels))
-    # Entries of one segment share one styles tuple (see assign_styles):
-    # count each distinct tuple once, weighted by the entries holding it.
-    shared = Counter(id(e.styles) for e in plan.entries)
-    styles_of = {id(e.styles): e.styles for e in plan.entries}
-    age_counts: Counter[int] = Counter()
-    pose_counts: Counter[int] = Counter()
-    for key, n_entries in shared.items():
-        for s in styles_of[key]:
-            age_counts[s.age_bin] += n_entries
-            pose_counts[s.pose_bin] += n_entries
-    out["age"] = diversity(
-        [age_counts.get(i, 0) for i in range(schema["age"].n_bins)],
-        schema["age"].n_bins,
-    )
-    out["pose"] = diversity(
-        [pose_counts.get(i, 0) for i in range(schema["pose"].n_bins)],
-        schema["pose"].n_bins,
-    )
+    for name, tally in counts.items():
+        keys = schema[name].levels if name in SEGMENT_ATTRS else range(schema[name].n_bins)
+        out[name] = diversity([tally[key] for key in keys], len(keys))
     return out
 
 
 def plan_to_jsonl(plan: GenerationPlan) -> str:
     """One JSON object per identity, the handoff format for image generators.
 
-    Each line is the entry encoded with sorted keys: its ``"id_image"``
-    first, then a ``"segment"``/``"styles"`` tail that every entry with the
-    same segment and styles tuple shares, so each tail is encoded once. An
-    empty plan gives a single newline.
+    Each line is the identity's object encoded with sorted keys: its
+    ``"id_image"`` first, then the ``"segment"``/``"styles"`` tail of its
+    group, encoded once for each group the plan uses. An empty plan gives a
+    single newline.
     """
-    tails: dict[tuple[int, tuple[str, ...]], str] = {}
-    lines = []
-    for entry in plan.entries:
-        key = (id(entry.styles), entry.segment)
-        tail = tails.get(key)
-        if tail is None:
-            tail = tails[key] = json.dumps(
-                {
-                    "segment": dict(zip(SEGMENT_ATTRS, entry.segment)),
-                    "styles": [
-                        {
-                            "style_image": s.style_image,
-                            "age_bin": s.age_bin,
-                            "pose_bin": s.pose_bin,
-                        }
-                        for s in entry.styles
-                    ],
-                },
-                sort_keys=True,
-            )[1:]
-        lines.append(f'{{"id_image": {json.dumps(entry.id_image)}, {tail}\n')
-    return "".join(lines) or "\n"
+    used = np.bincount(plan.group, minlength=len(plan.groups)).tolist()
+    tails = [
+        json.dumps(
+            {
+                "segment": dict(zip(SEGMENT_ATTRS, segment)),
+                "styles": [
+                    {"style_image": s.style_image, "age_bin": s.age_bin, "pose_bin": s.pose_bin}
+                    for s in styles
+                ],
+            },
+            sort_keys=True,
+        )[1:] + "\n" if n else ""
+        for (segment, styles), n in zip(plan.groups, used)
+    ]
+    # one join copies every piece once; a string per line would copy each tail twice
+    parts: list[str] = []
+    for image_id, g in zip(plan.ids, plan.group.tolist()):
+        parts += ('{"id_image": ', encode_basestring_ascii(image_id), ", ", tails[g])
+    return "".join(parts) or "\n"

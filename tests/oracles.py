@@ -10,6 +10,7 @@ were computed on row copies of each resample, before frequency weights.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, replace
 
@@ -459,3 +460,45 @@ def qq_points(values, max_points=512):
         picks = values
         theory = [(i + 0.5) / n for i in range(n)]
     return list(zip(theory, picks))
+
+
+def greedy_fill_stepwise(cells, k):
+    """Pick k styles one at a time, always from the least-filled cell that
+    still has unused candidates; ties break to the lowest cell index, then
+    candidates are consumed in id order."""
+    order = sorted(cells)
+    cursor = {cell: 0 for cell in order}
+    counts = {cell: 0 for cell in order}
+    chosen = []
+    for _ in range(k):
+        available = [c for c in order if cursor[c] < len(cells[c])]
+        cell = min(available, key=lambda c: (counts[c], c))
+        chosen.append((cells[cell][cursor[cell]], cell))
+        cursor[cell] += 1
+        counts[cell] += 1
+    return chosen
+
+
+def plan_rows(plan):
+    """``(id_image, segment, styles)`` of each planned identity, read off the
+    plan's columns."""
+    return [(image_id, *plan.groups[g]) for image_id, g in zip(plan.ids, plan.group.tolist())]
+
+
+def reference_jsonl(plan):
+    """Every identity encoded on its own, with sorted keys."""
+    return "".join(
+        json.dumps(
+            {
+                "id_image": image_id,
+                "segment": dict(zip(("gender", "ethnicity"), segment)),
+                "styles": [
+                    {"style_image": s.style_image, "age_bin": s.age_bin, "pose_bin": s.pose_bin}
+                    for s in styles
+                ],
+            },
+            sort_keys=True,
+        )
+        + "\n"
+        for image_id, segment, styles in plan_rows(plan)
+    )

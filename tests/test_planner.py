@@ -8,6 +8,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ImageRow, image, image_rows, load_tables, outcome
 from favfa.data import LevelCodes
@@ -22,8 +24,8 @@ from favfa.errors import (
 from favfa.metrics import diversity
 from favfa.planner import (
     GenerationPlan,
-    PlanEntry,
     StyleAssignment,
+    _greedy_fill,
     assign_styles,
     loss_weights,
     plan_diversity_report,
@@ -34,6 +36,7 @@ from favfa.planner import (
 )
 from favfa.schema import AttributeDef, AttributeSchema, Continuous, Scope
 from favfa.synth import default_schema, make_planner_pools
+from oracles import greedy_fill_stepwise, plan_rows, reference_jsonl
 
 # --- weights ---
 
@@ -232,8 +235,8 @@ def test_assign_styles_balanced_fill():
     styles = style_grid(schema_p, [(0, 0), (0, 1), (1, 0), (1, 1)], per_cell=3)
     pool = select_id_pool(ids, schema_p, 8, seed=0)
     plan = assign_styles(pool, ids, styles, schema_p, 8)
-    for entry in plan.entries:
-        cells = Counter((s.age_bin, s.pose_bin) for s in entry.styles)
+    for _, _, entry_styles in plan_rows(plan):
+        cells = Counter((s.age_bin, s.pose_bin) for s in entry_styles)
         assert set(cells.values()) == {2}
         assert len(cells) == 4
 
@@ -243,9 +246,9 @@ def test_assign_styles_single_cell_forced():
     styles = style_grid(schema_p, [(0, 0)], per_cell=8)
     pool = select_id_pool(ids, schema_p, 8, seed=0)
     plan = assign_styles(pool, ids, styles, schema_p, 8)
-    for entry in plan.entries:
-        assert len({s.style_image for s in entry.styles}) == 8
-        assert {(s.age_bin, s.pose_bin) for s in entry.styles} == {(0, 0)}
+    for _, _, entry_styles in plan_rows(plan):
+        assert len({s.style_image for s in entry_styles}) == 8
+        assert {(s.age_bin, s.pose_bin) for s in entry_styles} == {(0, 0)}
 
 
 def test_assign_styles_missing_segment():
@@ -277,15 +280,15 @@ def test_assign_styles_guarantees():
             schema_p["pose"].bin_index(float(rec.values["pose"])),
         )
         by_segment_cells.setdefault(seg, Counter())[cell] += 1
-    for entry in plan.entries:
-        id_rec = id_rows[entry.id_image]
-        assert entry.segment == (id_rec.values["gender"], id_rec.values["ethnicity"])
-        for s in entry.styles:
+    for id_image, segment, entry_styles in plan_rows(plan):
+        id_rec = id_rows[id_image]
+        assert segment == (id_rec.values["gender"], id_rec.values["ethnicity"])
+        for s in entry_styles:
             donor = style_rows[s.style_image]
-            assert (donor.values["gender"], donor.values["ethnicity"]) == entry.segment
-        assert len({s.style_image for s in entry.styles}) == len(entry.styles)
-        used = Counter((s.age_bin, s.pose_bin) for s in entry.styles)
-        capacity = by_segment_cells[entry.segment]
+            assert (donor.values["gender"], donor.values["ethnicity"]) == segment
+        assert len({s.style_image for s in entry_styles}) == len(entry_styles)
+        used = Counter((s.age_bin, s.pose_bin) for s in entry_styles)
+        capacity = by_segment_cells[segment]
         open_counts = [used.get(c, 0) for c in capacity if used.get(c, 0) < capacity[c]]
         if open_counts:
             assert max(open_counts) - min(open_counts) <= 1
@@ -300,61 +303,52 @@ def test_plan_outputs_deterministic():
     assert set(first) == {"id_image", "segment", "styles"}
 
 
-def reference_jsonl(plan):
-    """Every entry encoded on its own, with sorted keys."""
-    return "".join(
-        json.dumps(
-            {
-                "id_image": entry.id_image,
-                "segment": dict(zip(("gender", "ethnicity"), entry.segment)),
-                "styles": [
-                    {"style_image": s.style_image, "age_bin": s.age_bin, "pose_bin": s.pose_bin}
-                    for s in entry.styles
-                ],
-            },
-            sort_keys=True,
-        )
-        + "\n"
-        for entry in plan.entries
-    )
-
-
 def recount_diversity(plan, schema):
-    """plan_diversity_report's age and pose figures, counted style by style."""
+    """plan_diversity_report's figures, counted identity by identity and
+    style by style."""
     out = {}
+    for i, name in enumerate(("gender", "ethnicity")):
+        counts = Counter(segment[i] for _, segment, _ in plan_rows(plan))
+        levels = schema[name].levels
+        out[name] = diversity([counts.get(l, 0) for l in levels], len(levels))
     for name, field in (("age", "age_bin"), ("pose", "pose_bin")):
-        counts = Counter(getattr(s, field) for e in plan.entries for s in e.styles)
+        counts = Counter(getattr(s, field) for _, _, styles in plan_rows(plan) for s in styles)
         n_bins = schema[name].n_bins
         out[name] = diversity([counts.get(i, 0) for i in range(n_bins)], n_bins)
     return out
 
 
 def hand_built_plan():
-    """Two entries of one segment with equal but distinct styles tuples, a
-    third of that segment with other styles, and a fourth of another segment
-    holding the first entry's very tuple."""
+    """Two groups of one segment with equal but distinct styles tuples, a
+    third of that segment with other styles, a fourth of another segment
+    holding the first group's very tuple, and a fifth no identity is in."""
     shared = (StyleAssignment("s1", 0, 0), StyleAssignment("s2", 3, 1))
     equal = tuple(list(shared))
     assert equal == shared and equal is not shared
     other = (StyleAssignment("s3", 5, 4), StyleAssignment("s\u00e9", 5, 4))
     male_asian, female_african = ("Male", "Asian"), ("Female", "African")
     return GenerationPlan(
+        ("id1", "id2", "id3", 'id"4', "s\u00e9", "id6"),
+        np.array([0, 1, 2, 3, 3, 0]),
         (
-            PlanEntry("id1", male_asian, shared),
-            PlanEntry("id2", male_asian, equal),
-            PlanEntry("id3", male_asian, other),
-            PlanEntry('id"4', female_african, shared),
-        )
+            (male_asian, shared),
+            (male_asian, equal),
+            (male_asian, other),
+            (female_african, shared),
+            (("Female", "Indian"), other),
+        ),
     )
 
 
 def test_assign_styles_entries_of_a_segment_share_one_styles_tuple():
     schema_p, ids, styles = make_planner_pools(ids_per_cell=3, styles_per_segment=30)
     plan = assign_styles(select_id_pool(ids, schema_p, 24, seed=1), ids, styles, schema_p, 6)
-    by_segment = {}
-    for entry in plan.entries:
-        assert entry.styles is by_segment.setdefault(entry.segment, entry.styles)
-    assert len(by_segment) == 8
+    segments = [segment for segment, _ in plan.groups]
+    assert segments == [(g, e) for g in GENDERS for e in ETHNICITIES]
+    assert np.bincount(plan.group).tolist() == [3] * 8
+    id_rows = {r.image_id: r for r in image_rows(ids)}
+    for id_image, segment, _ in plan_rows(plan):
+        assert segment == (id_rows[id_image].values["gender"], id_rows[id_image].values["ethnicity"])
 
 
 def test_plan_to_jsonl_equals_per_entry_encoding():
@@ -368,11 +362,9 @@ def test_plan_to_jsonl_equals_per_entry_encoding():
 def test_plan_diversity_equals_per_style_recount():
     schema_p, ids, styles = make_planner_pools(ids_per_cell=3, styles_per_segment=30)
     plan = assign_styles(select_id_pool(ids, schema_p, 24, seed=1), ids, styles, schema_p, 7)
-    report = plan_diversity_report(plan, schema_p)
-    assert {k: report[k] for k in ("age", "pose")} == recount_diversity(plan, schema_p)
+    assert plan_diversity_report(plan, schema_p) == recount_diversity(plan, schema_p)
     hand = hand_built_plan()
-    report = plan_diversity_report(hand, schema_p)
-    assert {k: report[k] for k in ("age", "pose")} == recount_diversity(hand, schema_p)
+    assert plan_diversity_report(hand, schema_p) == recount_diversity(hand, schema_p)
 
 
 def test_plan_diversity_cases():
@@ -410,11 +402,11 @@ def test_greedy_beats_random_baseline():
     rng = np.random.default_rng(99)
     age_counts: Counter = Counter()
     pose_counts: Counter = Counter()
-    for entry in plan.entries:
+    for _, segment, _ in plan_rows(plan):
         segment_styles = [
             r
             for r in image_rows(styles)
-            if (r.values["gender"], r.values["ethnicity"]) == entry.segment
+            if (r.values["gender"], r.values["ethnicity"]) == segment
         ]
         picks = rng.choice(len(segment_styles), size=n_cells, replace=False)
         for k in picks:
@@ -429,6 +421,25 @@ def test_greedy_beats_random_baseline():
     )
     assert greedy_report["age"] >= random_age
     assert greedy_report["pose"] >= random_pose
+
+
+@st.composite
+def cell_maps(draw):
+    """Style cells of uneven sizes, each a sorted list of distinct ids, and
+    a k from 1 up to the number of candidates."""
+    keys = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                         min_size=1, max_size=8, unique=True))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=len(keys), max_size=len(keys)))
+    cells = {key: sorted(f"s{key[0]}{key[1]}_{j}" for j in range(size))
+             for key, size in zip(keys, sizes)}
+    return cells, draw(st.integers(1, sum(sizes)))
+
+
+@given(cell_maps())
+@settings(max_examples=200, deadline=None)
+def test_greedy_fill_equals_stepwise_oracle(case):
+    cells, k = case
+    assert _greedy_fill(cells, k) == greedy_fill_stepwise(cells, k)
 
 
 # --- errors read off masks against an image-by-image reference ---

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import csv
+import errno
 import hashlib
 import importlib
 import io
@@ -14,6 +15,7 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -22,6 +24,7 @@ import favfa.cli
 from favfa.cli import main
 from favfa.data import consolidate_identity_attributes, load_images
 from favfa.planner import assign_styles, plan_to_jsonl, select_id_pool
+from oracles import reference_jsonl
 from favfa.report import AnalysisConfig, run_analysis
 from favfa.schema import load_schema
 from favfa.synth import make_verification_dataset, write_dataset
@@ -462,11 +465,11 @@ def test_cli_diversity_extremes(tmp_path):
     ).output
 
 
-def write_planner_inputs(tmp_path):
+def write_planner_inputs(tmp_path, ids_per_cell=2):
     from favfa.schema import schema_to_dict
     from favfa.synth import make_planner_pools
 
-    schema, ids, styles = make_planner_pools(ids_per_cell=2, styles_per_segment=40)
+    schema, ids, styles = make_planner_pools(ids_per_cell=ids_per_cell, styles_per_segment=40)
     schema_path = tmp_path / "schema.json"
     schema_path.write_text(canonical_json(schema_to_dict(schema)))
 
@@ -522,6 +525,63 @@ def test_cli_plan_file_equals_plan_to_jsonl(tmp_path, monkeypatch):
     pool = select_id_pool(ids, schema, 16, named_seed(3, "planner"))
     plan = assign_styles(pool, ids, styles, schema, 5)
     assert out.read_bytes() == plan_to_jsonl(plan).encode("utf-8")
+
+
+def test_cli_plan_chunk_edges_inside_a_segment(tmp_path, monkeypatch):
+    # five identities per segment, written in chunks of seven lines, so most
+    # chunk edges fall inside one segment's run of lines
+    monkeypatch.setattr(favfa.cli, "_PLAN_CHUNK", 7)
+    schema_path, ids_path, styles_path = write_planner_inputs(tmp_path, ids_per_cell=5)
+    out = tmp_path / "plan.jsonl"
+    result = CliRunner().invoke(
+        main,
+        ["plan", "--schema", str(schema_path), "--ids", str(ids_path),
+         "--styles", str(styles_path), "--n-identities", "40", "--samples", "6",
+         "--seed", "2", "--out", str(out)],
+    )
+    assert result.exit_code == 0, result.output
+
+    schema = load_schema(schema_path)
+    ids = consolidate_identity_attributes(load_images(ids_path, schema), schema)
+    styles = consolidate_identity_attributes(load_images(styles_path, schema), schema)
+    pool = select_id_pool(ids, schema, 40, named_seed(2, "planner"))
+    plan = assign_styles(pool, ids, styles, schema, 6)
+    assert np.bincount(plan.group).tolist() == [5] * 8
+    assert out.read_text(encoding="utf-8") == reference_jsonl(plan)
+
+
+@pytest.mark.parametrize("earlier", [None, "an earlier plan\n"])
+def test_cli_plan_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, earlier):
+    # the chunk source fails with ENOSPC after its first chunk
+    monkeypatch.setattr(favfa.cli, "_PLAN_CHUNK", 3)
+    calls = []
+
+    def first_chunk_only(plan):
+        calls.append(len(plan.ids))
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return plan_to_jsonl(plan)
+
+    monkeypatch.setattr(favfa.cli, "plan_to_jsonl", first_chunk_only)
+    schema_path, ids_path, styles_path = write_planner_inputs(tmp_path)
+    out = tmp_path / "out" / "plan.jsonl"
+    out.parent.mkdir()
+    if earlier is not None:
+        out.write_text(earlier)
+    result = CliRunner().invoke(
+        main,
+        ["plan", "--schema", str(schema_path), "--ids", str(ids_path),
+         "--styles", str(styles_path), "--n-identities", "16", "--samples", "5",
+         "--out", str(out)],
+    )
+    assert_one_json_error(result, "OutputError")
+    assert os.strerror(errno.ENOSPC) in json.loads(result.stderr)["message"]
+    assert calls == [3, 3]
+    if earlier is None:
+        assert list(out.parent.iterdir()) == []
+    else:
+        assert list(out.parent.iterdir()) == [out]
+        assert out.read_text() == earlier
 
 
 def test_cli_plan_missing_cell_exit_1(tmp_path):
@@ -757,11 +817,32 @@ def test_bundle_digest_compares_two_files(tmp_path):
     differ = run(tmp_path / "a.jsonl", tmp_path / "b.jsonl")
     assert differ.returncode == 1
     assert differ.stdout.splitlines() == [
-        f"a.jsonl  {sha256(bytes([49, 10]))}  {sha256(bytes([50, 10]))}",
+        f"a.jsonl  {sha256(bytes([49, 10]))}  {sha256(bytes([50, 10]))}"
+        "  differing lines 1, first at line 1",
         "differ (1): a.jsonl",
     ]
     same = run(tmp_path / "a.jsonl", tmp_path / "c.jsonl")
     assert (same.returncode, same.stdout.splitlines()[-1]) == (0, "differ (0): none")
+
+
+def test_bundle_digest_reports_differing_jsonl_lines(tmp_path):
+    script = REPO / "scripts" / "bundle_digest.py"
+    lines = [json.dumps({"id_image": f"id{i}"}) for i in range(6)]
+    (tmp_path / "a.jsonl").write_text("\n".join(lines) + "\n")
+    lines[2], lines[4] = lines[4], lines[2]
+    (tmp_path / "b.jsonl").write_text("\n".join(lines) + "\n")
+    (tmp_path / "c.jsonl").write_text("\n".join(lines))
+
+    def tail(first, second):
+        result = subprocess.run(
+            [sys.executable, str(script), str(tmp_path / first), str(tmp_path / second)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 1
+        return result.stdout.splitlines()[0].split("  ", 3)[3]
+
+    assert tail("a.jsonl", "b.jsonl") == "differing lines 2, first at line 3"
+    assert tail("b.jsonl", "c.jsonl") == "layouts differ"
 
 
 def test_bundle_digest_reports_numeric_differences(tmp_path):
