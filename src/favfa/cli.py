@@ -8,11 +8,7 @@ percentages; files always carry raw proportions.
 
 from __future__ import annotations
 
-import contextlib
-import csv
-import io
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Iterable
@@ -21,6 +17,7 @@ import click
 
 from .data import attribute_frequencies, consolidate_identity_attributes, load_images
 from .errors import FavfaError, OutputError, ParseError
+from .logit import interpret
 from .metrics import diversity
 from .planner import (
     GenerationPlan,
@@ -32,7 +29,7 @@ from .planner import (
 )
 from .report import AnalysisConfig, run_analysis
 from .schema import load_schema
-from .util import named_seed
+from .util import csv_text, named_seed, write_files
 
 
 #: Plan lines serialised per write: the JSONL of a DCFace-scale plan
@@ -60,24 +57,12 @@ def _comma_list(ctx, param, value: str | None) -> tuple[str, ...] | None:
 
 
 def _write(path: str, chunks: Iterable[str]) -> None:
-    """Write the text chunks to a temporary sibling of ``path`` and move it
-    onto ``path`` once all are written, or fail with an OutputError: a
-    failed write leaves no partial file, and any earlier file unchanged."""
-    tmp = f"{path}.{os.getpid()}.tmp"
+    """Write the text chunks to ``path`` through ``util.write_files``, or
+    fail with its OutputError."""
     try:
-        fh = open(tmp, "x", encoding="utf-8")
-    except OSError as error:
-        _fail(OutputError(path, error))
-    try:
-        with fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException as error:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        if isinstance(error, OSError):
-            _fail(OutputError(path, error))
-        raise
+        write_files({Path(path): chunks})
+    except OutputError as error:
+        _fail(error)
 
 
 def _diversity_table(scores: dict[str, float]) -> str:
@@ -149,12 +134,11 @@ def cmd_analyze(schema_path, images_path, pairs_path, out_dir, group_by, min_sup
         )
         + "   (percent)"
     )
-    effects_json = json.loads((result.outputs["marginal_effects.json"]).read_text())
     for model in ("fmr", "tmr"):
-        significant = [e for e in effects_json[model] if e["significant"]]
+        significant = [e for e in result.effects[model] if e.significant]
         click.echo(f"{model.upper()} model: {len(significant)} significant effect(s)")
         for e in significant:
-            click.echo(f"  {e['interpretation']}")
+            click.echo(f"  {interpret(e, result.schema, model)}")
     click.echo("wrote: " + ", ".join(str(p) for _, p in sorted(result.outputs.items())))
 
 
@@ -229,11 +213,10 @@ def cmd_weights(schema_path, images_path, attrs, out_path):
         weights = sampling_weights(images, schema, attrs)
     except FavfaError as error:
         _fail(error)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["image_id", "weight", "probability"])
-    writer.writerows([e.image_id, repr(e.weight), repr(e.probability)] for e in weights.entries)
-    text = out.getvalue()
+    text = csv_text(
+        ["image_id", "weight", "probability"],
+        ((e.image_id, e.weight, e.probability) for e in weights.entries),
+    )
     if out_path:
         _write(out_path, [text])
         click.echo(f"wrote {len(weights.entries)} rows to {out_path}")

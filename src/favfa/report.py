@@ -4,21 +4,16 @@ A run loads the tables, optimizes the verification threshold, computes the
 fairness report, fits the positive- and negative-pair logit models with
 marginal effects, decomposes distance variance for both subsets, runs the
 residual diagnostics, and writes everything (JSON and CSV tables, SVG charts,
-a manifest with input hashes) into the output directory. Outputs are staged
-in a scratch directory and moved into place only on success, and every byte
-is deterministic for fixed inputs and seed.
+a manifest with input hashes) into the output directory. Every file is
+written by ``util.write_files``, so a failed run leaves no partial file, and
+every byte is deterministic for fixed inputs and seed.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-import os
 import platform
-import shutil
-import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,15 +44,25 @@ from .logit import (
 )
 from .metrics import (
     FairnessReport,
+    GroupStats,
     fairness_from_groups,
     fairness_report,  # unused here; perfbench/spans.py wraps this name
     group_confusion,
     optimize_threshold,
 )
-from .schema import load_schema
-from .util import canonical_json, named_seed, sha256_hex
+from .schema import AttributeSchema, load_schema
+from .util import canonical_json, csv_text, named_seed, sha256_hex, write_files
 
 MODEL_SUBSETS = {"tmr": Subset.POSITIVES, "fmr": Subset.NEGATIVES}
+
+#: The per-group statistics, in ``per_group.csv`` column order; each
+#: ``fairness_report.json`` ``per_group`` entry holds the same keys and
+#: ``group``.
+_GROUP_FIELDS = tuple(f.name for f in fields(GroupStats) if f.name != "group")
+#: The marginal-effect columns of ``marginal_effects.csv`` and keys of
+#: ``marginal_effects.json``, besides ``model``, ``bootstrap_se`` and
+#: ``interpretation``.
+_EFFECT_FIELDS = tuple(f.name for f in fields(MarginalEffect))
 
 
 @dataclass
@@ -78,6 +83,7 @@ class AnalysisConfig:
 
 @dataclass
 class AnalysisResult:
+    schema: AttributeSchema
     report: FairnessReport
     fits: dict[str, LogitFit]
     effects: dict[str, list[MarginalEffect]]
@@ -88,119 +94,58 @@ class AnalysisResult:
     outputs: dict[str, Path] = field(default_factory=dict)
 
 
-def _csv_text(header: list[str], rows: list[list[object]]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
-def _cell(value: object) -> object:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return value
-
-
 def _per_group_csv(report: FairnessReport, all_groups) -> str:
-    rows = []
     included = {g.group for g in report.per_group}
-    for g in all_groups:
-        rows.append(
-            [
-                g.group.label(),
-                g.n_pos,
-                g.n_neg,
-                g.tp,
-                g.fp,
-                g.tn,
-                g.fn,
-                _cell(g.tmr),
-                _cell(g.fmr),
-                _cell(g.accuracy),
-                _cell(g.selection_rate),
-                "yes" if g.group in included else "no",
-            ]
-        )
-    return _csv_text(
-        ["group", "n_pos", "n_neg", "tp", "fp", "tn", "fn", "tmr", "fmr",
-         "accuracy", "selection_rate", "included"],
-        rows,
+    rows = (
+        [g.group.label(), *(getattr(g, name) for name in _GROUP_FIELDS), g.group in included]
+        for g in all_groups
     )
+    return csv_text(["group", *_GROUP_FIELDS, "included"], rows)
 
 
 def _fit_csv(fit: LogitFit) -> str:
-    rows = [
-        [r["term"], _cell(r["estimate"]), _cell(r["std_error"]), _cell(r["z"]),
-         _cell(r["p_value"])]
-        for r in summarize_fit(fit)
-    ]
-    return _csv_text(["term", "estimate", "std_error", "z", "p_value"], rows)
+    header = ["term", "estimate", "std_error", "z", "p_value"]
+    return csv_text(header, ([r[name] for name in header] for r in summarize_fit(fit)))
 
 
-def _effects_csv(
-    effects: dict[str, list[MarginalEffect]],
-    bootstrap_se: dict[str, dict[tuple[str, str | None], float]],
-) -> str:
-    rows = []
-    for model in sorted(effects):
-        boot = bootstrap_se.get(model, {})
-        for e in effects[model]:
-            rows.append(
-                [
-                    model,
-                    e.attribute,
-                    _cell(e.level),
-                    _cell(e.unit),
-                    _cell(e.estimate),
-                    _cell(e.std_error),
-                    _cell(e.p_value),
-                    "yes" if e.significant else "no",
-                    _cell(boot.get(effect_key(e))),
-                ]
-            )
-    return _csv_text(
-        ["model", "attribute", "level", "unit", "estimate", "std_error",
-         "p_value", "significant", "bootstrap_se"],
-        rows,
+def _effect_rows(result: AnalysisResult):
+    """``(model, effect, row)`` for every marginal effect, models in name
+    order; ``row`` maps each of ``_EFFECT_FIELDS`` and ``bootstrap_se`` to
+    its value."""
+    for model in sorted(result.effects):
+        boot = result.bootstrap_se.get(model, {})
+        for e in result.effects[model]:
+            row = {name: getattr(e, name) for name in _EFFECT_FIELDS}
+            row["bootstrap_se"] = boot.get(effect_key(e))
+            yield model, e, row
+
+
+def _effects_csv(result: AnalysisResult) -> str:
+    return csv_text(
+        ["model", *_EFFECT_FIELDS, "bootstrap_se"],
+        ([model, *row.values()] for model, _, row in _effect_rows(result)),
     )
 
 
-def _effects_json(result: AnalysisResult, schema) -> dict:
-    out: dict[str, list[dict]] = {}
-    for model in sorted(result.effects):
-        boot = result.bootstrap_se.get(model, {})
-        out[model] = [
-            {
-                "attribute": e.attribute,
-                "level": e.level,
-                "unit": e.unit,
-                "estimate": e.estimate,
-                "std_error": e.std_error,
-                "p_value": e.p_value,
-                "significant": e.significant,
-                "bootstrap_se": boot.get(effect_key(e)),
-                "interpretation": interpret(e, schema, model),
-            }
-            for e in result.effects[model]
-        ]
+def _effects_json(result: AnalysisResult) -> dict:
+    out: dict[str, list[dict]] = {model: [] for model in result.effects}
+    for model, e, row in _effect_rows(result):
+        row["interpretation"] = interpret(e, result.schema, model)
+        out[model].append(row)
     return out
 
 
 def _anova_csv(table: AnovaTable) -> str:
     rows: list[list[object]] = [
-        [f.name, f.df, _cell(f.sum_squares), _cell(f.eta_squared)]
-        for f in table.factors
+        [f.name, f.df, f.sum_squares, f.eta_squared] for f in table.factors
     ]
     model_df = sum(f.df for f in table.factors)
-    rows.append(["residual", table.n - 1 - model_df, _cell(table.residual_ss), ""])
-    rows.append(["total", table.n - 1, _cell(table.total_ss), ""])
-    rows.append(["r_squared", "", "", _cell(table.r_squared)])
+    rows.append(["residual", table.n - 1 - model_df, table.residual_ss, None])
+    rows.append(["total", table.n - 1, table.total_ss, None])
+    rows.append(["r_squared", None, None, table.r_squared])
     if table.warnings:
-        rows.append(["warnings", "", "", "; ".join(table.warnings)])
-    return _csv_text(["name", "df", "sum_squares", "eta_squared"], rows)
+        rows.append(["warnings", None, None, "; ".join(table.warnings)])
+    return csv_text(["name", "df", "sum_squares", "eta_squared"], rows)
 
 
 def _report_json(report: FairnessReport, config: AnalysisConfig) -> dict:
@@ -215,19 +160,7 @@ def _report_json(report: FairnessReport, config: AnalysisConfig) -> dict:
         "grouping": list(config.grouping),
         "min_support": config.min_support,
         "per_group": [
-            {
-                "group": g.group.as_lists(),
-                "n_pos": g.n_pos,
-                "n_neg": g.n_neg,
-                "tp": g.tp,
-                "fp": g.fp,
-                "tn": g.tn,
-                "fn": g.fn,
-                "tmr": g.tmr,
-                "fmr": g.fmr,
-                "accuracy": g.accuracy,
-                "selection_rate": g.selection_rate,
-            }
+            {"group": g.group.as_lists(), **{name: getattr(g, name) for name in _GROUP_FIELDS}}
             for g in report.per_group
         ],
         "excluded_groups": [k.as_lists() for k in report.excluded_groups],
@@ -345,6 +278,7 @@ def run_analysis(config: AnalysisConfig) -> AnalysisResult:
         )
 
     result = AnalysisResult(
+        schema=schema,
         report=report,
         fits=fits,
         effects=effects,
@@ -359,8 +293,8 @@ def run_analysis(config: AnalysisConfig) -> AnalysisResult:
         "per_group.csv": _per_group_csv(report, all_groups),
         "logit_tmr.csv": _fit_csv(fits["tmr"]),
         "logit_fmr.csv": _fit_csv(fits["fmr"]),
-        "marginal_effects.csv": _effects_csv(effects, bootstrap_se),
-        "marginal_effects.json": canonical_json(_effects_json(result, schema)),
+        "marginal_effects.csv": _effects_csv(result),
+        "marginal_effects.json": canonical_json(_effects_json(result)),
         "marginal_effects.svg": marginal_effects_svg(effects),
         "anova_pos.csv": _anova_csv(anova_tables["tmr"]),
         "anova_neg.csv": _anova_csv(anova_tables["fmr"]),
@@ -378,16 +312,8 @@ def run_analysis(config: AnalysisConfig) -> AnalysisResult:
     out_dir = Path(config.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        staging = Path(tempfile.mkdtemp(prefix=".favfa-staging-", dir=out_dir.parent))
-        try:
-            for name, text in files.items():
-                (staging / name).write_text(text, encoding="utf-8")
-            for name in files:
-                os.replace(staging / name, out_dir / name)
-        finally:
-            shutil.rmtree(staging, ignore_errors=True)
     except OSError as error:
         raise OutputError(out_dir, error) from error
-
     result.outputs = {name: out_dir / name for name in files}
+    write_files({result.outputs[name]: (text,) for name, text in files.items()})
     return result

@@ -139,7 +139,7 @@ def test_cli_contract_on_damaged_inputs(command, target, damage, where):
             assert set(json.loads(lines[0])) == {"error", "message"}
             if command == "analyze":
                 assert not (root / "out").exists()
-                assert not list(root.glob(".favfa-staging-*"))
+                assert not list(root.rglob("*.tmp"))
         if damage in OVERFLOWS:
             rows = base_texts()[target].splitlines()[1:]
             image_id = rows[where % len(rows)].split(",")[0]

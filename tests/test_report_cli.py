@@ -21,6 +21,7 @@ from click.testing import CliRunner
 
 from conftest import image_rows
 import favfa.cli
+import favfa.util
 from favfa.cli import main
 from favfa.data import consolidate_identity_attributes, load_images
 from favfa.planner import assign_styles, plan_to_jsonl, select_id_pool
@@ -769,6 +770,104 @@ def test_cli_unwritable_out_exit_1(tmp_path, args, parent):
     assert repr(str(out)) in json.loads(result.stderr)["message"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "in"]
     assert (tmp_path / "file").read_text() == "kept\n"
+
+
+def test_cli_analyze_writes_nothing_outside_out(tmp_path, monkeypatch):
+    # every bundle file is moved into place from inside --out, so an --out
+    # that is a mount point of its own is written like any other directory
+    moves = []
+    real_replace = os.replace
+
+    def spy(src, dst, *args, **kwargs):
+        moves.append((Path(src), Path(dst)))
+        return real_replace(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(os, "replace", spy)
+    out = tmp_path / "parent" / "out"
+    result = CliRunner().invoke(main, demo_args(DEMO / "pairs.csv", out))
+    assert result.exit_code == 0, result.output
+    assert sorted(dst.name for _, dst in moves) == sorted(BUNDLE)
+    assert [src.parent for src, _ in moves] == [out] * len(BUNDLE)
+    assert [dst.parent for _, dst in moves] == [out] * len(BUNDLE)
+    assert [p.name for p in out.parent.iterdir()] == ["out"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(BUNDLE)
+
+
+@pytest.mark.parametrize("nth", [1, 6, len(BUNDLE)])
+def test_cli_analyze_failed_write_keeps_earlier_bundle(tmp_path, monkeypatch, nth):
+    # the write of the nth bundle file fails with ENOSPC after a few bytes
+    out = tmp_path / "out"
+    args = demo_args(DEMO / "pairs.csv", out)
+    assert CliRunner().invoke(main, [*args, "--seed", "4"]).exit_code == 0
+    earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+    written = []
+    real_open = open
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def writelines(self, chunks):
+            self.fh.write(next(iter(chunks))[:10])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def open_filling_the_disk(file, mode="r", **kwargs):
+        fh = real_open(file, mode, **kwargs)
+        if "r" in mode:
+            return fh
+        written.append(str(file))
+        return FullDisk(fh) if len(written) == nth else fh
+
+    monkeypatch.setattr(favfa.util, "open", open_filling_the_disk, raising=False)
+    result = CliRunner().invoke(main, [*args, "--seed", "3"])
+    assert_one_json_error(result, "OutputError")
+    assert len(written) == nth
+    target = written[-1].removesuffix(f".{os.getpid()}.tmp")
+    assert Path(target).parent == out and Path(target).name in BUNDLE
+    message = json.loads(result.stderr)["message"]
+    assert repr(target) in message and os.strerror(errno.ENOSPC) in message
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_bundle_headers_and_keys_pinned(demo_dir, tmp_path):
+    # headers and keys come from the dataclass fields: a field added to
+    # GroupStats or MarginalEffect shows up here
+    out = tmp_path / "out"
+    run_analysis(config_for(demo_dir, out, bootstrap=5))
+    fit = "term,estimate,std_error,z,p_value"
+    anova = "name,df,sum_squares,eta_squared"
+    headers = {
+        name: (out / name).read_text().split("\n", 1)[0]
+        for name in BUNDLE if name.endswith(".csv")
+    }
+    assert headers == {
+        "per_group.csv": "group,n_pos,n_neg,tp,fp,tn,fn,tmr,fmr,accuracy,selection_rate,included",
+        "logit_tmr.csv": fit,
+        "logit_fmr.csv": fit,
+        "anova_pos.csv": anova,
+        "anova_neg.csv": anova,
+        "marginal_effects.csv": (
+            "model,attribute,level,unit,estimate,std_error,p_value,significant,bootstrap_se"
+        ),
+    }
+    report = json.loads((out / "fairness_report.json").read_text())
+    assert {frozenset(g) for g in report["per_group"]} == {frozenset({
+        "group", "n_pos", "n_neg", "tp", "fp", "tn", "fn", "tmr", "fmr", "accuracy",
+        "selection_rate",
+    })}
+    effects = json.loads((out / "marginal_effects.json").read_text())
+    assert sorted(effects) == ["fmr", "tmr"]
+    assert {frozenset(e) for model in effects.values() for e in model} == {frozenset({
+        "attribute", "level", "unit", "estimate", "std_error", "p_value", "significant",
+        "bootstrap_se", "interpretation",
+    })}
 
 
 @pytest.mark.parametrize(
