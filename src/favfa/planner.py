@@ -14,7 +14,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
@@ -174,19 +174,20 @@ def select_id_pool(
             f"{n_identities} identities do not divide across {len(cells)} cells"
         )
     raise_first(checks)
-    pools: dict[tuple[str, ...], list[str]] = {cell: [] for cell in cells}
-    for code in np.unique(codes).tolist():
-        pools[cells[code]] += [frame.ids[r] for r in np.flatnonzero(codes == code)]
-    for cell in cells:
-        if len(pools[cell]) < per_cell:
-            raise InsufficientCandidates(cell, len(pools[cell]), per_cell)
+    # each cell's candidate ids, sorted once; the draws index into them
+    pools = [
+        sorted(map(frame.ids.__getitem__, np.flatnonzero(codes == code).tolist()))
+        for code in range(len(cells))
+    ]
+    for cell, pool in zip(cells, pools):
+        if len(pool) < per_cell:
+            raise InsufficientCandidates(cell, len(pool), per_cell)
 
     rng = np.random.default_rng(seed)
     selected: list[str] = []
-    for cell in cells:
-        pool = sorted(pools[cell])
+    for pool in pools:
         idx = rng.choice(len(pool), size=per_cell, replace=False)
-        selected.extend(sorted(pool[i] for i in idx))
+        selected.extend(map(pool.__getitem__, np.sort(idx).tolist()))
     return selected
 
 
@@ -231,6 +232,10 @@ def assign_styles(
     or pose, then an age or pose no bin holds; a planned identity for a
     missing segment attribute, then a segment with too few style images.
     """
+    rows = np.fromiter(map(frame.index.get, plan_ids, repeat(-1)), np.intp, len(plan_ids))
+    unknown = np.flatnonzero(rows < 0)
+    if unknown.size:
+        frame.row(plan_ids[unknown[0]])  # raises for the first unknown id
     for name in ("age", "pose"):
         attr = schema[name] if name in schema else None
         if attr is None or attr.is_categorical or attr.bins is None:
@@ -250,7 +255,6 @@ def assign_styles(
         for ids in cells.values():
             ids.sort()
 
-    rows = np.array(list(map(frame.row, plan_ids)), dtype=np.intp)
     codes, segments, checks = _segments(frame, schema, rows)
     have = [sum(map(len, by_segment.get(segment, {}).values())) for segment in segments]
     # a row without a segment (code -1) is flagged by an earlier check

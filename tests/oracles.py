@@ -18,7 +18,12 @@ import mpmath as mp
 import numpy as np
 from scipy.special import expit
 
-from favfa.errors import DegenerateResponse, QuasiSeparation, SingularInformation
+from favfa.errors import (
+    DegenerateResponse,
+    InsufficientCandidates,
+    QuasiSeparation,
+    SingularInformation,
+)
 
 COEF_LIMIT = 30.0
 UNIT_ROUNDOFF = 2.0**-53
@@ -460,6 +465,31 @@ def qq_points(values, max_points=512):
         picks = values
         theory = [(i + 0.5) / n for i in range(n)]
     return list(zip(theory, picks))
+
+
+def select_id_pool_reference(frame, schema, n_identities, seed):
+    """The identity pool drawn as it was first written: each (gender,
+    ethnicity) cell's ids gathered one image at a time, cells in schema
+    order, each cell's pool sorted, and the ids drawn from it sorted again.
+    Every image must hold both levels, and ``n_identities`` must divide
+    across the cells."""
+    genders, ethnicities = schema["gender"].levels, schema["ethnicity"].levels
+    gender = frame.codes(schema["gender"]).codes.tolist()
+    ethnicity = frame.codes(schema["ethnicity"]).codes.tolist()
+    pools = {(g, e): [] for g in genders for e in ethnicities}
+    for row, image_id in enumerate(frame.ids):
+        pools[genders[gender[row]], ethnicities[ethnicity[row]]].append(image_id)
+    per_cell = n_identities // len(pools)
+    for cell, ids in pools.items():
+        if len(ids) < per_cell:
+            raise InsufficientCandidates(cell, len(ids), per_cell)
+    rng = np.random.default_rng(seed)
+    selected = []
+    for ids in pools.values():
+        pool = sorted(ids)
+        idx = rng.choice(len(pool), size=per_cell, replace=False)
+        selected.extend(sorted(pool[i] for i in idx))
+    return selected
 
 
 def greedy_fill_stepwise(cells, k):

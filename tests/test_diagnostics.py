@@ -187,6 +187,28 @@ def test_cli_import_does_not_load_scipy_stats():
     assert proc.stdout.split() == ["False", "False", "False"]
 
 
+#: Modules of the network and mail stack. ``xml.sax.saxutils`` alone pulls
+#: in ``urllib.request`` and with it all of these.
+NETWORK_STACK = ("xml.sax", "urllib.request", "http", "email", "ssl", "socket")
+
+
+def test_cli_import_does_not_load_the_network_stack():
+    # only the modules favfa.cli adds count: a site hook may preload others
+    src = str(Path(favfa.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    code = (
+        "import sys; before = set(sys.modules); import favfa.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    added = proc.stdout.split()
+    assert "favfa.charts" in added
+    assert [m for m in added if m.startswith(NETWORK_STACK)] == []
+
+
 def full_draw_reference(fit, design, n_sim, seed):
     """The diagnostics with every replicate drawn in one (n_sim, n) call and
     every replicate's residuals materialised: the reference the

@@ -19,6 +19,7 @@ from favfa.errors import (
     MissingAttribute,
     NotDivisible,
     SchemaInvalid,
+    UnresolvedImage,
     ValueOutOfRange,
 )
 from favfa.metrics import diversity
@@ -36,7 +37,7 @@ from favfa.planner import (
 )
 from favfa.schema import AttributeDef, AttributeSchema, Continuous, Scope
 from favfa.synth import default_schema, make_planner_pools
-from oracles import greedy_fill_stepwise, plan_rows, reference_jsonl
+from oracles import greedy_fill_stepwise, plan_rows, reference_jsonl, select_id_pool_reference
 
 # --- weights ---
 
@@ -154,6 +155,9 @@ def test_resample_law_of_large_numbers(schema):
 
 # --- id pool ---
 
+GENDERS = ("Male", "Female")
+ETHNICITIES = ("Caucasian", "African", "Asian", "Indian")
+
 
 def test_select_id_pool_minimal(schema):
     schema_p, ids, _ = make_planner_pools(ids_per_cell=1)
@@ -205,10 +209,39 @@ def test_select_id_pool_deterministic_and_canonical():
         assert a[i] < a[i + 1]
 
 
-# --- style assignment ---
+#: Id characters: a small alphabet, so ids share prefixes, with non-ASCII
+#: characters among them.
+ID_ALPHABET = "aAbé_0Ωü€"
 
-GENDERS = ("Male", "Female")
-ETHNICITIES = ("Caucasian", "African", "Asian", "Indian")
+
+@st.composite
+def uneven_id_tables(draw):
+    """An id table whose (gender, ethnicity) cells hold uneven numbers of
+    ids, listed in a shuffled order, with a pool size and a seed; a cell may
+    hold fewer ids than the pool needs."""
+    per_cell = draw(st.integers(1, 4))
+    cells = [(g, e) for g in GENDERS for e in ETHNICITIES]
+    sizes = draw(st.lists(st.integers(per_cell - 1, per_cell + 6),
+                          min_size=len(cells), max_size=len(cells)))
+    members = [cell for cell, size in zip(cells, sizes) for _ in range(size)]
+    names = draw(st.lists(st.text(ID_ALPHABET, min_size=1, max_size=6),
+                          min_size=len(members), max_size=len(members), unique=True))
+    order = draw(st.permutations(range(len(members))))
+    rows = [image(names[i], names[i], *members[i]) for i in order]
+    return table(rows), per_cell * len(cells), draw(st.integers(0, 2**32 - 1))
+
+
+@given(uneven_id_tables())
+@settings(max_examples=60, deadline=None)
+def test_select_id_pool_equals_reference(case):
+    ids, n_identities, seed = case
+    schema = default_schema()
+    assert outcome(select_id_pool, ids, schema, n_identities, seed) == outcome(
+        select_id_pool_reference, ids, schema, n_identities, seed
+    )
+
+
+# --- style assignment ---
 
 
 def style_grid(schema, cells, per_cell):
@@ -440,6 +473,24 @@ def cell_maps(draw):
 def test_greedy_fill_equals_stepwise_oracle(case):
     cells, k = case
     assert _greedy_fill(cells, k) == greedy_fill_stepwise(cells, k)
+
+
+# --- unknown planned ids ---
+
+
+@pytest.mark.parametrize("damaged_styles", [False, True])
+@pytest.mark.parametrize("places", [(0,), (4,), (8,), (2, 6)])
+def test_assign_styles_unknown_id_raises_first(places, damaged_styles):
+    # places index the 9- or 10-id list the unknown ids are put into
+    schema_p, ids, styles = make_planner_pools(ids_per_cell=1, styles_per_segment=6)
+    plan_ids = select_id_pool(ids, schema_p, 8, seed=0)
+    unknown = ["ghost", "phantom"]
+    for place, name in zip(places, unknown):
+        plan_ids.insert(place, name)
+    if damaged_styles:
+        styles = with_defects(styles, [(0, ("gender", None)), (3, ("age", -5.0))])
+    with pytest.raises(UnresolvedImage, match="^unknown image_id 'ghost'$"):
+        assign_styles(plan_ids, ids, styles, schema_p, 4)
 
 
 # --- errors read off masks against an image-by-image reference ---
