@@ -1,22 +1,24 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 domain error or an output that cannot be written
-(reported as one JSON line on stderr), 2 usage error, such as an attribute
-list that names no attribute. Aggregate fairness metrics are printed as
-percentages; files always carry raw proportions.
+Exit codes: 0 success, 1 domain error or an output that cannot be written,
+2 usage error, such as an attribute list that names no attribute or an
+``--alpha`` that is not a number in [0, 1]. Commands raise ``FavfaError``;
+the ``main`` group turns it into exit 1 with one JSON line on stderr.
+Aggregate fairness metrics are printed as percentages; files always carry
+raw proportions.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
-from typing import Iterable
 
 import click
 
 from .data import attribute_frequencies, consolidate_identity_attributes, load_images
-from .errors import FavfaError, OutputError, ParseError
+from .errors import FavfaError, ParseError
 from .logit import interpret
 from .metrics import diversity
 from .planner import (
@@ -37,14 +39,6 @@ from .util import csv_text, named_seed, write_files
 _PLAN_CHUNK = 1000
 
 
-def _fail(error: FavfaError) -> None:
-    click.echo(
-        json.dumps({"error": type(error).__name__, "message": str(error)}),
-        err=True,
-    )
-    sys.exit(1)
-
-
 def _comma_list(ctx, param, value: str | None) -> tuple[str, ...] | None:
     """Option callback: the attribute names of a comma-separated list; a
     list that names none is a usage error."""
@@ -56,13 +50,12 @@ def _comma_list(ctx, param, value: str | None) -> tuple[str, ...] | None:
     return names
 
 
-def _write(path: str, chunks: Iterable[str]) -> None:
-    """Write the text chunks to ``path`` through ``util.write_files``, or
-    fail with its OutputError."""
-    try:
-        write_files({Path(path): chunks})
-    except OutputError as error:
-        _fail(error)
+def _not_nan(ctx, param, value: float) -> float:
+    """Option callback: ``FloatRange`` lets NaN through, as every comparison
+    with it is false, so reject it here as a usage error."""
+    if math.isnan(value):
+        raise click.BadParameter("nan is not a number")
+    return value
 
 
 def _diversity_table(scores: dict[str, float]) -> str:
@@ -72,20 +65,40 @@ def _diversity_table(scores: dict[str, float]) -> str:
     return head + "\n" + row
 
 
-@click.group()
+class _FavfaGroup(click.Group):
+    """The command group: a ``FavfaError`` from any command ends the run
+    with exit 1 and one JSON line on stderr."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except FavfaError as error:
+            click.echo(
+                json.dumps({"error": type(error).__name__, "message": str(error)}),
+                err=True,
+            )
+            sys.exit(1)
+
+
+@click.group(cls=_FavfaGroup)
 def main() -> None:
     """Fairness analysis for face verification, on tabular metadata."""
 
 
 @main.command("analyze")
-@click.option("--schema", "schema_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--images", "images_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--pairs", "pairs_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-@click.option("--group-by", default="gender,ethnicity", show_default=True, callback=_comma_list,
+@click.option("--schema", "schema_path", required=True,
+              type=click.Path(exists=True, dir_okay=False, path_type=Path))
+@click.option("--images", "images_path", required=True,
+              type=click.Path(exists=True, dir_okay=False, path_type=Path))
+@click.option("--pairs", "pairs_path", required=True,
+              type=click.Path(exists=True, dir_okay=False, path_type=Path))
+@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False, path_type=Path))
+@click.option("--group-by", "grouping", default="gender,ethnicity", show_default=True,
+              callback=_comma_list,
               help="Comma-separated categorical attributes defining the segments.")
 @click.option("--min-support", default=30, show_default=True, type=click.IntRange(min=0))
-@click.option("--alpha", default=0.05, show_default=True, type=click.FloatRange(0, 1))
+@click.option("--alpha", default=0.05, show_default=True, type=click.FloatRange(0, 1),
+              callback=_not_nan)
 @click.option("--factor-order", default=None, callback=_comma_list,
               help="Comma-separated attribute order for the variance decomposition.")
 @click.option("--pair-aggregate", default="mean", show_default=True,
@@ -95,33 +108,16 @@ def main() -> None:
               help="Bootstrap resamples for marginal-effect standard errors (0 = off).")
 @click.option("--interactions", is_flag=True,
               help="Add pairwise interaction factors to the variance decomposition.")
-def cmd_analyze(schema_path, images_path, pairs_path, out_dir, group_by, min_support,
-                alpha, factor_order, pair_aggregate, seed, bootstrap, interactions):
+def cmd_analyze(**options):
     """Run the full pipeline and write the report bundle."""
-    config = AnalysisConfig(
-        schema_path=Path(schema_path),
-        images_path=Path(images_path),
-        pairs_path=Path(pairs_path),
-        out_dir=Path(out_dir),
-        grouping=group_by,
-        min_support=min_support,
-        alpha=alpha,
-        factor_order=factor_order,
-        pair_aggregate=pair_aggregate,
-        seed=seed,
-        bootstrap=bootstrap,
-        interactions=interactions,
-    )
-    try:
-        result = run_analysis(config)
-    except FavfaError as error:
-        _fail(error)
+    config = AnalysisConfig(**options)
+    result = run_analysis(config)
     report = result.report
     if report.threshold is not None:
         click.echo(f"threshold: {report.threshold:.6f}")
     click.echo(
         f"groups: {len(report.per_group)} included, "
-        f"{len(report.excluded_groups)} excluded (min support {min_support})"
+        f"{len(report.excluded_groups)} excluded (min support {config.min_support})"
     )
     click.echo(
         "  ".join(
@@ -147,17 +143,14 @@ def cmd_analyze(schema_path, images_path, pairs_path, out_dir, group_by, min_sup
 @click.option("--images", "images_path", required=True, type=click.Path(exists=True, dir_okay=False))
 def cmd_diversity(schema_path, images_path):
     """Per-attribute diversity (normalized entropy) of an image table."""
-    try:
-        schema = load_schema(schema_path)
-        images = consolidate_identity_attributes(load_images(images_path, schema), schema)
-        if len(images) == 0:
-            raise ParseError(f"{images_path}: the image table is empty")
-        scores = {}
-        for attr in schema.attributes:
-            freqs = attribute_frequencies(images, schema, attr.name)
-            scores[attr.name] = diversity(freqs, len(freqs))
-    except FavfaError as error:
-        _fail(error)
+    schema = load_schema(schema_path)
+    images = consolidate_identity_attributes(load_images(images_path, schema), schema)
+    if len(images) == 0:
+        raise ParseError(f"{images_path}: the image table is empty")
+    scores = {}
+    for attr in schema.attributes:
+        freqs = attribute_frequencies(images, schema, attr.name)
+        scores[attr.name] = diversity(freqs, len(freqs))
     click.echo(_diversity_table(scores))
 
 
@@ -174,26 +167,22 @@ def cmd_diversity(schema_path, images_path):
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 def cmd_plan(schema_path, ids_path, styles_path, n_identities, samples, seed, out_path):
     """Build a balanced generation plan and write it as JSONL."""
-    try:
-        schema = load_schema(schema_path)
-        ids = consolidate_identity_attributes(load_images(ids_path, schema), schema)
-        styles = consolidate_identity_attributes(load_images(styles_path, schema), schema)
-        pool = select_id_pool(ids, schema, n_identities, named_seed(seed, "planner"))
-        plan = assign_styles(pool, ids, styles, schema, samples)
-        scores = plan_diversity_report(plan, schema)
-    except FavfaError as error:
-        _fail(error)
-    _write(
-        out_path,
-        (
+    schema = load_schema(schema_path)
+    ids = consolidate_identity_attributes(load_images(ids_path, schema), schema)
+    styles = consolidate_identity_attributes(load_images(styles_path, schema), schema)
+    pool = select_id_pool(ids, schema, n_identities, named_seed(seed, "planner"))
+    plan = assign_styles(pool, ids, styles, schema, samples)
+    scores = plan_diversity_report(plan, schema)
+    write_files({
+        Path(out_path): (
             plan_to_jsonl(GenerationPlan(
                 plan.ids[start : start + _PLAN_CHUNK],
                 plan.group[start : start + _PLAN_CHUNK],
                 plan.groups,
             ))
             for start in range(0, len(plan.ids), _PLAN_CHUNK)
-        ),
-    )
+        )
+    })
     click.echo(_diversity_table(scores))
     click.echo(f"wrote {len(plan.ids)} identities × {samples} styles to {out_path}")
 
@@ -207,18 +196,15 @@ def cmd_plan(schema_path, ids_path, styles_path, n_identities, samples, seed, ou
               help="Write CSV here instead of stdout.")
 def cmd_weights(schema_path, images_path, attrs, out_path):
     """Inverse-frequency sampling weights for an image table."""
-    try:
-        schema = load_schema(schema_path)
-        images = consolidate_identity_attributes(load_images(images_path, schema), schema)
-        weights = sampling_weights(images, schema, attrs)
-    except FavfaError as error:
-        _fail(error)
+    schema = load_schema(schema_path)
+    images = consolidate_identity_attributes(load_images(images_path, schema), schema)
+    weights = sampling_weights(images, schema, attrs)
     text = csv_text(
         ["image_id", "weight", "probability"],
         ((e.image_id, e.weight, e.probability) for e in weights.entries),
     )
     if out_path:
-        _write(out_path, [text])
+        write_files({Path(out_path): [text]})
         click.echo(f"wrote {len(weights.entries)} rows to {out_path}")
     else:
         click.echo(text, nl=False)

@@ -81,6 +81,11 @@ class AnalysisConfig:
     interactions: bool = False
 
 
+#: The ``AnalysisConfig`` fields that ``run_manifest.json`` records under
+#: ``config``: all but the paths, which ``inputs`` records by name and hash.
+_CONFIG_FIELDS = tuple(f.name for f in fields(AnalysisConfig) if f.type != "Path")
+
+
 @dataclass
 class AnalysisResult:
     schema: AttributeSchema
@@ -211,16 +216,7 @@ def _manifest(
                 ("pairs", config.pairs_path),
             )
         },
-        "config": {
-            "grouping": list(config.grouping),
-            "min_support": config.min_support,
-            "alpha": config.alpha,
-            "factor_order": list(config.factor_order) if config.factor_order else None,
-            "pair_aggregate": config.pair_aggregate,
-            "seed": config.seed,
-            "bootstrap": config.bootstrap,
-            "interactions": config.interactions,
-        },
+        "config": {name: getattr(config, name) for name in _CONFIG_FIELDS},
         "outputs": sorted(outputs),
         "versions": {
             "favfa": __version__,

@@ -11,6 +11,7 @@ import json
 import math
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +43,8 @@ from favfa.metrics import (
 from favfa.planner import resample_epoch, sampling_weights
 from favfa.schema import AttributeDef, AttributeSchema, Categorical, Continuous, Scope
 from favfa.synth import make_planner_pools, make_verification_dataset
+
+DEMO = Path(__file__).resolve().parents[1] / "data" / "demo"
 
 
 class Criterion:
@@ -506,9 +509,9 @@ def test_criterion_11_analyze_determinism(tmp_path):
         runner = CliRunner()
         args = [
             "analyze",
-            "--schema", "data/demo/schema.json",
-            "--images", "data/demo/images.csv",
-            "--pairs", "data/demo/pairs.csv",
+            "--schema", str(DEMO / "schema.json"),
+            "--images", str(DEMO / "images.csv"),
+            "--pairs", str(DEMO / "pairs.csv"),
             "--seed", "17",
             "--bootstrap", "40",
         ]

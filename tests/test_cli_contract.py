@@ -10,7 +10,9 @@ whose squares overflow, soft scores whose sum does), which must fail as a
 ``ParseError`` naming the image, and a finite distance or age too large to
 square, which must fail as a ``ValueOutOfRange`` without a numpy warning.
 ``plan`` is run on damaged ``--ids`` and ``--styles`` tables, and on schemas
-that lack an attribute it bins styles by.
+that lack an attribute it bins styles by. Every registered command turns a
+``FavfaError`` into the one JSON line, and an ``--alpha`` of NaN is a usage
+error.
 """
 
 from __future__ import annotations
@@ -21,12 +23,16 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import favfa.cli
+import favfa.report
 from favfa.cli import main
+from favfa.errors import ParseError
 from favfa.synth import make_verification_dataset, write_dataset
 
 DAMAGES = ("header-only", "blank-lines", "ragged", "non-numeric", "unknown-id")
@@ -219,3 +225,58 @@ def test_cli_plan_schema_without_style_attribute(tmp_path, dropped):
     assert json.loads(lines[0])["error"] == "SchemaInvalid"
     assert repr(dropped) in json.loads(lines[0])["message"]
     assert not out.exists()
+
+
+def test_cli_analyze_alpha_nan_is_a_usage_error(tmp_path):
+    # FloatRange(0, 1) alone lets NaN through: every comparison with it is false
+    for name, text in base_texts().items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    result = CliRunner().invoke(
+        main,
+        ["analyze", "--schema", str(tmp_path / "schema.json"),
+         "--images", str(tmp_path / "images.csv"), "--pairs", str(tmp_path / "pairs.csv"),
+         "--out", str(tmp_path / "out"), "--alpha", "nan"],
+    )
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("Usage: "), result.stderr
+    assert "'--alpha'" in result.stderr
+    assert "Traceback" not in result.output + result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def required_args(command: click.Command, root: Path) -> list[str]:
+    """Arguments for every required option of ``command``: an existing file
+    for an input path, a path under ``root`` for an output, 1 for a number
+    and ``gender`` for anything else."""
+    args = []
+    for param in command.params:
+        if not param.required:
+            continue
+        if isinstance(param.type, click.Path):
+            value = str(root / ("schema.json" if param.type.exists else param.name))
+        elif isinstance(param.type, click.types.IntParamType):
+            value = "1"
+        else:
+            value = "gender"
+        args += [param.opts[0], value]
+    return args
+
+
+@pytest.mark.parametrize("name", sorted(main.commands))
+def test_every_command_reports_a_favfa_error_as_one_json_line(tmp_path, monkeypatch, name):
+    def broken(path):
+        raise ParseError(f"{path}: broken schema")
+
+    monkeypatch.setattr(favfa.cli, "load_schema", broken)
+    monkeypatch.setattr(favfa.report, "load_schema", broken)
+    (tmp_path / "schema.json").write_text(base_texts()["schema.json"], encoding="utf-8")
+    result = CliRunner().invoke(main, [name, *required_args(main.commands[name], tmp_path)])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert json.loads(lines[0]) == {
+        "error": "ParseError", "message": f"{tmp_path / 'schema.json'}: broken schema"
+    }
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["schema.json"]

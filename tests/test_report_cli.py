@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import csv
+import dataclasses
 import errno
 import hashlib
 import importlib
@@ -22,7 +23,7 @@ from click.testing import CliRunner
 from conftest import image_rows
 import favfa.cli
 import favfa.util
-from favfa.cli import main
+from favfa.cli import cmd_analyze, main
 from favfa.data import consolidate_identity_attributes, load_images
 from favfa.planner import assign_styles, plan_to_jsonl, select_id_pool
 from oracles import reference_jsonl
@@ -868,6 +869,21 @@ def test_bundle_headers_and_keys_pinned(demo_dir, tmp_path):
         "attribute", "level", "unit", "estimate", "std_error", "p_value", "significant",
         "bootstrap_se", "interpretation",
     })}
+
+
+def test_analysis_options_stated_once(tmp_path):
+    # the analyze options are AnalysisConfig's fields, and the manifest's
+    # config block is those fields but the paths
+    names = {f.name for f in dataclasses.fields(AnalysisConfig)}
+    assert {p.name for p in cmd_analyze.params} == names
+    out = tmp_path / "out"
+    result = CliRunner().invoke(
+        main, [*demo_args(DEMO / "pairs.csv", out), "--factor-order", "age,gender", "--alpha", "0.01"]
+    )
+    assert result.exit_code == 0, result.output
+    config = json.loads((out / "run_manifest.json").read_text())["config"]
+    assert set(config) == names - {"schema_path", "images_path", "pairs_path", "out_dir"}
+    assert config["factor_order"] == ["age", "gender"] and config["alpha"] == 0.01
 
 
 @pytest.mark.parametrize(
