@@ -261,6 +261,7 @@ def _irls(
     X: np.ndarray,
     y: np.ndarray,
     counts: np.ndarray,
+    start: np.ndarray,
     max_iter: int,
     tol: float,
     table: np.ndarray | None = None,
@@ -268,17 +269,19 @@ def _irls(
     """Logit fits of ``y`` on ``X``, one per row of frequency weights
     ``counts``, by IRLS over the whole block at once.
 
-    Each row iterates as a fit on its own would: Newton steps from zero,
-    halved while the log-likelihood falls, converged once the score's max
-    norm is below ``tol``. A coefficient beyond ``COEF_LIMIT`` (separated),
-    coefficients still growing at ``max_iter`` (growing), or an information
-    matrix that does not factorize (singular) end the row early; rows leave
-    the block as they finish. With ``table`` (``_column_products(X)``) the
-    information matrices are one matrix product, else one per row.
+    Each row iterates as a fit on its own would: Newton steps from the
+    coefficients ``start``, halved while the log-likelihood falls, converged
+    once the score's max norm is below ``tol``. A coefficient beyond
+    ``COEF_LIMIT`` (separated), coefficients still growing at ``max_iter``
+    (growing: the last step raised their norm, a first step measured
+    against ``start``), or an information matrix that does not factorize
+    (singular) end the row early; rows leave the block as they finish. With
+    ``table`` (``_column_products(X)``) the information matrices are one
+    matrix product, else one per row.
     """
     k, (n, p) = len(counts), X.shape
     fits = _Fits(
-        beta=np.zeros((k, p)),
+        beta=np.tile(start, (k, 1)),
         status=np.full(k, _NOT_CONVERGED),
         iterations=np.zeros(k, dtype=np.intp),
         chol=np.zeros((k, p, p)),
@@ -287,11 +290,11 @@ def _irls(
     # state of the rows still iterating; ``rows`` maps them to block rows
     rows = np.arange(k)
     beta = fits.beta.copy()
-    eta = np.zeros((k, n))
+    eta = np.tile(start @ X.T, (k, 1))
     ll = _log_likelihood(eta, y, counts)
     lls = ll.copy()
     fits.trace.append(lls.copy())
-    prev_norm, growing = np.zeros(k), np.zeros(k, dtype=bool)
+    prev_norm, growing = np.full(k, np.linalg.norm(start)), np.zeros(k, dtype=bool)
 
     for it in range(max_iter + 1):
         # the block-sized arrays are dropped as soon as they are used up
@@ -364,11 +367,6 @@ def _irls(
     return fits
 
 
-def _too_few_rows(design: DesignMatrix) -> DegenerateResponse:
-    n, p = design.X.shape
-    return DegenerateResponse(f"{design.subset.value}: need more rows ({n}) than columns ({p})")
-
-
 def fit_logit(design: DesignMatrix, max_iter: int = 50, tol: float = 1e-8) -> LogitFit:
     """Maximum-likelihood logit fit by iteratively reweighted least squares.
 
@@ -378,13 +376,14 @@ def fit_logit(design: DesignMatrix, max_iter: int = 50, tol: float = 1e-8) -> Lo
     log-likelihood at the estimate. Diverging coefficients (|beta| beyond
     ``COEF_LIMIT``, or growth until ``max_iter``) raise QuasiSeparation since
     no MLE exists under separation. The fit is the bootstrap's IRLS kernel
-    run on one row of unit frequency weights. A design whose columns are
-    linearly dependent raises SingularInformation before any iteration.
+    run from zero on one row of unit frequency weights. A design whose
+    columns are linearly dependent raises SingularInformation before any
+    iteration.
     """
     X, y = design.X, design.y
     n, p = X.shape
     if n <= p:
-        raise _too_few_rows(design)
+        raise DegenerateResponse(f"{design.subset.value}: need more rows ({n}) than columns ({p})")
     if y.min() == y.max():
         raise DegenerateResponse(
             f"{design.subset.value}: response takes a single value; no model to fit"
@@ -395,7 +394,7 @@ def fit_logit(design: DesignMatrix, max_iter: int = 50, tol: float = 1e-8) -> Lo
     if not singular[-1] > np.finfo(float).eps * n * singular[0]:
         raise SingularInformation(f"{design.subset.value}: design columns are linearly dependent")
 
-    fits = _irls(X, y, np.ones((1, n)), max_iter, tol)
+    fits = _irls(X, y, np.ones((1, n)), np.zeros(p), max_iter, tol)
     status, iterations = fits.status[0], int(fits.iterations[0])
     if status == _SEPARATED:
         raise QuasiSeparation(
@@ -543,13 +542,14 @@ def effect_key(effect: MarginalEffect) -> tuple[str, str | None]:
 
 
 def bootstrap_marginal_effects(
+    fit: LogitFit,
     design: DesignMatrix,
     schema: AttributeSchema,
     n_boot: int = 500,
     seed: int = 0,
     max_iter: int = 50,
     tol: float = 1e-8,
-) -> tuple[dict[tuple[str, str | None], float], int]:
+) -> tuple[dict[tuple[str, str | None], float], int, int]:
     """Bootstrap standard errors for the mean marginal effects.
 
     Rows are resampled with replacement ``n_boot`` times on independent
@@ -557,25 +557,32 @@ def bootstrap_marginal_effects(
     weights, how often each observation was drawn. Resamples are refitted a
     block at a time (about ``_BOOT_ELEMENTS`` observations times resamples)
     by the IRLS kernel that ``fit_logit`` runs on one row of unit weights,
-    so a resample is used when ``fit_logit`` on a copy of its rows would
-    converge. Only the effect estimates are recomputed, as count-weighted
-    means of shifts of each refit's ``X @ beta`` (no gradients or standard
-    errors per resample). Resamples that lose a dummy level, lose the
-    response variation, hit separation or do not converge are skipped.
-    Returns the per-effect standard deviations (ddof=1) and the number of
-    resamples actually used; an effect with fewer than two usable resamples
-    has no standard error and is left out.
+    each from the converged full-sample coefficients of ``fit``, so a
+    resample is used when its refit from that estimate converges. Only the
+    effect estimates are recomputed, as count-weighted means of shifts of
+    each refit's ``X @ beta`` (no gradients or standard errors per
+    resample). Resamples that lose a dummy level, lose the response
+    variation, hit separation or do not converge are skipped. Returns the
+    per-effect standard deviations (ddof=1), the number of resamples
+    actually used and the IRLS iterations those took in all; an effect with
+    fewer than two usable resamples has no standard error and is left out.
+    A fit that did not converge raises NotConverged.
     """
+    if not fit.converged:
+        raise NotConverged("bootstrap refits need a converged fit")
     X, y = design.X, design.y
     n, p = X.shape
-    children = np.random.SeedSequence(seed).spawn(n_boot)
+    seeds = np.random.SeedSequence(seed)
     dummy_cols = [j for cols in design.categorical_columns.values() for j in cols.values()]
     block = max(1, _BOOT_ELEMENTS // n)
     table = _column_products(X) if p * (p + 1) // 2 <= _BOOT_ARRAYS * block else None
     keys: list[tuple[str, str | None]] = []
     estimates: list[np.ndarray] = []  # (used resamples of a block, effects)
+    iterations = 0
     for start in range(0, n_boot, block):
-        draws = children[start : start + block]
+        # successive spawns continue the child count: the seeds of one spawn
+        # of n_boot children, a block's worth held at a time
+        draws = seeds.spawn(min(block, n_boot - start))
         counts = np.empty((len(draws), n))
         for row, child in zip(counts, draws):
             row[:] = np.bincount(np.random.default_rng(child).integers(0, n, size=n), minlength=n)
@@ -584,11 +591,10 @@ def bootstrap_marginal_effects(
         usable &= (counts @ X[:, dummy_cols] > 0).all(axis=1)
         if not usable.any():
             continue
-        if n <= p:
-            raise _too_few_rows(design)
         counts = counts[usable]
-        fits = _irls(X, y, counts, max_iter, tol, table)
+        fits = _irls(X, y, counts, fit.beta, max_iter, tol, table)
         converged = fits.status == _CONVERGED
+        iterations += int(fits.iterations[converged].sum())
         counts = counts[converged]
         effects = _effects(X, fits.beta[converged], counts, design, schema, gradients=False)
         keys = [(attr.name, level) for attr, level, _, _ in effects]
@@ -596,9 +602,9 @@ def bootstrap_marginal_effects(
 
     samples = np.concatenate(estimates) if estimates else np.empty((0, 0))
     if len(samples) < 2:
-        return {}, len(samples)
+        return {}, len(samples), iterations
     ses = {key: float(samples[:, e].std(ddof=1)) for e, key in enumerate(keys)}
-    return ses, len(samples)
+    return ses, len(samples), iterations
 
 
 def summarize_fit(fit: LogitFit) -> list[dict[str, object]]:

@@ -94,6 +94,7 @@ class AnalysisResult:
     effects: dict[str, list[MarginalEffect]]
     bootstrap_se: dict[str, dict[tuple[str, str | None], float]]
     bootstrap_used: dict[str, int]  # resamples used per model, empty without a bootstrap
+    bootstrap_iterations: dict[str, int]  # IRLS iterations of those resamples, per model
     anova: dict[str, AnovaTable]
     diagnostics: dict[str, ResidualDiagnostics]
     outputs: dict[str, Path] = field(default_factory=dict)
@@ -202,9 +203,7 @@ def _diagnostics_json(diagnostics: dict[str, ResidualDiagnostics]) -> str:
     return text
 
 
-def _manifest(
-    config: AnalysisConfig, outputs: list[str], bootstrap_used: dict[str, int]
-) -> dict:
+def _manifest(config: AnalysisConfig, outputs: list[str], result: AnalysisResult) -> dict:
     manifest = {
         # inputs by file name and out_dir not at all, so bundles from the
         # same inputs stay byte-identical wherever the files are
@@ -225,7 +224,11 @@ def _manifest(
         },
     }
     if config.bootstrap > 0:
-        manifest["bootstrap"] = {"requested": config.bootstrap, "used": bootstrap_used}
+        manifest["bootstrap"] = {
+            "requested": config.bootstrap,
+            "used": result.bootstrap_used,
+            "iterations": result.bootstrap_iterations,
+        }
     return manifest
 
 
@@ -252,6 +255,7 @@ def run_analysis(config: AnalysisConfig) -> AnalysisResult:
     effects: dict[str, list[MarginalEffect]] = {}
     bootstrap_se: dict[str, dict[tuple[str, str | None], float]] = {}
     bootstrap_used: dict[str, int] = {}
+    bootstrap_iterations: dict[str, int] = {}
     diagnostics: dict[str, ResidualDiagnostics] = {}
     anova_tables: dict[str, AnovaTable] = {}
     for m in sorted(MODEL_SUBSETS):
@@ -260,12 +264,9 @@ def run_analysis(config: AnalysisConfig) -> AnalysisResult:
         fit = fits[m] = fit_logit(design)
         effects[m] = marginal_effects(fit, design, schema, config.alpha)
         if config.bootstrap > 0:
-            bootstrap_se[m], bootstrap_used[m] = bootstrap_marginal_effects(
-                design,
-                schema,
-                n_boot=config.bootstrap,
-                seed=named_seed(config.seed, f"bootstrap:{m}"),
-            )
+            seed = named_seed(config.seed, f"bootstrap:{m}")
+            boot = bootstrap_marginal_effects(fit, design, schema, config.bootstrap, seed)
+            bootstrap_se[m], bootstrap_used[m], bootstrap_iterations[m] = boot
         diagnostics[m] = simulate_residuals(
             fit, design, seed=named_seed(config.seed, f"diagnostics:{m}")
         )
@@ -280,6 +281,7 @@ def run_analysis(config: AnalysisConfig) -> AnalysisResult:
         effects=effects,
         bootstrap_se=bootstrap_se,
         bootstrap_used=bootstrap_used,
+        bootstrap_iterations=bootstrap_iterations,
         anova=anova_tables,
         diagnostics=diagnostics,
     )
@@ -302,7 +304,7 @@ def run_analysis(config: AnalysisConfig) -> AnalysisResult:
         ),
     }
     files["run_manifest.json"] = canonical_json(
-        _manifest(config, [*files.keys(), "run_manifest.json"], bootstrap_used)
+        _manifest(config, [*files.keys(), "run_manifest.json"], result)
     )
 
     out_dir = Path(config.out_dir)

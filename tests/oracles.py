@@ -223,11 +223,11 @@ def _solve_spd(hessian, rhs):
     return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
 
 
-def fit_logit_rowcopy(X, y, subset="positives", max_iter=50, tol=1e-8):
+def fit_logit_rowcopy(X, y, subset="positives", max_iter=50, tol=1e-8, start=None):
     """The logit fit as it was before frequency weights: one Newton-IRLS
-    loop over the rows of one (possibly resampled and copied) design, with
-    step halving, the separation tests and the same exceptions and
-    messages."""
+    loop over the rows of one (possibly resampled and copied) design, from
+    the coefficients ``start`` (zero when None), with step halving, the
+    separation tests and the same exceptions and messages."""
     n, p = X.shape
     if n <= p:
         raise DegenerateResponse(f"{subset}: need more rows ({n}) than columns ({p})")
@@ -237,12 +237,12 @@ def fit_logit_rowcopy(X, y, subset="positives", max_iter=50, tol=1e-8):
     def log_likelihood(eta):
         return float(np.dot(y, eta) - np.sum(np.logaddexp(0.0, eta)))
 
-    beta = np.zeros(p)
+    beta = np.zeros(p) if start is None else np.array(start, dtype=float)
     eta = X @ beta
     mu = expit(eta)
     ll = log_likelihood(eta)
     trace = [ll]
-    converged, iterations, prev_norm, growing = False, 0, 0.0, False
+    converged, iterations, prev_norm, growing = False, 0, float(np.linalg.norm(beta)), False
     for _ in range(max_iter):
         grad = X.T @ (y - mu)
         if np.max(np.abs(grad)) < tol:
@@ -333,12 +333,13 @@ def fit_rounding_allowance(X, y, fit):
     return 2.0 * (np.abs(cov) @ dg), 2.0 * (through_beta + through_sums)
 
 
-def bootstrap_rowcopy(design, schema, n_boot, seed, max_iter=50, tol=1e-8):
+def bootstrap_rowcopy(fit, design, schema, n_boot, seed, max_iter=50, tol=1e-8, score_slack=0.0):
     """The bootstrap as it was before frequency weights: each resample's rows
-    copied, refitted with ``fit_logit_rowcopy`` and its effects taken from
-    the copy-based oracle. Returns the per-effect standard deviations, the
-    number of resamples used, and per effect the rounding allowance of its
-    standard deviation.
+    copied, refitted with ``fit_logit_rowcopy`` from the full-sample
+    coefficients ``fit.beta`` and its effects taken from the copy-based
+    oracle. The seeds come from one spawn of ``n_boot`` children. Returns
+    the per-effect standard deviations, the number of resamples used, and
+    per effect the rounding allowance of its standard deviation.
 
     The allowance bounds, to first order, how far the standard deviation
     can move when every resample's sums are taken in another order, as a
@@ -351,7 +352,12 @@ def bootstrap_rowcopy(design, schema, n_boot, seed, max_iter=50, tol=1e-8):
     is near 1e-12 of the standard deviation; a near-separated resample,
     whose information matrix has a condition number near 1e10, allows far
     more, and only for the effects that depend on its ill-determined
-    coefficients."""
+    coefficients.
+
+    With ``score_slack``, each score entry may also lie that far from zero,
+    as at any estimate that stopped once its score was below ``tol``: the
+    allowance then bounds how far two refits of each resample that stopped
+    at different points can move the standard deviation."""
     samples, moves, used, n = {}, {}, 0, design.n
     for child in np.random.SeedSequence(seed).spawn(n_boot):
         idx = np.random.default_rng(child).integers(0, n, size=n)
@@ -363,17 +369,17 @@ def bootstrap_rowcopy(design, schema, n_boot, seed, max_iter=50, tol=1e-8):
         ):
             continue
         try:
-            fit = fit_logit_rowcopy(
-                design_b.X, design_b.y, design.subset.value, max_iter=max_iter, tol=tol
+            refit = fit_logit_rowcopy(
+                design_b.X, design_b.y, design.subset.value, max_iter, tol, fit.beta
             )
         except (QuasiSeparation, SingularInformation):
             continue
-        if not fit.converged:
+        if not refit.converged:
             continue
-        dg = score_rounding(design_b.X, design_b.y, fit.beta)
-        for key, estimate, grad in effect_gradients_copy(design_b, fit.beta, schema):
+        dg = score_rounding(design_b.X, design_b.y, refit.beta) + score_slack
+        for key, estimate, grad in effect_gradients_copy(design_b, refit.beta, schema):
             samples.setdefault(key, []).append(estimate)
-            moves.setdefault(key, []).append(float(np.abs(fit.covariance @ grad) @ dg))
+            moves.setdefault(key, []).append(float(np.abs(refit.covariance @ grad) @ dg))
         used += 1
     ses, allowances = {}, {}
     for key, values in samples.items():

@@ -220,7 +220,7 @@ def test_criterion_5_marginal_effect_oracle():
         fd = oracles.ame_categorical_fd(x, fit.beta, [1], 1)
         assert cat.estimate == pytest.approx(fd, abs=1e-12)
 
-        ses, used = bootstrap_marginal_effects(design, schema, n_boot=300, seed=1234)
+        ses, used, _ = bootstrap_marginal_effects(fit, design, schema, n_boot=300, seed=1234)
         assert used >= 290
         for effect in effects:
             boot = ses[(effect.attribute, effect.level)]

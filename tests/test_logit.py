@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -12,10 +13,17 @@ from hypothesis import strategies as st
 import oracles
 from conftest import Covariates, frames, pair
 from favfa import logit
-from favfa.data import CROSS_LEVEL, Label, Subset, covariates_for_pairs
+from favfa.data import (
+    CROSS_LEVEL,
+    Label,
+    Subset,
+    consolidate_identity_attributes,
+    covariates_for_pairs,
+    load_images,
+    load_pairs,
+)
 from favfa.errors import (
     ConstantColumn,
-    DegenerateResponse,
     EmptySubset,
     FavfaError,
     NotConverged,
@@ -34,14 +42,19 @@ from favfa.logit import (
     summarize_fit,
 )
 from favfa.metrics import optimize_threshold
+from favfa.report import MODEL_SUBSETS
 from favfa.schema import (
     AttributeDef,
     AttributeSchema,
     Categorical,
     Continuous,
     Scope,
+    load_schema,
 )
 from favfa.synth import make_verification_dataset
+from favfa.util import named_seed
+
+DEMO = Path(__file__).resolve().parents[1] / "data" / "demo"
 
 
 def design_2x2(k1=30, n1=40, k0=10, n0=40):
@@ -394,7 +407,7 @@ def test_bootstrap_close_to_delta_method():
     )
     fit = fit_logit(design)
     effects = marginal_effects(fit, design, schema)
-    ses, used = bootstrap_marginal_effects(design, schema, n_boot=300, seed=7)
+    ses, used, _ = bootstrap_marginal_effects(fit, design, schema, n_boot=300, seed=7)
     assert used >= 290
     for effect in effects:
         boot = ses[(effect.attribute, effect.level)]
@@ -403,15 +416,49 @@ def test_bootstrap_close_to_delta_method():
 
 def test_bootstrap_deterministic():
     design = design_2x2(25, 40, 15, 40)
-    first, _ = bootstrap_marginal_effects(design, X_SCHEMA, n_boot=120, seed=3)
-    second, _ = bootstrap_marginal_effects(design, X_SCHEMA, n_boot=120, seed=3)
+    fit = fit_logit(design)
+    first = bootstrap_marginal_effects(fit, design, X_SCHEMA, n_boot=120, seed=3)
+    second = bootstrap_marginal_effects(fit, design, X_SCHEMA, n_boot=120, seed=3)
     assert first == second
 
 
 def test_bootstrap_single_resample_has_no_standard_errors():
     # one usable resample gives no spread: every effect is left out, not NaN
-    ses, used = bootstrap_marginal_effects(design_2x2(25, 40, 15, 40), X_SCHEMA, n_boot=1)
+    design = design_2x2(25, 40, 15, 40)
+    ses, used, iterations = bootstrap_marginal_effects(
+        fit_logit(design), design, X_SCHEMA, n_boot=1
+    )
     assert (ses, used) == ({}, 1)
+    assert iterations > 0
+
+
+def test_bootstrap_needs_a_converged_fit():
+    design = design_2x2(25, 40, 15, 40)
+    fit = replace(fit_logit(design), converged=False)
+    with pytest.raises(NotConverged):
+        bootstrap_marginal_effects(fit, design, X_SCHEMA, n_boot=5)
+
+
+def test_bootstrap_seeds_equal_one_spawn():
+    # the seeds are spawned a block at a time; each resample must still get
+    # the child that one spawn of n_boot children gives it
+    design = design_2x2(25, 40, 15, 40)
+    fit = fit_logit(design)
+    want = [(c.entropy, c.spawn_key) for c in np.random.SeedSequence(5).spawn(17)]
+    real = np.random.default_rng
+    for block in (1, 3, 16, 17, 100):
+        seen = []
+
+        def recording(child):
+            seen.append((child.entropy, child.spawn_key))
+            return real(child)
+
+        with (
+            patch.object(logit, "_BOOT_ELEMENTS", block * design.n),
+            patch.object(np.random, "default_rng", recording),
+        ):
+            bootstrap_marginal_effects(fit, design, X_SCHEMA, n_boot=17, seed=5)
+        assert seen == want, block
 
 
 # --- marginal effects against the copy-based oracle ---
@@ -502,14 +549,30 @@ def test_marginal_effects_equal_copy_oracle(seed, a_levels, b_levels, n_continuo
 # --- the frequency-weighted IRLS kernel against the row-copy oracle ---
 
 
+def converged_at(design, beta):
+    """``beta`` as a converged fit of ``design``, for a bootstrap to start from."""
+    return LogitFit(
+        beta=beta, covariance=np.eye(len(beta)), log_likelihood=0.0, iterations=0,
+        converged=True, columns=design.columns, ll_trace=(),
+    )
+
+
 @given(*design_params, st.integers(60, 200), st.floats(0.0, 1.5), st.integers(0, 2**32 - 1))
 @settings(max_examples=20, deadline=None)
 def test_bootstrap_equals_copy_oracle_loop(
     seed, a_levels, b_levels, n_continuous, n, coef_scale, boot_seed
 ):
-    schema, design, _, _ = random_design(seed, n, a_levels, b_levels, n_continuous, coef_scale)
-    ses, used = bootstrap_marginal_effects(design, schema, n_boot=10, seed=boot_seed)
-    want, want_used, allowances = oracles.bootstrap_rowcopy(design, schema, 10, boot_seed)
+    schema, design, beta, _ = random_design(seed, n, a_levels, b_levels, n_continuous, coef_scale)
+    # from the full-sample fit, as in run_analysis; where there is none, from
+    # the coefficients that drew the responses
+    try:
+        fit = fit_logit(design)
+    except FavfaError:
+        fit = None
+    if fit is None or not fit.converged:
+        fit = converged_at(design, beta)
+    ses, used, _ = bootstrap_marginal_effects(fit, design, schema, n_boot=10, seed=boot_seed)
+    want, want_used, allowances = oracles.bootstrap_rowcopy(fit, design, schema, 10, boot_seed)
     assert used == want_used
     assert ses.keys() == want.keys()
     for key, se in ses.items():
@@ -592,25 +655,71 @@ def test_bootstrap_blocks_equal_rowcopy_oracle(
     # resamples that lose a level or the response variation, separate, or
     # stop at max_iter, refitted in blocks of ``block`` resamples that need
     # not divide n_boot, with and without the column-product table
-    schema, design, _, _ = random_design(seed, n, a_levels, b_levels, n_continuous, coef_scale)
-
-    def outcome(bootstrap):
-        try:
-            return bootstrap(design, schema, n_boot=n_boot, seed=boot_seed, max_iter=max_iter)
-        except DegenerateResponse as exc:
-            return str(exc)
-
+    schema, design, beta, _ = random_design(seed, n, a_levels, b_levels, n_continuous, coef_scale)
+    if design.n <= design.X.shape[1] or design.y.min() == design.y.max():
+        return  # no model to fit, so none to bootstrap
+    # From the coefficients that drew the responses. These small designs
+    # often fit near separation, with a coefficient near 20 where the score
+    # fell below tol; a step from such an estimate solves a numerically
+    # singular system, so which side of COEF_LIMIT it lands on is rounding.
+    args = (converged_at(design, beta), design, schema)
+    kwargs = dict(n_boot=n_boot, seed=boot_seed, max_iter=max_iter)
     with patch.object(logit, "_BOOT_ELEMENTS", block * n):
-        got = outcome(bootstrap_marginal_effects)
-    want = outcome(oracles.bootstrap_rowcopy)
-    if isinstance(want, str):
-        assert got == want
-        return
-    (ses, used), (want_ses, want_used, allowances) = got, want
+        ses, used, _ = bootstrap_marginal_effects(*args, **kwargs)
+    want_ses, want_used, allowances = oracles.bootstrap_rowcopy(*args, **kwargs)
     assert used == want_used
     assert ses.keys() == want_ses.keys()
     for key, se in ses.items():
         assert_close(se, want_ses[key], allowances[key])
+
+
+# --- refits from the full-sample estimate against refits from zero ---
+
+
+def assert_warm_start_within_tol(fit, design, schema, n_boot, seed):
+    """Refits from ``fit``'s estimate use the same resamples as refits from
+    zero, and their standard errors lie within what two stops anywhere with
+    a score below the bootstrap's ``tol`` = 1e-8 can move them
+    (``oracles.bootstrap_rowcopy`` with that much score slack, to first
+    order)."""
+    warm, used, _ = bootstrap_marginal_effects(fit, design, schema, n_boot=n_boot, seed=seed)
+    zero = replace(fit, beta=np.zeros_like(fit.beta))
+    cold, cold_used, _ = bootstrap_marginal_effects(zero, design, schema, n_boot=n_boot, seed=seed)
+    _, _, allowances = oracles.bootstrap_rowcopy(
+        fit, design, schema, n_boot, seed, score_slack=1e-8
+    )
+    assert used == cold_used
+    assert warm.keys() == cold.keys()
+    for key, se in warm.items():
+        assert abs(se - cold[key]) <= allowances[key], (key, se, cold[key], allowances[key])
+
+
+def test_warm_start_within_tol_on_demo():
+    # both models of ``favfa analyze --bootstrap 20`` on data/demo
+    schema = load_schema(DEMO / "schema.json")
+    images = consolidate_identity_attributes(load_images(DEMO / "images.csv", schema), schema)
+    pairs = load_pairs(DEMO / "pairs.csv", images)
+    covs = covariates_for_pairs(pairs, images, schema)
+    threshold = optimize_threshold(pairs)
+    for model, subset in MODEL_SUBSETS.items():
+        design = build_design(pairs, covs, schema, subset, threshold)
+        seed = named_seed(0, f"bootstrap:{model}")
+        assert_warm_start_within_tol(fit_logit(design), design, schema, 20, seed)
+
+
+# Near separation the two starts can end a resample differently: a refit from
+# an estimate with a coefficient near 20 can cross COEF_LIMIT where one from
+# zero stops short of it with a score below tol, or the reverse. At 60-200 rows
+# and coefficients up to 1.5, ``used`` differed in about 1 design in 30 (in
+# most of them the full-sample fit itself stopped near separation). These
+# designs keep every cell far from it: 300 rows or more, coefficients at most
+# 0.5.
+@given(*design_params, st.integers(300, 1000), st.floats(0.0, 0.5), st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_warm_start_within_tol(seed, a_levels, b_levels, n_continuous, n, coef_scale, boot_seed):
+    schema, design, _, _ = random_design(seed, n, a_levels, b_levels, n_continuous, coef_scale)
+    fit = fit_logit(design)
+    assert_warm_start_within_tol(fit, design, schema, 10, boot_seed)
 
 
 # --- reporting helpers ---

@@ -96,9 +96,16 @@ def test_run_analysis_deterministic_across_dirs(demo_dir, tmp_path):
 def test_manifest_records_bootstrap_counts(demo_dir, tmp_path):
     result = run_analysis(config_for(demo_dir, tmp_path / "boot", bootstrap=25))
     manifest = json.loads((tmp_path / "boot" / "run_manifest.json").read_text())
-    assert manifest["bootstrap"] == {"requested": 25, "used": result.bootstrap_used}
-    assert sorted(result.bootstrap_used) == ["fmr", "tmr"]
-    assert all(0 < used <= 25 for used in result.bootstrap_used.values())
+    assert manifest["bootstrap"] == {
+        "requested": 25,
+        "used": result.bootstrap_used,
+        "iterations": result.bootstrap_iterations,
+    }
+    assert sorted(result.bootstrap_used) == sorted(result.bootstrap_iterations) == ["fmr", "tmr"]
+    for model, used in result.bootstrap_used.items():
+        assert 0 < used <= 25
+        # no resample starts at its own estimate, and none passes max_iter
+        assert used <= result.bootstrap_iterations[model] <= 50 * used
     run_analysis(config_for(demo_dir, tmp_path / "plain"))
     manifest = json.loads((tmp_path / "plain" / "run_manifest.json").read_text())
     assert "bootstrap" not in manifest
@@ -271,8 +278,12 @@ def test_demo_bundle_json_is_canonical(tmp_path):
 #: data/demo: the delta-method and bootstrap columns, pinned for determinism.
 #: Re-pinned when ``logit.expit`` replaced scipy's expit: numpy's exp differs
 #: from the C library's in the last bit on about 2 % of inputs, and the
-#: file's numbers moved by at most 5.6e-14 relative.
-BOOTSTRAP_EFFECTS_PIN = "53cd69cf4bb7a79f515457896226764447859ced991f71f2346003b62a458a15"
+#: file's numbers moved by at most 5.6e-14 relative. Re-pinned when bootstrap
+#: refits started from the full-sample estimate instead of zero: the
+#: ``bootstrap_se`` column moved by at most 2.7e-10 relative and every other
+#: column not at all, within what two stops with a score below ``tol`` = 1e-8
+#: allow (about 1.6e-8 to 3.5e-8 of each standard error here).
+BOOTSTRAP_EFFECTS_PIN = "a7f2609c7051e3dc36ee5dffbe510c3a304e522e9b9d7fd8eaf11e5673949fac"
 
 
 def test_demo_bootstrap_effects_pinned(tmp_path):
