@@ -25,8 +25,9 @@ from .logit import DesignMatrix, LogitFit, _sum_over_rows, expit
 #: the block is freed, so a larger block would move the peak by whole pages,
 #: or not, depending on where the heap happened to place it. Two rows
 #: reach 4 MiB only from 2**18 observations on, where one-row blocks would
-#: double the count of ``_sum_over_rows``'s products over 512-observation
-#: slices (1.5 times the time at 500,000 observations).
+#: double the count of ``_sum_over_rows`` calls, each a stacked product of
+#: one row with every 512-observation slice (1.3 times the time at 500,000
+#: observations).
 _SIM_ELEMENTS = 2**17
 
 
@@ -124,8 +125,9 @@ def simulate_residuals(
     stream as one (n_sim, n) draw would. No residual is materialised. A
     block's variances and zero counts come from one product: the indicator
     of draws that took each observation's less likely outcome, times three
-    fixed n-vectors, summed in fixed 512-row slices. So the result does not
-    depend on the OpenBLAS thread count.
+    fixed n-vectors, taken slice by fixed 512-row slice in one stacked
+    product and added in slice order. So the result does not depend on the
+    OpenBLAS thread count.
     """
     if not fit.converged:
         raise NotConverged("diagnostics need a converged fit")

@@ -217,14 +217,29 @@ def _column_products(X: np.ndarray) -> np.ndarray:
 
 
 def _sum_over_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b``, where ``a``'s last axis and ``b``'s rows are the
-    observations, as the sum of the products of fixed ``_INFO_ROWS`` slices
-    of them, in order. One product over all n observations is a GEMM or GEMV
-    whose summation order, and so whose last bits, follow the OpenBLAS thread
-    count."""
-    out = a[..., :_INFO_ROWS] @ b[:_INFO_ROWS]
-    for start in range(_INFO_ROWS, len(b), _INFO_ROWS):
-        out += a[..., start : start + _INFO_ROWS] @ b[start : start + _INFO_ROWS]
+    """``a @ b`` for 2-D ``a`` and ``b``, where ``a``'s columns and ``b``'s
+    rows are the observations, as the sum of the products of fixed
+    ``_INFO_ROWS`` slices of them, added in slice order, the short tail last.
+    One product over all n observations is a GEMM or GEMV whose summation
+    order, and so whose last bits, follow the OpenBLAS thread count.
+
+    The whole slices are one stacked ``matmul``: numpy runs the same BLAS
+    call on each slice as it would on that slice alone, without a Python
+    call per slice."""
+    (k, n), m = a.shape, b.shape[1]
+    whole = n - n % _INFO_ROWS
+    if not whole:
+        return a @ b
+    slices = a[:, :whole].reshape(k, -1, _INFO_ROWS).transpose(1, 0, 2)
+    products = slices @ b[:whole].reshape(-1, _INFO_ROWS, m)
+    # add.reduce adds (k, m) products elementwise, slice after slice, but
+    # sums one element per slice pairwise; accumulate is sequential, slower
+    if k * m > 1:
+        out = np.add.reduce(products, axis=0)
+    else:
+        out = np.add.accumulate(products, axis=0)[-1]
+    if whole < n:
+        out += a[:, whole:] @ b[whole:]
     return out
 
 

@@ -239,7 +239,7 @@ def load_schema(path: str | Path) -> AttributeSchema:
     ``pose`` receive default bins when none are given.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(f"schema {path}: not UTF-8 text: {exc.reason}") from None
     try:

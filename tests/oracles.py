@@ -215,6 +215,16 @@ class RowCopyFit:
     ll_trace: tuple[float, ...]
 
 
+def sum_over_rows_loop(a, b, rows=512):
+    """``a @ b`` over the observations (``a``'s columns, ``b``'s rows) as it
+    was summed before the slices were stacked: one product per ``rows``-row
+    slice, added into the first slice's product one after another."""
+    out = a[:, :rows] @ b[:rows]
+    for start in range(rows, len(b), rows):
+        out += a[:, start : start + rows] @ b[start : start + rows]
+    return out
+
+
 def _solve_spd(hessian, rhs):
     try:
         chol = np.linalg.cholesky(hessian)

@@ -722,6 +722,44 @@ def test_warm_start_within_tol(seed, a_levels, b_levels, n_continuous, n, coef_s
     assert_warm_start_within_tol(fit, design, schema, 10, boot_seed)
 
 
+# --- sums over the observations ---
+
+
+def spread_values(rng, shape):
+    """Normal values scaled over +-8 decades, about one in ten of them -0.0."""
+    values = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+    values[rng.random(shape) < 0.1] = -0.0
+    return values
+
+
+@given(
+    st.one_of(
+        st.integers(1, logit._INFO_ROWS - 1),
+        st.integers(1, 12).map(lambda slices: slices * logit._INFO_ROWS),
+        st.integers(logit._INFO_ROWS + 1, 6500),
+    ),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+# one row times one column: numpy's add.reduce sums those slices pairwise
+@example(6000, 1, 1, False, 0)
+@example(6000, 1, 1, True, 0)
+def test_sum_over_rows_equals_slice_loop(n, k, m, weighted_design, seed):
+    rng = np.random.default_rng(seed)
+    if weighted_design:
+        # the operands of _information: (X * w[:, None]).T, a transposed view, and X
+        b = spread_values(rng, (n, k))
+        a = (b * rng.random(n)[:, None]).T
+    else:
+        a, b = spread_values(rng, (k, n)), spread_values(rng, (n, m))
+    got, want = logit._sum_over_rows(a, b), oracles.sum_over_rows_loop(a, b)
+    assert got.shape == want.shape == (k, b.shape[1])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 # --- reporting helpers ---
 
 

@@ -321,13 +321,30 @@ import numpy as np
 from favfa.anova import anova_distances
 from favfa.data import Subset, covariates_for_pairs
 from favfa.diagnostics import simulate_residuals
-from favfa.logit import DesignMatrix, fit_logit
+from favfa.logit import (
+    DesignMatrix,
+    bootstrap_marginal_effects,
+    build_design,
+    fit_logit,
+    marginal_effects,
+)
+from favfa.metrics import optimize_threshold
 from favfa.synth import make_verification_dataset
 
 data = make_verification_dataset(n_identities=2000, n_positive=12000, n_negative=12000, seed=3)
 covs = covariates_for_pairs(data.pairs, data.images, data.schema)
 for subset in (Subset.POSITIVES, Subset.NEGATIVES):
     print(repr(anova_distances(data.pairs, covs, data.schema, subset, interactions=True)))
+
+# 12,000 rows and 7 columns: the bootstrap's blocks of 5 resamples share the
+# column-product table (28 products, at most 6 per resample of a block)
+design = build_design(
+    data.pairs, covs, data.schema, Subset.POSITIVES, optimize_threshold(data.pairs)
+)
+fit = fit_logit(design)
+print([(e.estimate.hex(), e.std_error.hex()) for e in marginal_effects(fit, design, data.schema)])
+ses, used, iterations = bootstrap_marginal_effects(fit, design, data.schema, n_boot=20, seed=0)
+print(sorted((key, se.hex()) for key, se in ses.items()), used, iterations)
 
 rng = np.random.default_rng(0)
 X = np.column_stack([np.ones(100_000), rng.integers(0, 2, size=(100_000, 9))]).astype(float)
@@ -377,6 +394,44 @@ def test_cli_non_numeric_bins_exit_1(tmp_path, command):
     assert_one_json_error(result, "ParseError")
     assert "'age'" in json.loads(result.stderr)["message"]
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_schema_with_byte_order_mark(tmp_path):
+    # every command reads a schema that starts with a UTF-8 byte-order mark
+    # as it reads the plain file; only the manifest's schema sha256 differs
+    bom_schema = tmp_path / "schema.json"
+    bom_schema.write_bytes(b"\xef\xbb\xbf" + (DEMO / "schema.json").read_bytes())
+    images = str(DEMO / "images.csv")
+    outputs = []
+    for schema in (DEMO / "schema.json", bom_schema):
+        out = tmp_path / f"out-{len(outputs)}"
+        commands = [
+            ["analyze", "--images", images, "--pairs", str(DEMO / "pairs.csv"),
+             "--out", str(out / "bundle")],
+            ["weights", "--images", images, "--attrs", "gender,age",
+             "--out", str(out / "weights.csv")],
+            ["diversity", "--images", images],
+            ["plan", "--ids", images, "--styles", images, "--n-identities", "8",
+             "--samples", "4", "--out", str(out / "plan.jsonl")],
+        ]
+        stdout = []
+        for command, *args in commands:
+            result = CliRunner().invoke(main, [command, "--schema", str(schema), *args])
+            assert result.exit_code == 0, (command, result.output)
+            stdout.append(result.stdout.replace(str(out), "<out>"))
+        files = {
+            path.relative_to(out).as_posix(): path.read_bytes()
+            for path in out.rglob("*") if path.is_file()
+        }
+        outputs.append((stdout, files))
+    (plain_stdout, plain), (bom_stdout, bom) = outputs
+    assert bom_stdout == plain_stdout
+    manifests = [json.loads(files.pop("bundle/run_manifest.json")) for files in (plain, bom)]
+    assert bom == plain
+    bundle = {f"bundle/{name}" for name in BUNDLE if name != "run_manifest.json"}
+    assert set(plain) == bundle | {"weights.csv", "plan.jsonl"}
+    manifests[1]["inputs"]["schema"]["sha256"] = manifests[0]["inputs"]["schema"]["sha256"]
+    assert manifests[1] == manifests[0]
 
 
 def test_bundle_digest_lists_differing_files(tmp_path):
