@@ -55,7 +55,6 @@ from .planner import (
     GenerationPlan,
     SamplingWeights,
     StyleAssignment,
-    WeightEntry,
     assign_styles,
     loss_weights,
     plan_diversity_report,

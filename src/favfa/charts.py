@@ -185,7 +185,7 @@ def qq_plot_svg(panels: Mapping[str, Sequence[float]]) -> str:
     for pi, name in enumerate(names):
         ox = margin + pi * (size + spacing)
         oy = margin + 10
-        values = np.sort(np.asarray(panels[name])).tolist()
+        values = np.sort(panels[name])
         n = len(values)
         m = min(n, _QQ_POINTS)
         ranks = [(i * n) // m for i in range(m)]
@@ -197,9 +197,9 @@ def qq_plot_svg(panels: Mapping[str, Sequence[float]]) -> str:
             f'<line x1="{ox}" y1="{oy + size}" x2="{ox + size}" y2="{oy}" '
             f'stroke="#999999" stroke-dasharray="4 3"/>'
         )
-        for rank in ranks:
+        for rank, value in zip(ranks, values[ranks].tolist()):
             cx = ox + (rank + 0.5) / n * size
-            cy = oy + size - values[rank] * size
+            cy = oy + size - value * size
             body.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="1.5" fill="#4878cf"/>')
         body.append(
             f'<text x="{ox}" y="{oy + size + 24}" {_FONT} font-size="12">{escape(name)}</text>'

@@ -201,11 +201,11 @@ def cmd_weights(schema_path, images_path, attrs, out_path):
     weights = sampling_weights(images, schema, attrs)
     text = csv_text(
         ["image_id", "weight", "probability"],
-        ((e.image_id, e.weight, e.probability) for e in weights.entries),
+        zip(weights.ids, weights.weight.tolist(), weights.probability.tolist()),
     )
     if out_path:
         write_files({Path(out_path): [text]})
-        click.echo(f"wrote {len(weights.entries)} rows to {out_path}")
+        click.echo(f"wrote {len(weights.ids)} rows to {out_path}")
     else:
         click.echo(text, nl=False)
 

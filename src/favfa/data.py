@@ -25,7 +25,7 @@ from enum import Enum
 from itertools import islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Container, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -142,10 +142,9 @@ class PairFrame:
 
     ``image_a`` and ``image_b`` are rows of the :class:`ImageFrame` the
     pairs were loaded against. ``predicted`` holds 1 (same), 0 (different)
-    or ``NO_PREDICTION``. ``pair_id`` names pairs in error messages.
+    or ``NO_PREDICTION``. Pair ids are checked on load but not kept.
     """
 
-    pair_id: tuple[str, ...]
     image_a: np.ndarray
     image_b: np.ndarray
     is_pos: np.ndarray
@@ -153,7 +152,7 @@ class PairFrame:
     predicted: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.pair_id)
+        return len(self.distance)
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,12 +303,12 @@ def _cells(rows: list[list[str]], col: int) -> list[str]:
     return list(map(str.strip, map(itemgetter(col), rows)))
 
 
-def _repeats(ids: list[str], earlier: Iterable[str] = ()) -> np.ndarray:
+def _repeats(ids: list[str], earlier: Container[str] = frozenset()) -> np.ndarray:
     """Mask of the ids that appear in ``earlier`` or before them in ``ids``."""
-    seen = set(earlier)
+    seen: set[str] = set()
     mask = np.zeros(len(ids), dtype=bool)
     for i, name in enumerate(ids):
-        mask[i] = name in seen
+        mask[i] = name in earlier or name in seen
         seen.add(name)
     return mask
 
@@ -784,7 +783,6 @@ def load_pairs(path: str | Path, images: ImageFrame) -> PairFrame:
     texts = [id_col, a_col, b_col, truth_col] + ([] if pred_col is None else [pred_col])
 
     def build(blocks: Iterator[dict[int, _Column]], settle: _Settle) -> PairFrame:
-        ids: list[str] = []
         seen: set[str] = set()
         parts: dict[str, list[np.ndarray]] = {
             k: [] for k in ("image_a", "image_b", "is_pos", "distance", "predicted")
@@ -793,11 +791,11 @@ def load_pairs(path: str | Path, images: ImageFrame) -> PairFrame:
             pair_ids, cells_a, cells_b = map(_texts, (block[id_col], block[a_col], block[b_col]))
             m = len(pair_ids)
             before = len(seen)
-            seen.update(pair_ids)
-            repeated = (
-                _repeats(pair_ids, ids) if len(seen) - before != m else np.zeros(m, dtype=bool)
-            )
-            ids += pair_ids
+            if seen.isdisjoint(pair_ids):
+                seen.update(pair_ids)
+                repeated = _repeats(pair_ids) if len(seen) - before != m else np.zeros(m, bool)
+            else:  # the repeat raises below, so ``seen`` need not take the block
+                repeated = _repeats(pair_ids, seen)
             image_a = np.fromiter(map(index.get, cells_a, repeat(-1)), np.intp, m)
             image_b = np.fromiter(map(index.get, cells_b, repeat(-1)), np.intp, m)
             truth = _codes(block[truth_col], _LABEL_CODES, -1, np.int8, fold=True)
@@ -827,7 +825,6 @@ def load_pairs(path: str | Path, images: ImageFrame) -> PairFrame:
                 parts[name].append(values)
 
         return PairFrame(
-            pair_id=tuple(ids),
             image_a=_joined(parts["image_a"], np.empty(0, dtype=np.intp)),
             image_b=_joined(parts["image_b"], np.empty(0, dtype=np.intp)),
             is_pos=_joined(parts["is_pos"], np.empty(0, dtype=bool)),

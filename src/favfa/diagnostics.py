@@ -31,9 +31,12 @@ from .logit import DesignMatrix, LogitFit, _sum_over_rows, expit
 _SIM_ELEMENTS = 2**17
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidualDiagnostics:
-    scaled_residuals: tuple[float, ...]
+    """A model's simulated residual tests; ``scaled_residuals`` is a
+    float64 array, one entry per observation."""
+
+    scaled_residuals: np.ndarray
     ks_statistic: float
     ks_p_value: float
     dispersion_ratio: float
@@ -193,7 +196,7 @@ def simulate_residuals(
         zero_ratio = 1.0 if zeros_observed == 0 else float("inf")
 
     return ResidualDiagnostics(
-        scaled_residuals=tuple(scaled.tolist()),
+        scaled_residuals=scaled,
         ks_statistic=ks_stat,
         ks_p_value=ks_p,
         dispersion_ratio=dispersion_ratio,

@@ -77,9 +77,7 @@ def predicted_same(
             first = int(np.argmax(missing))
             if rows is not None:
                 first = int(np.flatnonzero(rows)[first])
-            raise ValueError(
-                f"pair {frame.pair_id[first]!r} has no prediction and no threshold was given"
-            )
+            raise ValueError(f"pair row {first} has no prediction and no threshold was given")
         return predicted == 1
     distance = frame.distance if rows is None else frame.distance[rows]
     return np.where(missing, distance < threshold, predicted == 1)

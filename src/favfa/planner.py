@@ -34,16 +34,14 @@ from .schema import AttributeSchema
 SEGMENT_ATTRS = ("gender", "ethnicity")
 
 
-@dataclass(frozen=True)
-class WeightEntry:
-    image_id: str
-    weight: float
-    probability: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SamplingWeights:
-    entries: tuple[WeightEntry, ...]
+    """Weights as columns: image ``ids[i]`` (the image table's own id
+    column) has weight ``weight[i]`` and probability ``probability[i]``."""
+
+    ids: tuple[str, ...]
+    weight: np.ndarray
+    probability: np.ndarray
     attributes: tuple[str, ...]
 
 
@@ -91,18 +89,16 @@ def sampling_weights(
     Each image's weight is the product across ``attrs`` of one over the
     number of images sharing its value (counted with one ``np.bincount`` of
     the attribute's level codes or bin indices); probabilities normalize the
-    weights to unit total. Entries follow table order, but every probability
+    weights to unit total. Rows follow table order, but every probability
     is independent of that order (the normalizer is an exactly rounded sum).
     An attribute named twice raises ``SchemaInvalid``; the first image
     without a value, or with one no bin holds, raises for its first such
     attribute.
     """
     weights = _raw_weights(frame, schema, attrs)
-    denominator = math.fsum(weights.tolist())
-    entries = tuple(
-        map(WeightEntry, frame.ids, weights.tolist(), (weights / denominator).tolist())
+    return SamplingWeights(
+        frame.ids, weights, weights / math.fsum(weights.tolist()), tuple(attrs)
     )
-    return SamplingWeights(entries, tuple(attrs))
 
 
 def loss_weights(
@@ -127,10 +123,8 @@ def resample_epoch(weights: SamplingWeights, n: int, seed: int) -> list[str]:
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)
-    ids = [e.image_id for e in weights.entries]
-    probs = np.array([e.probability for e in weights.entries])
-    idx = rng.choice(len(ids), size=n, replace=True, p=probs)
-    return [ids[i] for i in idx]
+    idx = rng.choice(len(weights.ids), size=n, replace=True, p=weights.probability)
+    return [weights.ids[i] for i in idx.tolist()]
 
 
 def _segments(

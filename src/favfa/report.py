@@ -193,8 +193,8 @@ def _diagnostics_json(diagnostics: dict[str, ResidualDiagnostics]) -> str:
             "seed": diag.seed,
             "scaled_residuals": marker,
         }
-        residuals = json.dumps(diag.scaled_residuals, allow_nan=False)
-        if diag.scaled_residuals:
+        residuals = json.dumps(diag.scaled_residuals.tolist(), allow_nan=False)
+        if len(diag.scaled_residuals):
             residuals = "[\n      " + residuals[1:-1].replace(", ", ",\n      ") + "\n    ]"
         lists[json.dumps(marker)] = residuals
     text = canonical_json(fields)

@@ -129,18 +129,16 @@ def make_verification_dataset(
             return tau * (0.02 + 0.96 * rng.random())
         return tau + (1.0 - tau) * (0.02 + 0.96 * rng.random())
 
-    pair_ids: list[str] = []
     rows_a: list[int] = []
     rows_b: list[int] = []
     distances: list[float] = []
-    for k in range(n_positive):
+    for _ in range(n_positive):
         identity = identities[rng.integers(n_identities)]
         a, b = rng.choice(images_per_identity, size=2, replace=False)
-        pair_ids.append(f"pos{k:06d}")
         rows_a.append(images.index[f"{identity}_img{a}"])
         rows_b.append(images.index[f"{identity}_img{b}"])
         distances.append(draw_distance(true_match_rate))
-    for k in range(n_negative):
+    for _ in range(n_negative):
         id_a = identities[rng.integers(n_identities)]
         segment_pool = by_segment[identity_attrs[id_a]]
         if len(segment_pool) > 1 and rng.random() < within_segment_negatives:
@@ -155,14 +153,12 @@ def make_verification_dataset(
         eth_a, eth_b = identity_attrs[id_a][1], identity_attrs[id_b][1]
         if eth_a == eth_b and eth_a in fmr_bias:
             rate += fmr_bias[eth_a]
-        pair_ids.append(f"neg{k:06d}")
         rows_a.append(images.index[f"{id_a}_img{rng.integers(images_per_identity)}"])
         rows_b.append(images.index[f"{id_b}_img{rng.integers(images_per_identity)}"])
         distances.append(draw_distance(rate))
 
     n_pairs = n_positive + n_negative
     pairs = PairFrame(
-        pair_id=tuple(pair_ids),
         image_a=np.array(rows_a, dtype=np.intp),
         image_b=np.array(rows_b, dtype=np.intp),
         is_pos=np.arange(n_pairs) < n_positive,
@@ -275,13 +271,14 @@ def write_dataset(dataset: SyntheticDataset, out_dir: str | Path) -> None:
         writer.writerow(["pair_id", "image_a", "image_b", "ground_truth", "distance"])
         pairs = dataset.pairs
         ids = dataset.images.ids
-        for pair_id, a, b, is_pos, distance in zip(
-            pairs.pair_id,
+        # a pair's id is its label and its index among the pairs of that label
+        within = np.where(pairs.is_pos, np.cumsum(pairs.is_pos), np.cumsum(~pairs.is_pos)) - 1
+        for k, a, b, is_pos, distance in zip(
+            within.tolist(),
             pairs.image_a.tolist(),
             pairs.image_b.tolist(),
             pairs.is_pos.tolist(),
             pairs.distance.tolist(),
         ):
-            writer.writerow(
-                [pair_id, ids[a], ids[b], "same" if is_pos else "different", round(distance, 6)]
-            )
+            label, prefix = ("same", "pos") if is_pos else ("different", "neg")
+            writer.writerow([f"{prefix}{k:06d}", ids[a], ids[b], label, round(distance, 6)])

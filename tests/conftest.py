@@ -196,7 +196,6 @@ def pair_frame(pairs) -> PairFrame:
     appearance."""
     image_rows: dict[str, int] = {}
     return PairFrame(
-        pair_id=tuple(p.pair_id for p in pairs),
         image_a=np.array([image_rows.setdefault(p.image_a, len(image_rows)) for p in pairs],
                          dtype=np.intp),
         image_b=np.array([image_rows.setdefault(p.image_b, len(image_rows)) for p in pairs],
@@ -260,13 +259,14 @@ def image_rows(frame: ImageFrame) -> list[ImageRow]:
 
 
 def pair_rows(frame: PairFrame, images: ImageFrame) -> list[PairRow]:
-    """The pairs of a frame as rows, image ids read from ``images``."""
+    """The pairs of a frame as rows, image ids read from ``images``. A frame
+    keeps no pair ids, so every row's ``pair_id`` is None."""
     labels = {1: Label.SAME, 0: Label.DIFFERENT, NO_PREDICTION: None}
     return [
-        PairRow(pair_id, images.ids[a], images.ids[b], labels[int(pos)], distance,
+        PairRow(None, images.ids[a], images.ids[b], labels[int(pos)], distance,
                 labels[predicted])
-        for pair_id, a, b, pos, distance, predicted in zip(
-            frame.pair_id, frame.image_a.tolist(), frame.image_b.tolist(),
+        for a, b, pos, distance, predicted in zip(
+            frame.image_a.tolist(), frame.image_b.tolist(),
             frame.is_pos.tolist(), frame.distance.tolist(), frame.predicted.tolist(),
         )
     ]

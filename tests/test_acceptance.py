@@ -459,7 +459,7 @@ def test_criterion_9_weighting_formula():
             ],
         )
         weights = sampling_weights(table, schema, ["ethnicity"])
-        assert [e.probability for e in weights.entries] == [0.25, 0.25, 0.5]
+        assert weights.probability.tolist() == [0.25, 0.25, 0.5]
         draws = Counter(resample_epoch(weights, 100_000, seed=99))
         assert abs(draws["i1"] / 100_000 - 0.25) <= 0.01
         assert abs(draws["i2"] / 100_000 - 0.25) <= 0.01

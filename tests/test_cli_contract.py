@@ -9,6 +9,9 @@ own. They include finite image values too large to combine (pose components
 whose squares overflow, soft scores whose sum does), which must fail as a
 ``ParseError`` naming the image, and a finite distance or age too large to
 square, which must fail as a ``ValueOutOfRange`` without a numpy warning.
+Damaged ``schema.json`` files (not JSON, not UTF-8, an ``attributes`` that
+is not a list, a bin bound that is not a number, an unknown ``kind``, a
+repeated name) fail all three commands with exit 1 before any output.
 ``plan`` is run on damaged ``--ids`` and ``--styles`` tables, and on schemas
 that lack an attribute it bins styles by. Every registered command turns a
 ``FavfaError`` into the one JSON line, and an ``--alpha`` of NaN is a usage
@@ -280,3 +283,42 @@ def test_every_command_reports_a_favfa_error_as_one_json_line(tmp_path, monkeypa
         "error": "ParseError", "message": f"{tmp_path / 'schema.json'}: broken schema"
     }
     assert sorted(p.name for p in tmp_path.iterdir()) == ["schema.json"]
+
+
+#: Damaged schema.json files, by damage: the bytes written in place of the
+#: base schema's text, whose first number is the first bound of ``age``.
+DAMAGED_SCHEMAS = {
+    "not-json": lambda text: text[:40].encode(),
+    "attributes-not-a-list": lambda text: b'{"attributes": {}}',
+    "string-bin-bound": lambda text: text.replace("0.0", '"zero"', 1).encode(),
+    "unknown-kind": lambda text: text.replace('"categorical"', '"ordinal"', 1).encode(),
+    "duplicate-names": lambda text: text.replace('"name": "ethnicity"', '"name": "gender"').encode(),
+    "not-utf8": lambda text: text.replace("Male", "M\xe4le").encode("latin-1"),
+}
+
+
+@pytest.mark.parametrize("command", ["diversity", "weights", "analyze"])
+@pytest.mark.parametrize("damage", sorted(DAMAGED_SCHEMAS))
+def test_cli_contract_on_damaged_schemas(tmp_path, command, damage):
+    texts = base_texts()
+    for name in ("images.csv", "pairs.csv"):
+        (tmp_path / name).write_text(texts[name], encoding="utf-8")
+    (tmp_path / "schema.json").write_bytes(DAMAGED_SCHEMAS[damage](texts["schema.json"]))
+    args = [command, "--schema", str(tmp_path / "schema.json")]
+    args += ["--images", str(tmp_path / "images.csv")]
+    if command == "weights":
+        args += ["--attrs", "gender,age", "--out", str(tmp_path / "weights.csv")]
+    if command == "analyze":
+        args += ["--pairs", str(tmp_path / "pairs.csv"), "--out", str(tmp_path / "out")]
+    result = CliRunner().invoke(main, args)
+
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert "Traceback" not in result.output + result.stderr
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    error = json.loads(lines[0])
+    assert set(error) == {"error", "message"}
+    assert error["error"] == ("SchemaInvalid" if damage == "duplicate-names" else "ParseError")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["images.csv", "pairs.csv", "schema.json"]

@@ -11,11 +11,13 @@ brute-force oracles over those covariates.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import tempfile
 from contextlib import suppress
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,7 @@ from favfa.anova import anova_distances
 from favfa.data import (
     CROSS_LEVEL,
     Label,
+    LevelCodes,
     Subset,
     consolidate_identity_attributes,
     covariates_for_pairs,
@@ -34,7 +37,9 @@ from favfa.data import (
 )
 from favfa.errors import DegeneratePairs, FavfaError, MissingAttribute
 from favfa.logit import build_design
-from favfa.metrics import group_confusion, optimize_threshold
+from favfa.metrics import group_confusion, optimize_threshold, predicted_same
+from favfa.planner import sampling_weights
+from favfa.report import AnalysisConfig, run_analysis
 from favfa.schema import (
     DEFAULT_AGE_BINS,
     DEFAULT_POSE_BINS,
@@ -43,7 +48,10 @@ from favfa.schema import (
     Categorical,
     Continuous,
     Scope,
+    load_schema,
 )
+
+DEMO = Path(__file__).resolve().parents[1] / "data" / "demo"
 
 GENDERS = ("Male", "Female")
 ETHNICITIES = ("Caucasian", "African", "Asian", "Indian")
@@ -329,3 +337,60 @@ def test_pair_frame_columns_and_covariates(tmp_path):
     assert covs[1].continuous == {"age": 35.0, "pose": 6.0}
     with pytest.raises(DegeneratePairs):
         optimize_threshold(pair_frame([pair("p1", "a1", "b1", False, 0.75, predicted=True)]))
+
+
+def test_predicted_same_without_threshold_names_the_pair_row():
+    frame = pair_frame([
+        pair("p1", "a1", "b1", True, 0.2, predicted=True),
+        pair("p2", "a1", "b2", False, 0.6, predicted=False),
+        pair("p3", "a2", "b1", False, 0.7),
+    ])
+    assert predicted_same(frame, None, np.array([True, True, False])).tolist() == [True, False]
+    for rows in (None, np.array([False, True, True])):
+        with pytest.raises(ValueError, match="pair row 2 has no prediction"):
+            predicted_same(frame, None, rows)
+
+
+def _containers(value):
+    """The tuples, lists and arrays a field holds, through dicts and the
+    codes of a LevelCodes."""
+    if isinstance(value, dict):
+        for item in value.values():
+            yield from _containers(item)
+    elif isinstance(value, LevelCodes):
+        yield value.codes
+    elif isinstance(value, (tuple, list, np.ndarray)):
+        yield value
+
+
+def test_per_row_fields_are_arrays(tmp_path):
+    """No Python object per row: every per-row field of the pair, covariate,
+    weight and diagnostics records is an array. ``ImageFrame.ids`` is the
+    one id column kept as strings, and the weights share it."""
+    schema = load_schema(DEMO / "schema.json")
+    images = consolidate_identity_attributes(load_images(DEMO / "images.csv", schema), schema)
+    pairs = load_pairs(DEMO / "pairs.csv", images)
+    weights = sampling_weights(images, schema, ["gender", "ethnicity", "age"])
+    assert weights.ids is images.ids
+    result = run_analysis(AnalysisConfig(
+        DEMO / "schema.json", DEMO / "images.csv", DEMO / "pairs.csv", tmp_path / "out"
+    ))
+    n_pos = int(pairs.is_pos.sum())
+    records = [
+        (pairs, len(pairs)),
+        (covariates_for_pairs(pairs, images, schema), len(pairs)),
+        (weights, len(images)),
+        (result.diagnostics["tmr"], n_pos),
+        (result.diagnostics["fmr"], len(pairs) - n_pos),
+    ]
+    for record, rows in records:
+        arrays = 0
+        for f in dataclasses.fields(record):
+            for value in _containers(getattr(record, f.name)):
+                where = (type(record).__name__, f.name)
+                if isinstance(value, np.ndarray):
+                    assert len(value) == rows, where
+                    arrays += 1
+                else:
+                    assert value is images.ids or len(value) != rows, where
+        assert arrays, type(record).__name__

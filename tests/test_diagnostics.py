@@ -18,6 +18,13 @@ from favfa.errors import NotConverged
 from favfa.logit import DesignMatrix, LogitFit, expit, fit_logit
 
 
+def fields(diag) -> dict:
+    """Every field of a ResidualDiagnostics, the residuals as a list of
+    floats, so two results compare by value."""
+    assert diag.scaled_residuals.dtype == np.float64
+    return {**vars(diag), "scaled_residuals": diag.scaled_residuals.tolist()}
+
+
 def intercept_design(y):
     n = len(y)
     return DesignMatrix(
@@ -51,9 +58,9 @@ def test_bit_reproducible_with_fixed_seed():
     fit, design = fitted_on_simulated(1)
     a = simulate_residuals(fit, design, n_sim=150, seed=9)
     b = simulate_residuals(fit, design, n_sim=150, seed=9)
-    assert a == b
+    assert fields(a) == fields(b)
     c = simulate_residuals(fit, design, n_sim=150, seed=10)
-    assert c.scaled_residuals != a.scaled_residuals
+    assert fields(c)["scaled_residuals"] != fields(a)["scaled_residuals"]
 
 
 def test_nsim_precondition():
@@ -230,7 +237,7 @@ def full_draw_reference(fit, design, n_sim, seed):
     zero_counts = (~sims).sum(axis=1).astype(float)
     zeros_observed = float(np.count_nonzero(y < 0.5))
     return ResidualDiagnostics(
-        scaled_residuals=tuple(float(u) for u in scaled),
+        scaled_residuals=scaled,
         ks_statistic=ks_stat,
         ks_p_value=ks_p,
         dispersion_ratio=var_observed / float(var_simulated.mean()),
@@ -246,7 +253,7 @@ def assert_equals_reference(got, want):
     """Every field to the bit but ``dispersion_ratio``, which sums the
     replicate residuals in another order: within 1e-12 relative."""
     assert got.dispersion_ratio == pytest.approx(want.dispersion_ratio, rel=1e-12, abs=0.0)
-    assert replace(got, dispersion_ratio=0.0) == replace(want, dispersion_ratio=0.0)
+    assert fields(replace(got, dispersion_ratio=0.0)) == fields(replace(want, dispersion_ratio=0.0))
 
 
 # 20,000 observations take blocks of 2**17 // 20000 = 6 rows, not 64

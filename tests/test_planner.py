@@ -62,13 +62,13 @@ def aab_table():
 def test_weights_two_distinct_values(schema):
     images = table([image("i1", "I1", gender="Male"), image("i2", "I2", gender="Female")])
     weights = sampling_weights(images, schema, ["gender"])
-    assert [e.probability for e in weights.entries] == [0.5, 0.5]
+    assert weights.probability.tolist() == [0.5, 0.5]
 
 
 def test_weights_aab_exact(schema):
     weights = sampling_weights(aab_table(), schema, ["ethnicity"])
-    assert [e.weight for e in weights.entries] == [0.5, 0.5, 1.0]
-    assert [e.probability for e in weights.entries] == [0.25, 0.25, 0.5]
+    assert weights.weight.tolist() == [0.5, 0.5, 1.0]
+    assert weights.probability.tolist() == [0.25, 0.25, 0.5]
 
 
 def test_weights_product_of_single_attribute_weights(schema):
@@ -82,15 +82,16 @@ def test_weights_product_of_single_attribute_weights(schema):
     both = sampling_weights(images, schema, ["gender", "ethnicity"])
     gender_only = sampling_weights(images, schema, ["gender"])
     ethnicity_only = sampling_weights(images, schema, ["ethnicity"])
-    for b, g, e in zip(both.entries, gender_only.entries, ethnicity_only.entries):
-        assert b.weight == pytest.approx(g.weight * e.weight, rel=1e-12)
+    for b, g, e in zip(both.weight, gender_only.weight, ethnicity_only.weight):
+        assert b == pytest.approx(g * e, rel=1e-12)
 
 
 def test_weights_row_order_invariant(schema):
     images = aab_table()
     reordered = table(list(reversed(aab_rows())))
-    a = {e.image_id: e.probability for e in sampling_weights(images, schema, ["ethnicity"]).entries}
-    b = {e.image_id: e.probability for e in sampling_weights(reordered, schema, ["ethnicity"]).entries}
+    a = sampling_weights(images, schema, ["ethnicity"])
+    b = sampling_weights(reordered, schema, ["ethnicity"])
+    a, b = (dict(zip(w.ids, w.probability.tolist())) for w in (a, b))
     assert a == b
 
 
@@ -105,7 +106,7 @@ def test_weights_probabilities_sum_to_one(schema):
         ]
     )
     weights = sampling_weights(images, schema, ["gender", "ethnicity", "age", "pose"])
-    assert math.fsum(e.probability for e in weights.entries) == pytest.approx(1.0, abs=1e-9)
+    assert math.fsum(weights.probability.tolist()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_weights_missing_attribute(schema):
