@@ -9,9 +9,12 @@ a fixed seed; rerunning with the defaults reproduces the committed files.
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 
-from favfa.synth import make_verification_dataset, write_dataset
+# the generator is test-support code, beside the tests
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from synth import make_verification_dataset, write_dataset
 
 
 def main() -> None:

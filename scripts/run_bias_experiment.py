@@ -11,13 +11,18 @@ exceed the zero-bias control's.
 from __future__ import annotations
 
 import argparse
+import sys
 import time
+from pathlib import Path
 
 from favfa.anova import anova_distances
 from favfa.data import Subset, covariates_for_pairs
 from favfa.logit import build_design, fit_logit, interpret, marginal_effects
 from favfa.metrics import optimize_threshold
-from favfa.synth import make_verification_dataset
+
+# the generator is test-support code, beside the tests
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from synth import make_verification_dataset
 
 
 def run(n_pairs: int, seed: int, bias: float, level: str):

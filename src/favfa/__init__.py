@@ -71,7 +71,6 @@ from .schema import (
     Continuous,
     Scope,
     load_schema,
-    schema_to_dict,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -143,9 +143,6 @@ class AttributeSchema:
         if len(set(names)) != len(names):
             raise SchemaInvalid("duplicate attribute names in schema")
 
-    def __iter__(self):
-        return iter(self.attributes)
-
     def __contains__(self, name: str) -> bool:
         return any(a.name == name for a in self.attributes)
 
@@ -179,12 +176,14 @@ def _parse_bins(name: str, raw: object) -> tuple[tuple[float, float], ...]:
 
 
 def _bound(name: str, value: object) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(
-            f"attribute {name!r}: bin bound {value!r} cannot be read as a number"
-        ) from None
+    """A bin bound, which must be a JSON number: not a string or a boolean,
+    though ``float`` would read either."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer past the range of a float
+            pass
+    raise ParseError(f"attribute {name!r}: bin bound {value!r} cannot be read as a number")
 
 
 def _parse_attribute(entry: object) -> AttributeDef:
@@ -244,28 +243,8 @@ def load_schema(path: str | Path) -> AttributeSchema:
         raise ParseError(f"schema {path}: not UTF-8 text: {exc.reason}") from None
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or an integer too long to convert
         raise ParseError(f"schema {path}: {exc}") from exc
     if not isinstance(raw, dict) or not isinstance(raw.get("attributes"), list):
         raise ParseError(f"schema {path}: expected an object with an 'attributes' list")
     return AttributeSchema(tuple(_parse_attribute(e) for e in raw["attributes"]))
-
-
-def schema_to_dict(schema: AttributeSchema) -> dict:
-    """Inverse of :func:`load_schema`, for writing schema files."""
-    attrs = []
-    for a in schema.attributes:
-        entry: dict = {"name": a.name, "scope": a.scope.value}
-        if a.is_categorical:
-            entry["kind"] = "categorical"
-            entry["levels"] = list(a.levels)
-            entry["reference"] = a.reference
-        else:
-            entry["kind"] = "continuous"
-            entry["unit"] = a.kind.unit
-            if a.bins is not None:
-                entry["bins"] = [
-                    [lo, None if math.isinf(hi) else hi] for lo, hi in a.bins
-                ]
-        attrs.append(entry)
-    return {"attributes": attrs}

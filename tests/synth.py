@@ -1,5 +1,9 @@
 """Synthetic verification datasets for demos, tests and experiments.
 
+Test-support code beside ``oracles.py``, not part of the ``favfa`` package:
+the tests import it from this directory, and ``scripts/`` put this
+directory on ``sys.path``.
+
 The generator controls match probabilities directly: every pair draws its
 distance below or above a nominal decision point according to its target
 rate, so the optimized threshold lands next to that point and group-level
@@ -16,16 +20,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import NO_PREDICTION, ImageFrame, LevelCodes, PairFrame
-from .schema import (
+from favfa.data import NO_PREDICTION, ImageFrame, LevelCodes, PairFrame
+from favfa.schema import (
+    DEFAULT_AGE_BINS,
+    DEFAULT_POSE_BINS,
     AttributeDef,
     AttributeSchema,
     Categorical,
     Continuous,
     Scope,
-    schema_to_dict,
 )
-from .util import canonical_json
+from favfa.util import canonical_json
 
 GENDERS = ("Male", "Female")
 ETHNICITIES = ("Caucasian", "African", "Asian", "Indian")
@@ -34,8 +39,6 @@ ETHNICITIES = ("Caucasian", "African", "Asian", "Indian")
 def default_schema() -> AttributeSchema:
     """The four-attribute schema used by the demos: identity-level gender and
     ethnicity, image-level age and pose, default bins."""
-    from .schema import DEFAULT_AGE_BINS, DEFAULT_POSE_BINS
-
     return AttributeSchema(
         (
             AttributeDef("gender", Categorical(GENDERS, "Male"), Scope.IDENTITY),
@@ -44,6 +47,26 @@ def default_schema() -> AttributeSchema:
             AttributeDef("pose", Continuous("degrees"), Scope.IMAGE, DEFAULT_POSE_BINS),
         )
     )
+
+
+def schema_to_dict(schema: AttributeSchema) -> dict:
+    """Inverse of :func:`favfa.schema.load_schema`, for writing schema files."""
+    attrs = []
+    for a in schema.attributes:
+        entry: dict = {"name": a.name, "scope": a.scope.value}
+        if a.is_categorical:
+            entry["kind"] = "categorical"
+            entry["levels"] = list(a.levels)
+            entry["reference"] = a.reference
+        else:
+            entry["kind"] = "continuous"
+            entry["unit"] = a.kind.unit
+            if a.bins is not None:
+                entry["bins"] = [
+                    [lo, None if math.isinf(hi) else hi] for lo, hi in a.bins
+                ]
+        attrs.append(entry)
+    return {"attributes": attrs}
 
 
 def _image_frame(

@@ -42,7 +42,7 @@ from favfa.metrics import (
 )
 from favfa.planner import resample_epoch, sampling_weights
 from favfa.schema import AttributeDef, AttributeSchema, Categorical, Continuous, Scope
-from favfa.synth import make_planner_pools, make_verification_dataset
+from synth import make_planner_pools, make_verification_dataset
 
 DEMO = Path(__file__).resolve().parents[1] / "data" / "demo"
 
@@ -376,8 +376,8 @@ def test_criterion_8_planner_guarantees(tmp_path):
             ]
             path.write_text("\n".join(rows) + "\n")
 
-        from favfa.schema import schema_to_dict
         from favfa.util import canonical_json
+        from synth import schema_to_dict
 
         (tmp_path / "schema.json").write_text(canonical_json(schema_to_dict(schema)))
         dump(ids, tmp_path / "ids.csv")

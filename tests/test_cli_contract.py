@@ -1,17 +1,21 @@
 """The CLI contract on damaged inputs: exit 0, or exit 1 with one JSON error
 line on stderr, never a traceback, and no partial bundle.
 
-A small synthetic dataset is damaged one way at a time (its table cut to
-the header, blank lines, ragged rows, a non-numeric cell, an image id the
-pairs cannot resolve) and run through ``diversity``, ``weights`` and
+A small synthetic dataset is damaged one way at a time (its table emptied
+or cut to the header, blank lines, ragged rows, a non-numeric cell, an image
+id the pairs cannot resolve) and run through ``diversity``, ``weights`` and
 ``analyze``. The explicit examples are a seed corpus; Hypothesis adds its
 own. They include finite image values too large to combine (pose components
 whose squares overflow, soft scores whose sum does), which must fail as a
 ``ParseError`` naming the image, and a finite distance or age too large to
 square, which must fail as a ``ValueOutOfRange`` without a numpy warning.
 Damaged ``schema.json`` files (not JSON, not UTF-8, an ``attributes`` that
-is not a list, a bin bound that is not a number, an unknown ``kind``, a
-repeated name) fail all three commands with exit 1 before any output.
+is not a list or an attribute that is not an object, a key missing or of the
+wrong type, an empty name or level list, an unknown ``kind`` or ``scope``, a
+bin bound that is not a JSON number or an integer too long to read, bins
+that are not a list of ``[lo, hi]`` pairs, an empty or inverted bin list, a
+repeated name) fail all three commands with exit 1 and the error they name,
+before any output.
 ``plan`` is run on damaged ``--ids`` and ``--styles`` tables, and on schemas
 that lack an attribute it bins styles by. Every registered command turns a
 ``FavfaError`` into the one JSON line, and an ``--alpha`` of NaN is a usage
@@ -24,6 +28,7 @@ import functools
 import json
 import tempfile
 import warnings
+from collections.abc import Callable
 from pathlib import Path
 
 import click
@@ -36,9 +41,9 @@ import favfa.cli
 import favfa.report
 from favfa.cli import main
 from favfa.errors import ParseError
-from favfa.synth import make_verification_dataset, write_dataset
+from synth import make_verification_dataset, write_dataset
 
-DAMAGES = ("header-only", "blank-lines", "ragged", "non-numeric", "unknown-id")
+DAMAGES = ("empty", "header-only", "blank-lines", "ragged", "non-numeric", "unknown-id")
 
 #: Finite cells whose squares overflow, by damage: the column set to 1e200.
 HUGE = {"huge-distance": "distance", "huge-age": "age"}
@@ -70,6 +75,8 @@ def base_texts() -> dict[str, str]:
 
 def damaged(text: str, damage: str, where: int) -> str:
     """``text`` with one damage; ``where`` picks the row and cell."""
+    if damage == "empty":  # not even a header
+        return ""
     header, *rows = text.splitlines()
     i = where % len(rows)
     cells = rows[i].split(",")
@@ -104,6 +111,8 @@ def damaged(text: str, damage: str, where: int) -> str:
     damage=st.sampled_from(DAMAGES),
     where=st.integers(0, 10**6),
 )
+@example(command="analyze", target="images.csv", damage="empty", where=0)
+@example(command="analyze", target="pairs.csv", damage="empty", where=0)
 @example(command="diversity", target="images.csv", damage="header-only", where=0)
 @example(command="weights", target="images.csv", damage="header-only", where=0)
 @example(command="analyze", target="images.csv", damage="header-only", where=0)
@@ -285,15 +294,48 @@ def test_every_command_reports_a_favfa_error_as_one_json_line(tmp_path, monkeypa
     assert sorted(p.name for p in tmp_path.iterdir()) == ["schema.json"]
 
 
-#: Damaged schema.json files, by damage: the bytes written in place of the
-#: base schema's text, whose first number is the first bound of ``age``.
+def replaced(old: str, new: str) -> Callable[[str], bytes]:
+    """A schema damage that puts ``new`` in place of the first ``old``."""
+    return lambda text: text.replace(old, new, 1).encode()
+
+
+def edited(index: int, **fields) -> Callable[[str], bytes]:
+    """A schema damage that sets ``fields`` on the base schema's attribute
+    ``index``: 0 is ``gender``, categorical, and 2 is ``age``, binned."""
+
+    def damage(text: str) -> bytes:
+        schema = json.loads(text)
+        schema["attributes"][index].update(fields)
+        return json.dumps(schema).encode()
+
+    return damage
+
+
+#: Damaged schema.json files, by damage: the error they must raise and the
+#: bytes written in place of the base schema's text, whose first number is
+#: the first bound of ``age``.
 DAMAGED_SCHEMAS = {
-    "not-json": lambda text: text[:40].encode(),
-    "attributes-not-a-list": lambda text: b'{"attributes": {}}',
-    "string-bin-bound": lambda text: text.replace("0.0", '"zero"', 1).encode(),
-    "unknown-kind": lambda text: text.replace('"categorical"', '"ordinal"', 1).encode(),
-    "duplicate-names": lambda text: text.replace('"name": "ethnicity"', '"name": "gender"').encode(),
-    "not-utf8": lambda text: text.replace("Male", "M\xe4le").encode("latin-1"),
+    "not-json": ("ParseError", lambda text: text[:40].encode()),
+    "not-utf8": ("ParseError", lambda text: text.replace("Male", "M\xe4le").encode("latin-1")),
+    "attributes-not-a-list": ("ParseError", lambda text: b'{"attributes": {}}'),
+    "attribute-not-an-object": ("ParseError", lambda text: b'{"attributes": [1]}'),
+    "missing-kind": ("ParseError", replaced('"kind": "categorical",', "")),
+    "unknown-kind": ("ParseError", replaced('"categorical"', '"ordinal"')),
+    "name-not-a-string": ("ParseError", edited(0, name=7)),
+    "empty-name": ("SchemaInvalid", edited(0, name="")),
+    "unknown-scope": ("ParseError", edited(0, scope="video")),
+    "levels-not-strings": ("ParseError", edited(0, levels=["Male", 1])),
+    "no-levels": ("SchemaInvalid", edited(0, levels=[])),
+    "reference-not-a-string": ("ParseError", edited(0, reference=None)),
+    "bins-not-a-list": ("ParseError", edited(2, bins={"lo": 0, "hi": 3})),
+    "bin-not-a-pair": ("ParseError", edited(2, bins=[[0, 3, 10]])),
+    "string-bin-bound": ("ParseError", replaced("0.0", '"zero"')),
+    "padded-string-bin-bound": ("ParseError", replaced("0.0", '" 0 "')),
+    "boolean-bin-bound": ("ParseError", replaced("0.0", "true")),
+    "long-integer-bin-bound": ("ParseError", replaced("0.0", "1" * 5000)),
+    "empty-bin-list": ("SchemaInvalid", edited(2, bins=[])),
+    "inverted-bin": ("SchemaInvalid", edited(2, bins=[[10, 3]])),
+    "duplicate-names": ("SchemaInvalid", replaced('"name": "ethnicity"', '"name": "gender"')),
 }
 
 
@@ -303,7 +345,8 @@ def test_cli_contract_on_damaged_schemas(tmp_path, command, damage):
     texts = base_texts()
     for name in ("images.csv", "pairs.csv"):
         (tmp_path / name).write_text(texts[name], encoding="utf-8")
-    (tmp_path / "schema.json").write_bytes(DAMAGED_SCHEMAS[damage](texts["schema.json"]))
+    expected, damage_schema = DAMAGED_SCHEMAS[damage]
+    (tmp_path / "schema.json").write_bytes(damage_schema(texts["schema.json"]))
     args = [command, "--schema", str(tmp_path / "schema.json")]
     args += ["--images", str(tmp_path / "images.csv")]
     if command == "weights":
@@ -320,5 +363,5 @@ def test_cli_contract_on_damaged_schemas(tmp_path, command, damage):
     assert len(lines) == 1, result.stderr
     error = json.loads(lines[0])
     assert set(error) == {"error", "message"}
-    assert error["error"] == ("SchemaInvalid" if damage == "duplicate-names" else "ParseError")
+    assert error["error"] == expected, error["message"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["images.csv", "pairs.csv", "schema.json"]

@@ -214,6 +214,10 @@ def test_cli_import_does_not_load_the_network_stack():
     added = proc.stdout.split()
     assert "favfa.charts" in added
     assert [m for m in added if m.startswith(NETWORK_STACK)] == []
+    # the package holds what the CLI runs: test-support code lives in tests/
+    package = Path(favfa.__file__).parent
+    modules = {"favfa." + f.stem for f in package.glob("*.py") if f.stem != "__init__"}
+    assert sorted(modules - set(added)) == []
 
 
 def full_draw_reference(fit, design, n_sim, seed):

@@ -51,8 +51,8 @@ from favfa.schema import (
     Scope,
     load_schema,
 )
-from favfa.synth import make_verification_dataset
 from favfa.util import named_seed
+from synth import make_verification_dataset
 
 DEMO = Path(__file__).resolve().parents[1] / "data" / "demo"
 

@@ -36,8 +36,8 @@ from favfa.planner import (
     select_id_pool,
 )
 from favfa.schema import AttributeDef, AttributeSchema, Continuous, Scope
-from favfa.synth import default_schema, make_planner_pools
 from oracles import greedy_fill_stepwise, plan_rows, reference_jsonl, select_id_pool_reference
+from synth import default_schema, make_planner_pools
 
 # --- weights ---
 

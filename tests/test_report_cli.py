@@ -29,8 +29,8 @@ from favfa.planner import assign_styles, plan_to_jsonl, select_id_pool
 from oracles import reference_jsonl
 from favfa.report import AnalysisConfig, run_analysis
 from favfa.schema import load_schema
-from favfa.synth import make_verification_dataset, write_dataset
 from favfa.util import canonical_json, named_seed
+from synth import make_verification_dataset, write_dataset
 
 BUNDLE = [
     "fairness_report.json", "per_group.csv", "logit_tmr.csv", "logit_fmr.csv",
@@ -295,7 +295,8 @@ def test_demo_bootstrap_effects_pinned(tmp_path):
 
 def at_openblas_threads(threads: str, args: list[str]) -> str:
     """Standard output of ``python *args`` with OpenBLAS on ``threads`` threads."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(REPO / "src"))
+    pythonpath = os.pathsep.join([str(REPO / "src"), str(REPO / "tests")])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
     return subprocess.run(
         [sys.executable, *args], env=env, check=True, capture_output=True, text=True
     ).stdout
@@ -329,7 +330,7 @@ from favfa.logit import (
     marginal_effects,
 )
 from favfa.metrics import optimize_threshold
-from favfa.synth import make_verification_dataset
+from synth import make_verification_dataset
 
 data = make_verification_dataset(n_identities=2000, n_positive=12000, n_negative=12000, seed=3)
 covs = covariates_for_pairs(data.pairs, data.images, data.schema)
@@ -478,6 +479,21 @@ def test_cli_analyze_optional_flags(demo_dir, tmp_path):
     assert any("×" in n for n in names)  # interaction factors present
 
 
+def test_anova_csv_ends_with_the_warnings_row(tmp_path):
+    # with twelve identities some gender x ethnicity cells hold no pair: the
+    # interaction's columns for them are absorbed, and each table says so
+    data = tmp_path / "data"
+    write_dataset(
+        make_verification_dataset(n_identities=12, n_positive=300, n_negative=300, seed=0), data
+    )
+    result = run_analysis(config_for(data, tmp_path / "out", min_support=5, interactions=True))
+    for model, name in (("tmr", "anova_pos.csv"), ("fmr", "anova_neg.csv")):
+        warnings = result.anova[model].warnings
+        assert any("collinear column(s) absorbed" in w for w in warnings), warnings
+        last = (tmp_path / "out" / name).read_text().splitlines()[-1]
+        assert last == "warnings,,," + "; ".join(warnings)
+
+
 def test_cli_missing_file_exit_2(tmp_path):
     runner = CliRunner()
     result = runner.invoke(
@@ -534,8 +550,7 @@ def test_cli_diversity_extremes(tmp_path):
 
 
 def write_planner_inputs(tmp_path, ids_per_cell=2):
-    from favfa.schema import schema_to_dict
-    from favfa.synth import make_planner_pools
+    from synth import make_planner_pools, schema_to_dict
 
     schema, ids, styles = make_planner_pools(ids_per_cell=ids_per_cell, styles_per_segment=40)
     schema_path = tmp_path / "schema.json"

@@ -13,8 +13,8 @@ from favfa.schema import (
     Continuous,
     Scope,
     load_schema,
-    schema_to_dict,
 )
+from synth import schema_to_dict
 
 VALID = {
     "attributes": [
