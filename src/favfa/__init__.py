@@ -3,7 +3,7 @@
 The package covers attribute schemas and pair covariates, verification
 threshold optimization, group fairness metrics and diversity scoring, logit
 bias models with mean marginal effects, variance decomposition of embedding
-distances, simulation-based residual diagnostics, and balanced dataset
+distances, randomized quantile residual diagnostics, and balanced dataset
 planning (inverse-frequency weights and generation plans).
 """
 

@@ -186,9 +186,6 @@ def _diagnostics_json(diagnostics: dict[str, ResidualDiagnostics]) -> str:
             "ks_p_value": diag.ks_p_value,
             "dispersion_ratio": diag.dispersion_ratio,
             "dispersion_p": diag.dispersion_p,
-            "zero_inflation_ratio": diag.zero_inflation_ratio,
-            "zero_inflation_p": diag.zero_inflation_p,
-            "n_simulations": diag.n_simulations,
             "n_observations": len(diag.scaled_residuals),
             "seed": diag.seed,
             "scaled_residuals": marker,

@@ -483,7 +483,7 @@ def test_criterion_10_diagnostics_calibration():
                 continuous_columns={}, standardization={}, subset=Subset.POSITIVES,
             )
             fit = fit_logit(design)
-            diag = simulate_residuals(fit, design, n_sim=250, seed=seed)
+            diag = simulate_residuals(fit, design, seed=seed)
             if diag.ks_p_value > 0.01:
                 hits += 1
         assert hits >= 95, f"KS p > 0.01 in only {hits}/100 seeds"
@@ -496,7 +496,7 @@ def test_criterion_10_diagnostics_calibration():
             X=x, y=y, columns=("intercept", "z"), categorical_columns={},
             continuous_columns={}, standardization={}, subset=Subset.POSITIVES,
         )
-        diag = simulate_residuals(fit_logit(design), design, n_sim=250, seed=8)
+        diag = simulate_residuals(fit_logit(design), design, seed=8)
         assert abs(diag.dispersion_ratio - 1.0) <= 0.1
 
 

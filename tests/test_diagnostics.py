@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -54,60 +53,88 @@ def fitted_on_simulated(seed, n=500):
     return fit_logit(design), design
 
 
+def extreme_eta_design():
+    """Linear predictors out to +-800 under the identity fit: p rounds to
+    1.0 above eta = 37 and to 0.0 below about -745, and below about -55
+    p (1 - p) is under 1e-24 and clipped. The last four rows take their
+    unlikely outcome, so clipped variances divide their Pearson terms."""
+    rng = np.random.default_rng(12)
+    tails = rng.uniform(21.0, 60.0, 400) * rng.choice([-1.0, 1.0], 400)
+    eta = np.concatenate([rng.normal(0.0, 1.5, 2600), tails, [800.0, -800.0, 37.5, -37.5]])
+    prob = expit(eta)
+    assert np.count_nonzero(prob == 1.0) > 50 and np.count_nonzero(prob == 0.0) == 1
+    assert np.count_nonzero((prob > 0.0) & (prob < 1e-9)) > 150
+    assert np.count_nonzero(prob * (1.0 - prob) < 1e-24) > 50
+    y = (rng.random(len(eta)) < prob).astype(float)
+    y[-4:] = [0.0, 1.0, 0.0, 1.0]
+    design = DesignMatrix(
+        X=np.column_stack([np.ones(len(eta)), eta]), y=y, columns=("intercept", "eta"),
+        categorical_columns={}, continuous_columns={}, standardization={},
+        subset=Subset.POSITIVES,
+    )
+    return manual_fit([0.0, 1.0], 2), design
+
+
+def misfit_design():
+    """A fit whose slope is three times the one that generated the data:
+    the Pearson statistic sits far from its null mean."""
+    fit, design = fitted_on_simulated(8, n=2000)
+    return manual_fit([fit.beta[0], 3.0 * fit.beta[1]], 2), design
+
+
+CASES = {
+    "fitted": lambda: fitted_on_simulated(5, n=3000),
+    "extreme-eta": extreme_eta_design,
+    "misfit": misfit_design,
+}
+
+
 def test_bit_reproducible_with_fixed_seed():
     fit, design = fitted_on_simulated(1)
-    a = simulate_residuals(fit, design, n_sim=150, seed=9)
-    b = simulate_residuals(fit, design, n_sim=150, seed=9)
+    a = simulate_residuals(fit, design, seed=9)
+    b = simulate_residuals(fit, design, seed=9)
     assert fields(a) == fields(b)
-    c = simulate_residuals(fit, design, n_sim=150, seed=10)
+    c = simulate_residuals(fit, design, seed=10)
     assert fields(c)["scaled_residuals"] != fields(a)["scaled_residuals"]
-
-
-def test_nsim_precondition():
-    fit, design = fitted_on_simulated(2)
-    with pytest.raises(ValueError):
-        simulate_residuals(fit, design, n_sim=99, seed=0)
 
 
 def test_not_converged_rejected():
     fit, design = fitted_on_simulated(3)
     fit.converged = False
     with pytest.raises(NotConverged):
-        simulate_residuals(fit, design, n_sim=100, seed=0)
+        simulate_residuals(fit, design, seed=0)
 
 
 def test_residuals_bounded():
     fit, design = fitted_on_simulated(4)
-    diag = simulate_residuals(fit, design, n_sim=120, seed=5)
+    diag = simulate_residuals(fit, design, seed=5)
     assert all(0.0 <= u <= 1.0 for u in diag.scaled_residuals)
     assert 0.0 <= diag.ks_p_value <= 1.0
     assert 0.0 <= diag.dispersion_p <= 1.0
-    assert 0.0 <= diag.zero_inflation_p <= 1.0
 
 
-def test_zero_inflation_detected():
-    # probabilities pinned at 0.5 but every outcome is zero: the expected
-    # simulated zero count is n/2, so the ratio sits at 2 and the rank
-    # p-value collapses
+def test_all_zero_outcomes_rejected_by_ks():
+    # probabilities pinned at 0.5 but every outcome is zero: the residuals
+    # pile up in [0, 0.5]. Every Pearson term is 1, so X^2 = n, with zero
+    # null variance
     n = 400
     fit = manual_fit([0.0], 1)
     design = intercept_design(np.zeros(n))
-    diag = simulate_residuals(fit, design, n_sim=250, seed=3)
-    assert diag.zero_inflation_ratio == pytest.approx(2.0, abs=0.1)
-    assert diag.zero_inflation_p < 0.05
-    assert diag.ks_p_value < 0.05  # residuals pile up in [0, 0.5]
+    diag = simulate_residuals(fit, design, seed=3)
+    assert diag.ks_p_value < 0.05
+    assert (diag.dispersion_ratio, diag.dispersion_p) == (1.0, 1.0)
 
 
 def test_well_specified_model_calibrated_single_seed():
     fit, design = fitted_on_simulated(6, n=1000)
-    diag = simulate_residuals(fit, design, n_sim=250, seed=11)
+    diag = simulate_residuals(fit, design, seed=11)
     assert diag.ks_p_value > 0.01
     assert diag.dispersion_p > 0.01
 
 
 def test_dispersion_near_one_large_n():
     fit, design = fitted_on_simulated(7, n=10_000)
-    diag = simulate_residuals(fit, design, n_sim=250, seed=2)
+    diag = simulate_residuals(fit, design, seed=2)
     assert diag.dispersion_ratio == pytest.approx(1.0, abs=0.1)
 
 
@@ -119,12 +146,69 @@ def test_chi_square_uniformity_harness():
     hits = 0
     for seed in range(100):
         fit, design = fitted_on_simulated(2000 + seed, n=400)
-        diag = simulate_residuals(fit, design, n_sim=150, seed=seed)
+        diag = simulate_residuals(fit, design, seed=seed)
         counts, _ = np.histogram(diag.scaled_residuals, bins=20, range=(0.0, 1.0))
         p = sps.chisquare(counts).pvalue
         if p > 0.01:
             hits += 1
     assert hits >= 95, f"chi-square uniformity passed in only {hits}/100 seeds"
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_residual_equals_closed_form_row_by_row(case):
+    fit, design = CASES[case]()
+    diag = simulate_residuals(fit, design, seed=21)
+    prob = expit(design.X @ fit.beta).tolist()
+    u = np.random.default_rng(21).random(len(prob)).tolist()
+    want = [
+        (1.0 - p) + u_i * p if y_i == 1.0 else u_i * (1.0 - p)
+        for p, u_i, y_i in zip(prob, u, design.y.tolist())
+    ]
+    assert diag.scaled_residuals.tolist() == want
+
+
+def test_extreme_eta_residuals_bounded_and_dispersion_finite():
+    fit, design = extreme_eta_design()
+    diag = simulate_residuals(fit, design, seed=7)
+    assert np.all((diag.scaled_residuals >= 0.0) & (diag.scaled_residuals <= 1.0))
+    assert math.isfinite(diag.dispersion_ratio) and diag.dispersion_ratio > 0.0
+    assert math.isfinite(diag.dispersion_p) and 0.0 <= diag.dispersion_p <= 1.0
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_dispersion_equals_scipy_reference(case):
+    from scipy.stats import norm
+
+    fit, design = CASES[case]()
+    diag = simulate_residuals(fit, design, seed=0)
+    prob = expit(design.X @ fit.beta).tolist()
+    variance = [max(p * (1.0 - p), 1e-24) for p in prob]
+    pearson = math.fsum((y - p) ** 2 / v for y, p, v in zip(design.y.tolist(), prob, variance))
+    spread = math.sqrt(math.fsum((1.0 - 2.0 * p) ** 2 / v for p, v in zip(prob, variance)))
+    n = len(prob)
+    assert diag.dispersion_ratio == pytest.approx(pearson / n, rel=1e-12, abs=0.0)
+    assert diag.dispersion_p == pytest.approx(
+        2.0 * norm.sf(abs(pearson - n) / spread), rel=1e-9, abs=1e-300
+    )
+
+
+def test_large_n_well_specified_model_not_rejected():
+    # a logit with an intercept, a 4-level factor and a normal covariate,
+    # P(y = 1) about 0.9, at n = 500,000: the simulated residuals' Monte
+    # Carlo error was enough for KS to reject such fits at 0.05 about half
+    # the time
+    n = 500_000
+    rng = np.random.default_rng(0)
+    level = rng.integers(0, 4, n)
+    x = np.column_stack([np.ones(n), level == 1, level == 2, level == 3, rng.normal(size=n)])
+    y = (rng.random(n) < expit(x @ np.array([2.0, 0.3, -0.2, 0.5, 0.4]))).astype(float)
+    design = DesignMatrix(
+        X=x, y=y, columns=("intercept", "f1", "f2", "f3", "z"), categorical_columns={},
+        continuous_columns={}, standardization={}, subset=Subset.POSITIVES,
+    )
+    diag = simulate_residuals(fit_logit(design), design, seed=0)
+    assert diag.ks_p_value > 0.05
+    assert diag.dispersion_p > 0.05
 
 
 def test_ks_uniform_equals_scipy_kstest_asymp():
@@ -218,94 +302,3 @@ def test_cli_import_does_not_load_the_network_stack():
     package = Path(favfa.__file__).parent
     modules = {"favfa." + f.stem for f in package.glob("*.py") if f.stem != "__init__"}
     assert sorted(modules - set(added)) == []
-
-
-def full_draw_reference(fit, design, n_sim, seed):
-    """The diagnostics with every replicate drawn in one (n_sim, n) call and
-    every replicate's residuals materialised: the reference the
-    block-by-block draws must reproduce (see ``assert_equals_reference``)."""
-    from favfa.diagnostics import ResidualDiagnostics, _rank_p
-
-    x, y = design.X, design.y
-    prob = expit(x @ fit.beta)
-    rng = np.random.default_rng(seed)
-    sims = rng.random((n_sim, len(y))) < prob
-    uniform_draw = rng.random(len(y))
-    ones_frac = sims.mean(axis=0)
-    zeros_frac = 1.0 - ones_frac
-    scaled = np.where(y > 0.5, zeros_frac + uniform_draw * ones_frac, uniform_draw * zeros_frac)
-    ks_stat, ks_p = ks_uniform(scaled)
-    sd = np.sqrt(np.clip(prob * (1.0 - prob), 1e-24, None))
-    var_observed = float(((y - prob) / sd).var())
-    var_simulated = ((sims - prob) / sd).var(axis=1)
-    zero_counts = (~sims).sum(axis=1).astype(float)
-    zeros_observed = float(np.count_nonzero(y < 0.5))
-    return ResidualDiagnostics(
-        scaled_residuals=scaled,
-        ks_statistic=ks_stat,
-        ks_p_value=ks_p,
-        dispersion_ratio=var_observed / float(var_simulated.mean()),
-        dispersion_p=_rank_p(var_observed, var_simulated),
-        zero_inflation_ratio=zeros_observed / float(zero_counts.mean()),
-        zero_inflation_p=_rank_p(zeros_observed, zero_counts),
-        n_simulations=n_sim,
-        seed=seed,
-    )
-
-
-def assert_equals_reference(got, want):
-    """Every field to the bit but ``dispersion_ratio``, which sums the
-    replicate residuals in another order: within 1e-12 relative."""
-    assert got.dispersion_ratio == pytest.approx(want.dispersion_ratio, rel=1e-12, abs=0.0)
-    assert fields(replace(got, dispersion_ratio=0.0)) == fields(replace(want, dispersion_ratio=0.0))
-
-
-# 20,000 observations take blocks of 2**17 // 20000 = 6 rows, not 64
-@pytest.mark.parametrize(
-    ("n", "n_sim", "seed"), [(3000, 250, 4), (500, 100, 0), (1200, 193, 8), (20000, 150, 3)]
-)
-def test_block_draws_equal_one_full_draw(n, n_sim, seed):
-    fit, design = fitted_on_simulated(seed + 40, n=n)
-    assert_equals_reference(
-        simulate_residuals(fit, design, n_sim=n_sim, seed=seed),
-        full_draw_reference(fit, design, n_sim, seed),
-    )
-
-
-@pytest.mark.parametrize(("n", "budget"), [(500, 3000), (500, 499), (1200, 7000)])
-def test_blocks_sized_by_elements_equal_one_full_draw(monkeypatch, n, budget):
-    # blocks of 6 rows, of 2 rows (the budget is below one row, and a block
-    # holds at least two; the last of the 101 replicates is a block of one)
-    # and of 5 rows
-    import favfa.diagnostics
-
-    monkeypatch.setattr(favfa.diagnostics, "_SIM_ELEMENTS", budget)
-    fit, design = fitted_on_simulated(n, n=n)
-    assert_equals_reference(
-        simulate_residuals(fit, design, n_sim=101, seed=n), full_draw_reference(fit, design, 101, n)
-    )
-
-
-def test_clipped_probabilities_equal_one_full_draw():
-    # p rounds to 1.0 above eta = 37 and to 0.0 below about -745; below
-    # about -55, p (1 - p) is under 1e-24 and sd is clipped to 1e-12. Summed
-    # as s / sd - p / sd, the replicate residuals of such rows cancel terms
-    # of 1e12 and the variance loses every digit
-    rng = np.random.default_rng(12)
-    tails = rng.uniform(21.0, 60.0, 400) * rng.choice([-1.0, 1.0], 400)
-    eta = np.concatenate([rng.normal(0.0, 1.5, 2600), tails, [800.0, -800.0, 37.5, -37.5]])
-    prob = expit(eta)
-    assert np.count_nonzero(prob == 1.0) > 50 and np.count_nonzero(prob == 0.0) == 1
-    assert np.count_nonzero((prob > 0.0) & (prob < 1e-9)) > 150
-    assert np.count_nonzero(prob * (1.0 - prob) < 1e-24) > 50
-    y = (rng.random(len(eta)) < prob).astype(float)
-    design = DesignMatrix(
-        X=np.column_stack([np.ones(len(eta)), eta]), y=y, columns=("intercept", "eta"),
-        categorical_columns={}, continuous_columns={}, standardization={},
-        subset=Subset.POSITIVES,
-    )
-    fit = manual_fit([0.0, 1.0], 2)
-    assert_equals_reference(
-        simulate_residuals(fit, design, n_sim=250, seed=7),
-        full_draw_reference(fit, design, 250, 7),
-    )

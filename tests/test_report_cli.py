@@ -354,7 +354,7 @@ design = DesignMatrix(X, y, tuple(map(str, range(10))), {}, {}, {}, Subset.POSIT
 fit = fit_logit(design)
 print(fit.beta.tobytes().hex(), fit.covariance.tobytes().hex())
 diag = simulate_residuals(fit, design, seed=0)
-print(diag.dispersion_ratio.hex(), repr(diag.zero_inflation_ratio), repr(diag.ks_statistic))
+print(diag.dispersion_ratio.hex(), diag.dispersion_p.hex(), repr(diag.ks_statistic))
 """
 
 
@@ -949,6 +949,12 @@ def test_bundle_headers_and_keys_pinned(demo_dir, tmp_path):
     assert {frozenset(e) for model in effects.values() for e in model} == {frozenset({
         "attribute", "level", "unit", "estimate", "std_error", "p_value", "significant",
         "bootstrap_se", "interpretation",
+    })}
+    diagnostics = json.loads((out / "diagnostics.json").read_text())
+    assert sorted(diagnostics) == ["fmr", "tmr"]
+    assert {frozenset(d) for d in diagnostics.values()} == {frozenset({
+        "ks_statistic", "ks_p_value", "dispersion_ratio", "dispersion_p", "n_observations",
+        "seed", "scaled_residuals",
     })}
 
 

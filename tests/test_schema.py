@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +41,16 @@ def test_load_valid_schema(tmp_path):
     assert schema["gender"].reference == "Male"
     assert schema["ethnicity"].reference == "Caucasian"
     assert schema["ethnicity"].levels == ("Caucasian", "African", "Asian", "Indian")
+
+
+def test_readme_schema_example_loads(tmp_path):
+    # the schema example under the README's "File formats" loads as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("**Schema**", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    attributes = json.loads("[" + block.strip().replace("}\n{", "},\n{") + "]")
+    schema = load_schema(write_schema(tmp_path, {"attributes": attributes}))
+    assert schema.names == ("gender", "age")
+    assert schema["age"].n_bins == 5
 
 
 def test_default_bins_applied(tmp_path):
