@@ -29,10 +29,11 @@ from typing import Callable, Container, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import MissingAttribute, ParseError, UnresolvedImage
+from .errors import MissingAttribute, ParseError, SchemaInvalid, UnresolvedImage
 from .schema import AttributeDef, AttributeSchema, Scope
 
-#: Sentinel level assigned to a pair whose two sides disagree on an attribute.
+#: Sentinel level assigned to a pair whose two sides disagree on an attribute;
+#: a schema may not declare a level of this name.
 CROSS_LEVEL = "Cross"
 
 #: Columns accepted as rotation components for a continuous `pose` attribute.
@@ -46,14 +47,6 @@ NO_PREDICTION = -1
 #: of a large file out of memory and the block in cache while its columns
 #: are read.
 _BLOCK_ROWS = 2048
-
-#: Characters in the string fields numpy's C parser first reads a block
-#: into. It cuts longer cells short without a word, so a block with a cell
-#: this long is parsed again at the length of its longest line, at most
-#: ``_MAX_TEXT_WIDTH``, and later blocks one character wider than its
-#: longest cell. The parse takes time and memory in proportion to the width.
-_TEXT_WIDTH = 16
-_MAX_TEXT_WIDTH = 256
 
 _T = TypeVar("_T")
 
@@ -254,7 +247,7 @@ def parse_floats(cells: Sequence[str]) -> np.ndarray:
 
 
 #: One column of a block: its stripped cells, or, as numpy's C parser read
-#: it, a fixed-width string array or a float64 array.
+#: it, an object array of its cells as Python strings or a float64 array.
 _Column = list[str] | np.ndarray
 
 
@@ -285,7 +278,7 @@ def _codes(
     """The code of each cell of a column of strings, ``default`` for a cell
     that is not a key of ``codes``; with ``fold``, a cell in any case.
 
-    A string array is compared whole, so a cell with whitespace around it,
+    An array of cells is compared whole, so a cell with whitespace around it,
     or, with ``fold``, in another case, takes ``default``: a check flags it,
     and the block reader reads it.
     """
@@ -365,65 +358,42 @@ class _Fallback(Exception):
     or a check flags a row of it."""
 
 
-def _parse_block(lines: list[str], dtype: np.dtype, usecols: list[int]) -> np.ndarray:
-    """The lines as numpy's C parser reads them into the fields of
-    ``dtype``; ``_Fallback`` where it raises or warns."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
-                              quotechar=None, usecols=usecols, ndmin=1)
-        except (ValueError, Warning):
-            raise _Fallback from None
-
-
-def _widest(table: np.ndarray, cols: Sequence[int]) -> int:
-    """The length of the longest string in the columns ``cols`` of a parsed block."""
-    return max(int(np.char.str_len(table[str(c)]).max()) for c in cols)
-
-
 def _parsed_blocks(
     path: str | Path, texts: Sequence[int], floats: Sequence[int]
 ) -> Iterator[dict[int, _Column]]:
     """The data rows of a CSV file as numpy's C parser reads them, in blocks
-    of up to ``_BLOCK_ROWS`` lines: a string array of each of the columns
-    ``texts`` and a float64 array of each of the columns ``floats``.
+    of up to ``_BLOCK_ROWS`` lines: an object array of the cells of each of
+    the columns ``texts``, as Python strings, and a float64 array of each of
+    the columns ``floats``.
 
     Raises ``_Fallback`` wherever that read might differ from the block
     reader's (:func:`_csv_blocks`): a column is wanted as both; a line holds
-    a quote (a quoted cell may hold a comma or a line break), a NUL (numpy
-    drops trailing ones) or more characters than the csv module's field
-    limit; a string cell holds ``_MAX_TEXT_WIDTH`` characters or more; the
-    parser raises or warns (a cell that is not a number as
-    ``float()`` reads it, ``1_0`` and non-ASCII digits included; a row short
-    of a column read; a line of whitespace; a block of blank lines); or the
-    file is not UTF-8.
+    a quote (a quoted cell may hold a comma or a line break), a NUL (Python
+    3.10's csv module raises on it, where 3.11 reads the cell) or more
+    characters than the csv module's field limit; the parser raises or warns
+    (a cell that is not a number as ``float()`` reads it, ``1_0`` and
+    non-ASCII digits included; a row short of a column read; a line of
+    whitespace; a block of blank lines); or the file is not UTF-8.
     """
     if set(texts) & set(floats):
         raise _Fallback
     usecols = sorted({*texts, *floats})
-
-    def dtype(width: int) -> np.dtype:
-        return np.dtype([(str(c), f"U{width}" if c in texts else "f8") for c in usecols])
-
-    width = _TEXT_WIDTH
+    dtype = np.dtype([(str(c), "O" if c in texts else "f8") for c in usecols])
     limit = csv.field_size_limit()
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             next(csv.reader(fh), None)  # the header, which _csv_blocks has read
             while lines := list(islice(fh, _BLOCK_ROWS)):
-                longest = max(map(len, lines))
                 text = "".join(lines)
-                if '"' in text or "\0" in text or longest > limit:
+                if '"' in text or "\0" in text or max(map(len, lines)) > limit:
                     raise _Fallback
-                table = _parse_block(lines, dtype(width), usecols)
-                if _widest(table, texts) >= width:  # a cell may have been cut short
-                    width = min(longest, _MAX_TEXT_WIDTH)  # a line is longer than its cells
-                    table = _parse_block(lines, dtype(width), usecols)
-                    widest = _widest(table, texts)
-                    if widest >= width:
-                        raise _Fallback
-                    width = widest + 1
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                                           quotechar=None, usecols=usecols, ndmin=1)
+                    except (ValueError, Warning):
+                        raise _Fallback from None
                 # floats copied, so that the columns kept do not hold the table
                 yield {c: table[str(c)] if c in texts else table[str(c)].copy() for c in usecols}
     except UnicodeDecodeError:
@@ -925,9 +895,10 @@ def covariates_for_pairs(
     pair. Categorical attributes keep the shared level, or the ``Cross``
     sentinel when the sides differ. Continuous attributes aggregate with the
     mean of the two values (``aggregate="mean"``) or their absolute
-    difference (``aggregate="absdiff"``). Symmetric in the two images. The
-    first pair, in order, with an attribute missing on a side raises
-    ``MissingAttribute`` for it.
+    difference (``aggregate="absdiff"``). Symmetric in the two images. A
+    categorical attribute with a level named ``Cross`` raises
+    ``SchemaInvalid``; otherwise the first pair, in order, with an attribute
+    missing on a side raises ``MissingAttribute`` for it.
     """
     if aggregate not in ("mean", "absdiff"):
         raise ValueError(f"unknown aggregate {aggregate!r}")
@@ -944,7 +915,12 @@ def covariates_for_pairs(
                 for rows in (rows_a, rows_b)
             ]
         if attr.is_categorical:
-            levels = attr.levels if CROSS_LEVEL in attr.levels else attr.levels + (CROSS_LEVEL,)
+            if CROSS_LEVEL in attr.levels:
+                raise SchemaInvalid(
+                    f"attribute {attr.name!r}: level {CROSS_LEVEL!r} is reserved for pairs "
+                    "whose sides differ"
+                )
+            levels = attr.levels + (CROSS_LEVEL,)
             codes = images.codes(attr).codes
             code_a, code_b = codes[rows_a], codes[rows_b]
             categorical[attr.name] = LevelCodes(

@@ -256,6 +256,30 @@ def test_cli_analyze_alpha_nan_is_a_usage_error(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_analyze_rejects_a_level_named_cross(tmp_path):
+    # "Cross" is the level of a pair whose sides differ, so a schema level of
+    # that name would merge real pairs with those
+    demo = Path(__file__).resolve().parents[1] / "data" / "demo"
+    for name in ("schema.json", "images.csv", "pairs.csv"):
+        text = (demo / name).read_text(encoding="utf-8")
+        (tmp_path / name).write_text(text.replace("Indian", "Cross"), encoding="utf-8")
+    result = CliRunner().invoke(
+        main,
+        ["analyze", "--schema", str(tmp_path / "schema.json"),
+         "--images", str(tmp_path / "images.csv"), "--pairs", str(tmp_path / "pairs.csv"),
+         "--out", str(tmp_path / "out")],
+    )
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert "Traceback" not in result.output + result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    error = json.loads(lines[0])
+    assert error["error"] == "SchemaInvalid", error["message"]
+    assert "'Cross'" in error["message"] and "'ethnicity'" in error["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def required_args(command: click.Command, root: Path) -> list[str]:
     """Arguments for every required option of ``command``: an existing file
     for an input path, a path under ``root`` for an output, 1 for a number
