@@ -161,6 +161,13 @@ _BOOT_ARRAYS = 6
 #: Observations per slice of every product that sums over the observations
 #: (see ``_sum_over_rows``).
 _INFO_ROWS = 512
+#: The unit roundoff of float64.
+_UNIT = 2.0**-53
+#: The part of the step-halving floor's relative slack, 1e-12 of the
+#: log-likelihood, that a certified step may spend; the rest pays for the
+#: rounding of the two log-likelihoods the floor compares, well under 1e-13
+#: of each for any n.
+_CERTIFIED_SLACK = 0.5e-12
 
 # how one row of the IRLS kernel ended
 _CONVERGED, _NOT_CONVERGED, _SEPARATED, _GROWING, _SINGULAR = range(5)
@@ -174,7 +181,7 @@ class _Fits:
     status: np.ndarray  # (k,) _CONVERGED ... _SINGULAR
     iterations: np.ndarray  # (k,)
     chol: np.ndarray  # (k, p, p) Cholesky factor of the final information matrix
-    trace: list[np.ndarray]  # every row's log-likelihood after 0, 1, ... iterations
+    trace: list[np.ndarray]  # if asked, every row's log-likelihood after 0, 1, ... iterations
 
 
 def expit(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -189,9 +196,19 @@ def expit(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.reciprocal(out, out=out)
 
 
+def _times_counts(a: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``a * counts``, in ``a``'s place when it has ``counts``' shape; a
+    single row ``a`` (pass 0 of the IRLS kernel) is weighted by every row."""
+    if a.shape != counts.shape:
+        return a * counts
+    a *= counts
+    return a
+
+
 def _log_likelihood(eta: np.ndarray, y: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per row of ``eta``, the sum over observations of count * (y*eta -
-    log(1 + exp(eta))), with the softplus as max(eta, 0) + log1p(exp(-|eta|))."""
+    """Per row of ``counts``, the sum over observations of count * (y*eta -
+    log(1 + exp(eta))), with the softplus as max(eta, 0) + log1p(exp(-|eta|)).
+    ``eta`` has one row per row of ``counts``, or is one row shared by all."""
     # in place: the negated terms, softplus(eta) - y*eta, in one array
     terms = np.abs(eta)
     np.negative(terms, out=terms)
@@ -199,8 +216,7 @@ def _log_likelihood(eta: np.ndarray, y: np.ndarray, counts: np.ndarray) -> np.nd
     np.log1p(terms, out=terms)
     terms += np.maximum(eta, 0.0)
     terms -= eta * y
-    terms *= counts
-    return -terms.sum(axis=1)
+    return -_times_counts(terms, counts).sum(axis=1)
 
 
 def _column_products(X: np.ndarray) -> np.ndarray:
@@ -272,6 +288,93 @@ def _cholesky(info: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return chol, ok
 
 
+def _reach(X: np.ndarray) -> np.ndarray:
+    """Each column's largest ``|X_ij|``, from a transposed copy of ``X``: a
+    reduction over the rows of a C-ordered ``X`` works p elements at a time."""
+    columns = X.T.copy()
+    return np.abs(columns, out=columns).max(axis=1)
+
+
+def _nll_lower_bound(
+    ll: np.ndarray, beta: np.ndarray, total: np.ndarray, reach: np.ndarray, n: int
+) -> np.ndarray:
+    """Per row, a lower bound on the exact negative log-likelihood at
+    ``beta``, from ``ll`` as ``_log_likelihood`` computed it: less twice
+    the rounding of that evaluation (see ``_certified``)."""
+    f, p = -ll, len(reach)
+    rounding = (math.log2(n) + 40) * f + total * (8 + (p + 3) * (np.abs(beta) @ reach))
+    return f - 2 * _UNIT * rounding
+
+
+def _certified(
+    grad: np.ndarray,
+    chol: np.ndarray,
+    beta: np.ndarray,
+    candidate: np.ndarray,
+    low: np.ndarray,
+    total: np.ndarray,
+    reach: np.ndarray,
+    n: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which full Newton steps ``beta -> candidate`` the step-halving floor
+    would accept, proved without the candidate's log-likelihood, and per row
+    an upper bound on how far the exact negative log-likelihood falls over
+    the step. ``low`` bounds it from below at ``beta``; ``total`` is each
+    row's count sum C, ``reach`` each column's largest ``|X_ij|``.
+
+    With ``d = candidate - beta``, ``q = ||L' d||^2`` and ``phi`` and ``t``
+    of the kernel's docstring, a step is certified when t < 2 and, finite::
+
+        g.d - phi q - 2 (score + phi info + evals) - 8u (|g.d| + phi q)
+            + _CERTIFIED_SLACK max(low, 0) >= 0.
+
+    ``phi`` is taken from above: below t = 0.5 as ``1 / (2 - 0.67 t)`` (its
+    series ``sum t^k / (k + 2)!`` term by term against ``1/2 (t/3)^k``, with
+    room for the rounding of t), else by its closed form times 1 + 1e-12.
+    u is the unit roundoff; ``m = reach . |beta|`` bounds ``|x_i . beta|``
+    and so the rounding of the linear predictor, ``m'`` is the same at the
+    candidate, and ``S = _INFO_ROWS + n / _INFO_ROWS + 2`` bounds the terms
+    of each sum over the observations. Each allowance is u times:
+
+    - score: ``2p |g|.|d| + t C (S + 8 + p m)``, for the dot product and for
+      the score's sums and residuals;
+    - info: ``8p || |L'| |d| ||^2 + t^2 C (S + 8 + p m)``, for the Cholesky
+      factor and q, and for the information's sums and weights;
+    - evals: ``C (16 + (p + 3) (m + m'))``, for the linear predictors and
+      elementwise terms of the two log-likelihoods the floor compares.
+
+    The 8u term covers the certificate's own arithmetic. The rounding of
+    the two log-likelihoods in proportion to themselves, at most ``(log2 n
+    + 40) u`` of each, is paid from the floor's relative slack of 1e-12, of
+    which ``_CERTIFIED_SLACK`` is left."""
+    p = beta.shape[1]
+    d = candidate - beta
+    abs_d = np.abs(d)
+    t = abs_d @ reach
+    lt_d = (d[:, None, :] @ chol)[:, 0]
+    lt_abs = (abs_d[:, None, :] @ np.abs(chol))[:, 0]
+    curvature = (lt_d * lt_d).sum(axis=1)
+    slope = (grad * d).sum(axis=1)
+    m = np.abs(beta) @ reach
+    sums = total * (_INFO_ROWS + n / _INFO_ROWS + 10 + p * m)
+    score = _UNIT * (2 * p * (np.abs(grad) * abs_d).sum(axis=1) + t * sums)
+    info = _UNIT * (8 * p * (lt_abs * lt_abs).sum(axis=1) + t * t * sums)
+    evals = _UNIT * total * (16 + (p + 3) * (m + np.abs(candidate) @ reach))
+    t = np.minimum(t, 2.0)
+    s = np.maximum(t, 0.5)
+    phi = np.where(t < 0.5, 1.0 / (2.0 - 0.67 * t), (np.expm1(s) - s) / (s * s) * (1 + 1e-12))
+    margin = (
+        slope
+        - phi * curvature
+        - 2 * (score + phi * info + evals)
+        - 8 * _UNIT * (np.abs(slope) + phi * curvature)
+        + _CERTIFIED_SLACK * np.maximum(low, 0.0)
+    )
+    # an infinite margin, from a log-likelihood that overflowed, proves nothing
+    sure = (t < 2.0) & (margin >= 0) & np.isfinite(margin)
+    return sure, slope + 2 * score + 8 * _UNIT * np.abs(slope)
+
+
 def _irls(
     X: np.ndarray,
     y: np.ndarray,
@@ -280,19 +383,43 @@ def _irls(
     max_iter: int,
     tol: float,
     table: np.ndarray | None = None,
+    reach: np.ndarray | None = None,
+    trace: bool = False,
 ) -> _Fits:
     """Logit fits of ``y`` on ``X``, one per row of frequency weights
     ``counts``, by IRLS over the whole block at once.
 
     Each row iterates as a fit on its own would: Newton steps from the
-    coefficients ``start``, halved while the log-likelihood falls, converged
-    once the score's max norm is below ``tol``. A coefficient beyond
-    ``COEF_LIMIT`` (separated), coefficients still growing at ``max_iter``
-    (growing: the last step raised their norm, a first step measured
-    against ``start``), or an information matrix that does not factorize
-    (singular) end the row early; rows leave the block as they finish. With
-    ``table`` (``_column_products(X)``) the information matrices are one
-    matrix product, else one per row.
+    coefficients ``start``, halved while the log-likelihood falls below
+    ``ll - 1e-12 max(1, |ll|)``, converged once the score's max norm is
+    below ``tol``. A coefficient beyond ``COEF_LIMIT`` (separated),
+    coefficients still growing at ``max_iter`` (growing: the last step
+    raised their norm, a first step measured against ``start``), or an
+    information matrix that does not factorize (singular) end the row
+    early; rows leave the block as they finish. With ``table``
+    (``_column_products(X)``) the information matrices are one matrix
+    product, else one per row. ``reach``, each column's largest ``|X_ij|``,
+    is taken from ``X`` when it is not given. With ``trace``, ``fits.trace``
+    holds every row's log-likelihood after 0, 1, ... iterations.
+
+    A full step ``d`` is first certified, in O(p^2) work: for the logistic
+    loss ``|l'''| <= l''``, so (Bach 2010, "Self-concordant analysis for
+    logistic regression", EJS 4, Lemma 1) with score ``g``, information
+    ``L L'`` and ``t = sum_j |d_j| max_i |X_ij|``::
+
+        -ll(beta + d) <= -ll(beta) - g.d + phi(t) ||L' d||^2,
+        phi(t) = (e^t - 1 - t) / t^2.
+
+    When that bound, less its allowance for the rounding of g, L, d, the
+    two sums and the two log-likelihoods the floor would compare (see
+    ``_certified``), shows that the floor would accept the full step, the
+    step is taken without the candidate's log-likelihood. A row whose step
+    is not certified takes the path above exactly: its floor from the
+    linear predictor computed for its current coefficients, the candidate's
+    log-likelihood, the halving. With ``trace`` no step is certified, since
+    the trace needs every log-likelihood anyway. Pass 0 runs on one row,
+    since every row starts at ``start``: the linear predictor and everything
+    elementwise of it once over the observations, times each row's counts.
     """
     k, (n, p) = len(counts), X.shape
     fits = _Fits(
@@ -305,27 +432,35 @@ def _irls(
     # state of the rows still iterating; ``rows`` maps them to block rows
     rows = np.arange(k)
     beta = fits.beta.copy()
-    eta = np.tile(start @ X.T, (k, 1))
+    eta = start @ X.T
+    mu = expit(eta)
     ll = _log_likelihood(eta, y, counts)
-    lls = ll.copy()
-    fits.trace.append(lls.copy())
+    # ``ll`` is at the current coefficients only where ``known``; ``low``
+    # bounds the exact negative log-likelihood there from below
+    known, total = np.ones(k, dtype=bool), counts.sum(axis=1)
+    if trace:
+        lls = ll.copy()
+        fits.trace.append(lls.copy())
+        low = np.zeros(k)  # unread: no step is certified
+    else:
+        reach = _reach(X) if reach is None else reach
+        low = _nll_lower_bound(ll, beta, total, reach, n)
     prev_norm, growing = np.full(k, np.linalg.norm(start)), np.zeros(k, dtype=bool)
 
     for it in range(max_iter + 1):
-        # the block-sized arrays are dropped as soon as they are used up
-        mu = expit(eta, out=eta)
-        del eta
-        resid = y - mu
-        resid *= counts
+        # the block-sized arrays are dropped as soon as they are used up;
+        # from pass 1 on, eta is kept for the floors of uncertified rows
+        if it:
+            mu = expit(eta)
+        resid = _times_counts(y - mu, counts)
         grad = _sum_over_rows(resid, X)
-        converged = np.max(np.abs(grad), axis=1) < tol
-        # the weights mu * (1 - mu) * counts, in the residuals' place
-        np.subtract(1.0, mu, out=resid)
-        resid *= mu
-        resid *= counts
-        del mu
-        chol, ok = _cholesky(_information(X, resid, table))
         del resid
+        converged = np.max(np.abs(grad), axis=1) < tol
+        weights = 1.0 - mu
+        weights *= mu
+        del mu
+        chol, ok = _cholesky(_information(X, _times_counts(weights, counts), table))
+        del weights
         status = np.where(converged, _CONVERGED, _NOT_CONVERGED)
         status[~ok] = _SINGULAR
         finished = converged | ~ok
@@ -341,18 +476,33 @@ def _irls(
         if finished.any():
             go = ~finished
             rows, counts, beta, ll = rows[go], counts[go], beta[go], ll[go]
+            known, low, total = known[go], low[go], total[go]
             prev_norm, grad, chol = prev_norm[go], grad[go], chol[go]
+            if it:
+                eta = eta[go]
 
         half = np.linalg.solve(chol, grad[:, :, None])
         delta = np.linalg.solve(chol.transpose(0, 2, 1), half)[:, :, 0]
+        candidate = beta + delta
+        if trace:
+            sure = np.zeros(len(rows), dtype=bool)
+        else:
+            sure, drop = _certified(grad, chol, beta, candidate, low, total, reach, n)
+        unsure = np.flatnonzero(~sure)
+        stale = unsure[~known[unsure]]
+        if len(stale):
+            ll[stale] = _log_likelihood(eta[stale], y, counts[stale])
+        del eta
         # relative slack: a log-likelihood summed over many rows carries
-        # rounding noise far above any fixed absolute tolerance
+        # rounding noise far above any fixed absolute tolerance (the floors
+        # of certified rows go unread)
         floor = ll - 1e-12 * np.maximum(1.0, np.abs(ll))
         step = np.ones(len(rows))
-        candidate = beta + delta
         eta = candidate @ X.T
-        ll = _log_likelihood(eta, y, counts)
-        short = ~(ll >= floor)
+        short = np.zeros(len(rows), dtype=bool)
+        if len(unsure):
+            ll[unsure] = _log_likelihood(eta[unsure], y, counts[unsure])
+            short[unsure] = ~(ll[unsure] >= floor[unsure])
         for _ in range(39):
             if not short.any():
                 break
@@ -365,8 +515,12 @@ def _irls(
         beta = candidate
         fits.beta[rows] = beta
         fits.iterations[rows] += 1
-        lls[rows] = ll
-        fits.trace.append(lls.copy())
+        if trace:
+            lls[rows] = ll
+            fits.trace.append(lls.copy())
+        else:
+            known = ~sure
+            low = np.where(sure, low - drop, _nll_lower_bound(ll, beta, total, reach, n))
 
         separated = np.max(np.abs(beta), axis=1) > COEF_LIMIT
         fits.status[rows[separated]] = _SEPARATED
@@ -378,6 +532,7 @@ def _irls(
                 break
             go = ~separated
             rows, counts, beta, eta, ll = rows[go], counts[go], beta[go], eta[go], ll[go]
+            known, low, total = known[go], low[go], total[go]
             prev_norm, growing = prev_norm[go], growing[go]
     return fits
 
@@ -391,7 +546,8 @@ def fit_logit(design: DesignMatrix, max_iter: int = 50, tol: float = 1e-8) -> Lo
     log-likelihood at the estimate. Diverging coefficients (|beta| beyond
     ``COEF_LIMIT``, or growth until ``max_iter``) raise QuasiSeparation since
     no MLE exists under separation. The fit is the bootstrap's IRLS kernel
-    run from zero on one row of unit frequency weights. A design whose
+    run from zero on one row of unit frequency weights, tracing every
+    step's log-likelihood, so none of its steps is certified. A design whose
     columns are linearly dependent raises SingularInformation before any
     iteration.
     """
@@ -409,7 +565,7 @@ def fit_logit(design: DesignMatrix, max_iter: int = 50, tol: float = 1e-8) -> Lo
     if not singular[-1] > np.finfo(float).eps * n * singular[0]:
         raise SingularInformation(f"{design.subset.value}: design columns are linearly dependent")
 
-    fits = _irls(X, y, np.ones((1, n)), np.zeros(p), max_iter, tol)
+    fits = _irls(X, y, np.ones((1, n)), np.zeros(p), max_iter, tol, trace=True)
     status, iterations = fits.status[0], int(fits.iterations[0])
     if status == _SEPARATED:
         raise QuasiSeparation(
@@ -591,6 +747,7 @@ def bootstrap_marginal_effects(
     dummy_cols = [j for cols in design.categorical_columns.values() for j in cols.values()]
     block = max(1, _BOOT_ELEMENTS // n)
     table = _column_products(X) if p * (p + 1) // 2 <= _BOOT_ARRAYS * block else None
+    reach = _reach(X)
     keys: list[tuple[str, str | None]] = []
     estimates: list[np.ndarray] = []  # (used resamples of a block, effects)
     iterations = 0
@@ -603,11 +760,13 @@ def bootstrap_marginal_effects(
             row[:] = np.bincount(np.random.default_rng(child).integers(0, n, size=n), minlength=n)
         positives = counts @ y
         usable = (positives > 0) & (positives < n)
-        usable &= (counts @ X[:, dummy_cols] > 0).all(axis=1)
+        # every dummy level drawn, read off the column sums of all of X: a
+        # copy of the dummy columns, held for the call, would raise its peak
+        usable &= ((counts @ X)[:, dummy_cols] > 0).all(axis=1)
         if not usable.any():
             continue
         counts = counts[usable]
-        fits = _irls(X, y, counts, fit.beta, max_iter, tol, table)
+        fits = _irls(X, y, counts, fit.beta, max_iter, tol, table, reach)
         converged = fits.status == _CONVERGED
         iterations += int(fits.iterations[converged].sum())
         counts = counts[converged]

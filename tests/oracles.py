@@ -6,6 +6,9 @@ constants, and pinv-projection regressions. Group metrics mirror the library
 formulas term by term (over canonically sorted groups) so integer-count
 inputs reproduce exactly. The logit fit and its bootstrap are kept as they
 were computed on row copies of each resample, before frequency weights.
+The one exception is ``irls_reference``, the frequency-weighted IRLS kernel
+before its full steps were certified: it runs on the library's helpers, so
+that the kernel can be held to it bit for bit.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import mpmath as mp
 import numpy as np
 from scipy.special import expit
 
+from favfa import logit
 from favfa.errors import (
     DegenerateResponse,
     InsufficientCandidates,
@@ -297,6 +301,119 @@ def fit_logit_rowcopy(X, y, subset="positives", max_iter=50, tol=1e-8, start=Non
         converged=converged,
         ll_trace=tuple(trace),
     )
+
+
+_CONVERGED, _NOT_CONVERGED, _SEPARATED, _GROWING, _SINGULAR = (
+    logit._CONVERGED, logit._NOT_CONVERGED, logit._SEPARATED, logit._GROWING, logit._SINGULAR
+)
+
+
+@dataclass
+class ReferenceFits:
+    beta: np.ndarray  # (k, p)
+    status: np.ndarray  # (k,)
+    iterations: np.ndarray  # (k,)
+    chol: np.ndarray  # (k, p, p)
+    trace: list  # every row's log-likelihood after 0, 1, ... iterations
+
+
+def irls_reference(X, y, counts, start, max_iter, tol, table=None) -> ReferenceFits:
+    """The IRLS kernel as it was before its full Newton steps were certified
+    (``favfa.logit._irls``), on the library's own helpers so that the two
+    can be compared bit for bit: every step's candidate log-likelihood
+    computed and compared with the floor, pass 0 on a (k, n) tiling of one
+    row, and ``trace`` the log-likelihoods after 0, 1, ... iterations.
+    """
+    expit, _log_likelihood = logit.expit, logit._log_likelihood
+    _sum_over_rows, _information, _cholesky = (
+        logit._sum_over_rows, logit._information, logit._cholesky
+    )
+    k, (n, p) = len(counts), X.shape
+    fits = ReferenceFits(
+        beta=np.tile(start, (k, 1)),
+        status=np.full(k, _NOT_CONVERGED),
+        iterations=np.zeros(k, dtype=np.intp),
+        chol=np.zeros((k, p, p)),
+        trace=[],
+    )
+    # state of the rows still iterating; ``rows`` maps them to block rows
+    rows = np.arange(k)
+    beta = fits.beta.copy()
+    eta = np.tile(start @ X.T, (k, 1))
+    ll = _log_likelihood(eta, y, counts)
+    lls = ll.copy()
+    fits.trace.append(lls.copy())
+    prev_norm, growing = np.full(k, np.linalg.norm(start)), np.zeros(k, dtype=bool)
+
+    for it in range(max_iter + 1):
+        # the block-sized arrays are dropped as soon as they are used up
+        mu = expit(eta, out=eta)
+        del eta
+        resid = y - mu
+        resid *= counts
+        grad = _sum_over_rows(resid, X)
+        converged = np.max(np.abs(grad), axis=1) < tol
+        # the weights mu * (1 - mu) * counts, in the residuals' place
+        np.subtract(1.0, mu, out=resid)
+        resid *= mu
+        resid *= counts
+        del mu
+        chol, ok = _cholesky(_information(X, resid, table))
+        del resid
+        status = np.where(converged, _CONVERGED, _NOT_CONVERGED)
+        status[~ok] = _SINGULAR
+        finished = converged | ~ok
+        if it == max_iter:
+            # separation is judged before the final covariance is factorized
+            status[~converged & growing] = _GROWING
+            finished[:] = True
+        done = rows[finished]
+        fits.status[done] = status[finished]
+        fits.chol[done] = chol[finished]
+        if finished.all():
+            break
+        if finished.any():
+            go = ~finished
+            rows, counts, beta, ll = rows[go], counts[go], beta[go], ll[go]
+            prev_norm, grad, chol = prev_norm[go], grad[go], chol[go]
+
+        half = np.linalg.solve(chol, grad[:, :, None])
+        delta = np.linalg.solve(chol.transpose(0, 2, 1), half)[:, :, 0]
+        # relative slack: a log-likelihood summed over many rows carries
+        # rounding noise far above any fixed absolute tolerance
+        floor = ll - 1e-12 * np.maximum(1.0, np.abs(ll))
+        step = np.ones(len(rows))
+        candidate = beta + delta
+        eta = candidate @ X.T
+        ll = _log_likelihood(eta, y, counts)
+        short = ~(ll >= floor)
+        for _ in range(39):
+            if not short.any():
+                break
+            h = np.flatnonzero(short)
+            step[h] /= 2
+            candidate[h] = beta[h] + step[h, None] * delta[h]
+            eta[h] = candidate[h] @ X.T
+            ll[h] = _log_likelihood(eta[h], y, counts[h])
+            short[h] = ~(ll[h] >= floor[h])
+        beta = candidate
+        fits.beta[rows] = beta
+        fits.iterations[rows] += 1
+        lls[rows] = ll
+        fits.trace.append(lls.copy())
+
+        separated = np.max(np.abs(beta), axis=1) > COEF_LIMIT
+        fits.status[rows[separated]] = _SEPARATED
+        norm = np.linalg.norm(beta, axis=1)
+        growing = norm > prev_norm
+        prev_norm = norm
+        if separated.any():
+            if separated.all():
+                break
+            go = ~separated
+            rows, counts, beta, eta, ll = rows[go], counts[go], beta[go], eta[go], ll[go]
+            prev_norm, growing = prev_norm[go], growing[go]
+    return fits
 
 
 def score_rounding(X, y, beta):

@@ -673,6 +673,190 @@ def test_bootstrap_blocks_equal_rowcopy_oracle(
         assert_close(se, want_ses[key], allowances[key])
 
 
+# --- the certified kernel against the kernel as it was ---
+
+
+def assert_kernels_agree(X, y, counts, start, max_iter, table=None):
+    """``logit._irls`` ends every row as ``oracles.irls_reference`` does, bit
+    for bit: coefficients, status, iterations and Cholesky factor, with its
+    steps certified and, with ``trace``, with every log-likelihood computed
+    and traced. Returns the reference's fits."""
+    want = oracles.irls_reference(X, y, counts, start, max_iter, 1e-8, table)
+    for trace in (False, True):
+        got = logit._irls(X, y, counts, start, max_iter, 1e-8, table, trace=trace)
+        for field in ("beta", "status", "iterations", "chol"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), (field, trace)
+    assert len(got.trace) == len(want.trace)
+    assert all(np.array_equal(a, b) for a, b in zip(got.trace, want.trace))
+    return want
+
+
+@given(
+    *design_params, st.integers(8, 80), st.floats(0.0, 4.0), st.integers(1, 50), st.booleans()
+)
+@settings(max_examples=80, deadline=None)
+# the three cases of test_fit_logit_equals_rowcopy_oracle: near-singular
+# information, a doubled column, separation
+@example(362017, 2, 2, 1, 47, 2.0, 21, False)
+@example(2, 4, 2, 1, 75, 3.0, 2, True)
+@example(281418624, 4, 3, 2, 12, 0.022723336243564596, 26, False)
+def test_irls_from_zero_equals_reference(
+    seed, a_levels, b_levels, n_continuous, n, coef_scale, max_iter, collinear
+):
+    # one row of unit weights from zero, as fit_logit runs the kernel, on the
+    # designs of test_fit_logit_equals_rowcopy_oracle; the fit's ll_trace
+    # must equal the reference's too
+    _, design, _, _ = random_design(seed, n, a_levels, b_levels, n_continuous, coef_scale)
+    if collinear:
+        design = replace(
+            design,
+            X=np.column_stack([design.X, 2.0 * design.X[:, -1]]),
+            columns=(*design.columns, "twice"),
+        )
+    X, y = design.X, design.y
+    want = assert_kernels_agree(X, y, np.ones((1, n)), np.zeros(X.shape[1]), max_iter)
+    try:
+        fit = fit_logit(design, max_iter=max_iter)
+    except FavfaError:
+        return
+    assert fit.ll_trace == tuple(float(ll[0]) for ll in want.trace[: fit.iterations + 1])
+
+
+def test_irls_equals_reference_on_every_ending():
+    # from (-3, 3) one step shrinks the coefficients without converging; x=yes
+    # always matches on the separated design: its coefficient grows until
+    # max_iter, or from 28 past COEF_LIMIT; a zero column never factorizes
+    ok, separated = design_2x2(), design_2x2(40, 40, 10, 40)
+    zero_column = np.column_stack([ok.X, np.zeros(ok.n)])
+    cases = [
+        (ok.X, ok.y, (0.0, 0.0), 50, logit._CONVERGED),
+        (ok.X, ok.y, (-3.0, 3.0), 1, logit._NOT_CONVERGED),
+        (separated.X, separated.y, (0.0, 0.0), 3, logit._GROWING),
+        (separated.X, separated.y, (0.0, 28.0), 50, logit._SEPARATED),
+        (zero_column, ok.y, (0.0, 0.0, 0.0), 50, logit._SINGULAR),
+    ]
+    for X, y, start, max_iter, status in cases:
+        want = assert_kernels_agree(X, y, np.ones((1, len(y))), np.array(start), max_iter)
+        assert want.status[0] == status
+
+
+@given(
+    *design_params,
+    st.integers(20, 400),
+    st.floats(0.0, 2.0),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 10),
+    st.integers(1, 50),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_irls_blocks_equal_reference(
+    seed, a_levels, b_levels, n_continuous, n, coef_scale, boot_seed, k, max_iter, with_table
+):
+    # a bootstrap block of k resamples from the full-sample estimate (from
+    # the coefficients that drew the responses where there is none), with
+    # and without the column-product table
+    _, design, beta, _ = random_design(seed, n, a_levels, b_levels, n_continuous, coef_scale)
+    try:
+        beta = fit_logit(design).beta
+    except FavfaError:
+        pass
+    rng = np.random.default_rng(boot_seed)
+    counts = np.stack([np.bincount(rng.integers(0, n, size=n), minlength=n) for _ in range(k)])
+    table = logit._column_products(design.X) if with_table else None
+    assert_kernels_agree(design.X, design.y, counts.astype(float), beta, max_iter, table)
+
+
+def test_irls_halving_equals_reference():
+    # at (6, 0) the 2x2 design's log-likelihood is nearly flat, so the full
+    # Newton step overshoots and lowers it: no certificate, and the floor
+    # sends the row through the halving, alone and in a block of resamples
+    design = design_2x2()
+    n, start = design.n, np.array([6.0, 0.0])
+    rng = np.random.default_rng(0)
+    resamples = np.stack([np.bincount(rng.integers(0, n, size=n), minlength=n) for _ in range(4)])
+    real = logit._log_likelihood
+    for counts in (np.ones((1, n)), resamples.astype(float)):
+        calls = []
+
+        def counting(eta, y, counts):
+            calls.append(len(counts))
+            return real(eta, y, counts)
+
+        with patch.object(logit, "_log_likelihood", counting):
+            want = oracles.irls_reference(design.X, design.y, counts, start, 50, 1e-8)
+        # pass 0, one call per iteration, and at least one halving
+        assert len(calls) > 1 + want.iterations.max()
+        assert (want.status == logit._CONVERGED).all()
+        assert_kernels_agree(design.X, design.y, counts, start, 50)
+
+
+@given(
+    *design_params,
+    st.integers(20, 400),
+    st.floats(0.0, 3.0),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 10.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_certified_steps_pass_the_floor(
+    seed, a_levels, b_levels, n_continuous, n, coef_scale, boot_seed, closeness
+):
+    # steps along the Newton direction, from 10^-closeness off the estimate
+    # (off the coefficients that drew the responses where there is none), out
+    # to and across where the floor first rejects one, found by bisection: a
+    # certified step must pass the floor as _log_likelihood computes it, so
+    # the first rejected step must not be certified, and the log-likelihood
+    # may not fall below what the certificate's bound allows
+    _, design, beta, _ = random_design(seed, n, a_levels, b_levels, n_continuous, coef_scale)
+    try:
+        beta = fit_logit(design).beta
+    except FavfaError:
+        pass
+    X, y = design.X, design.y
+    rng = np.random.default_rng(boot_seed)
+    counts = np.stack([np.ones(n), np.bincount(rng.integers(0, n, size=n), minlength=n)])
+    beta = beta + 10.0**-closeness * rng.standard_normal((2, len(beta)))
+    reach, total = np.abs(X).max(axis=0), counts.sum(axis=1)
+    mu = logit.expit(beta @ X.T)
+    grad = logit._sum_over_rows((y - mu) * counts, X)
+    chol, ok = logit._cholesky(logit._information(X, mu * (1 - mu) * counts, None))
+    if not ok.all():
+        return
+    half = np.linalg.solve(chol, grad[:, :, None])
+    delta = np.linalg.solve(chol.transpose(0, 2, 1), half)[:, :, 0]
+    ll = logit._log_likelihood(beta @ X.T, y, counts)
+    low = logit._nll_lower_bound(ll, beta, total, reach, n)
+    floor = ll - 1e-12 * np.maximum(1.0, np.abs(ll))
+
+    def certify(step):
+        candidate = beta + step[:, None] * delta
+        sure, drop = logit._certified(grad, chol, beta, candidate, low, total, reach, n)
+        ll_step = logit._log_likelihood(candidate @ X.T, y, counts)
+        passed = ll_step >= floor
+        assert not (sure & ~passed).any()
+        assert (-ll_step[sure] >= (low - drop)[sure]).all()
+        return sure, passed
+
+    accepted, rejected = np.zeros(2), np.full(2, np.inf)
+    for step in np.linspace(0.25, 8.0, 32):
+        _, passed = certify(np.full(2, step))
+        grow = passed & np.isinf(rejected)
+        accepted[grow] = step
+        rejected[~passed & np.isinf(rejected)] = step
+    crossed = np.isfinite(rejected)
+    if not crossed.any():
+        return
+    rejected[~crossed] = accepted[~crossed]
+    for _ in range(50):
+        mid = (accepted + rejected) / 2
+        _, passed = certify(mid)
+        accepted = np.where(crossed & passed, mid, accepted)
+        rejected = np.where(crossed & ~passed, mid, rejected)
+    sure, passed = certify(rejected)
+    assert not (sure & crossed).any()
+
+
 # --- refits from the full-sample estimate against refits from zero ---
 
 

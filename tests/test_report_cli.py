@@ -22,8 +22,10 @@ from click.testing import CliRunner
 
 from conftest import image_rows
 import favfa.cli
+import favfa.report
 import favfa.util
 from favfa.cli import cmd_analyze, main
+from favfa import logit
 from favfa.data import consolidate_identity_attributes, load_images
 from favfa.planner import assign_styles, plan_to_jsonl, select_id_pool
 from oracles import reference_jsonl
@@ -286,11 +288,58 @@ def test_demo_bundle_json_is_canonical(tmp_path):
 BOOTSTRAP_EFFECTS_PIN = "a7f2609c7051e3dc36ee5dffbe510c3a304e522e9b9d7fd8eaf11e5673949fac"
 
 
+#: run_manifest.json's bootstrap block for the same run: the IRLS iterations
+#: that the used refits took, so that a change to the kernel's steps shows.
+BOOTSTRAP_MANIFEST_PIN = {
+    "requested": 20,
+    "used": {"fmr": 20, "tmr": 20},
+    "iterations": {"fmr": 95, "tmr": 80},
+}
+
+
 def test_demo_bootstrap_effects_pinned(tmp_path):
     out = tmp_path / "out"
     result = CliRunner().invoke(main, demo_args(DEMO / "pairs.csv", out) + ["--bootstrap", "20"])
     assert result.exit_code == 0, result.output
     assert sha256((out / "marginal_effects.csv").read_bytes()) == BOOTSTRAP_EFFECTS_PIN
+    manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
+    assert manifest["bootstrap"] == BOOTSTRAP_MANIFEST_PIN
+
+
+def test_demo_bootstrap_certifies_most_steps(tmp_path, monkeypatch):
+    # the bootstrap refits of the run above take 10 Newton steps, one block
+    # per model; the uncertified kernel computed a log-likelihood on each of
+    # them and once before the first. Certified steps skip it, and which are
+    # certified is deterministic, so the count is pinned
+    calls, steps, booting = [], [], [False]
+    log_likelihood, irls = logit._log_likelihood, logit._irls
+    bootstrap = favfa.report.bootstrap_marginal_effects
+
+    def counting_log_likelihood(eta, y, counts):
+        calls.append(booting[0])
+        return log_likelihood(eta, y, counts)
+
+    def counting_irls(*args, **kwargs):
+        fits = irls(*args, **kwargs)
+        steps.append(int(fits.iterations.max()) if booting[0] else 0)
+        return fits
+
+    def flagged_bootstrap(*args):
+        booting[0] = True
+        try:
+            return bootstrap(*args)
+        finally:
+            booting[0] = False
+
+    monkeypatch.setattr(logit, "_log_likelihood", counting_log_likelihood)
+    monkeypatch.setattr(logit, "_irls", counting_irls)
+    monkeypatch.setattr(favfa.report, "bootstrap_marginal_effects", flagged_bootstrap)
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, demo_args(DEMO / "pairs.csv", out) + ["--bootstrap", "20"])
+    assert result.exit_code == 0, result.output
+    assert sum(steps) == 10
+    assert sum(calls) == 4
+    assert sum(calls) <= sum(steps) // 2
 
 
 def at_openblas_threads(threads: str, args: list[str]) -> str:
