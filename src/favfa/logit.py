@@ -149,14 +149,20 @@ def build_design(
 #: Observations times resamples in one bootstrap block: a block refits
 #: ``max(1, _BOOT_ELEMENTS // n)`` resamples at once.
 _BOOT_ELEMENTS = 2**16
-#: Arrays of a block's shape held at once at the peak, about: the frequency
-#: weights, the linear predictors, and the three arrays of one attribute's
-#: effect estimates or of one IRLS pass, with a temporary. The column-product
-#: table is built only when it is no larger than these together, that is
-#: when a block has at least ``p (p + 1) / (2 * _BOOT_ARRAYS)`` resamples to
-#: share it (it pays off only when one product serves several rows: a
-#: single fit gains nothing from it), and a block's working set stays within
-#: ``2 * _BOOT_ARRAYS * _BOOT_ELEMENTS`` float64 elements (6 MB).
+#: Arrays of a block's shape that the column-product table may match in
+#: size. At most five such arrays are held at once (tracemalloc): the
+#: frequency weights, and the four of the effect estimates (the linear
+#: predictors, the level buffer, and one attribute's reference predictors
+#: and probabilities). An IRLS pass holds three besides the weights: the
+#: linear predictors kept for the floors of uncertified rows, the
+#: probabilities, and the residuals or the IRLS weights; a log-likelihood
+#: evaluation holds its terms and one temporary next to the predictors.
+#: The table is built only when it is no larger than ``_BOOT_ARRAYS`` such
+#: arrays, that is when a block has at least ``p (p + 1) / (2 *
+#: _BOOT_ARRAYS)`` resamples to share it (it pays off only when one product
+#: serves several rows: a single fit gains nothing from it), so a block's
+#: working set stays within about ``(5 + _BOOT_ARRAYS) * _BOOT_ELEMENTS``
+#: float64 elements (5.5 MiB).
 _BOOT_ARRAYS = 6
 #: Observations per slice of every product that sums over the observations
 #: (see ``_sum_over_rows``).
@@ -217,6 +223,16 @@ def _log_likelihood(eta: np.ndarray, y: np.ndarray, counts: np.ndarray) -> np.nd
     terms += np.maximum(eta, 0.0)
     terms -= eta * y
     return -_times_counts(terms, counts).sum(axis=1)
+
+
+def _rows_log_likelihood(
+    eta: np.ndarray, y: np.ndarray, counts: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """``_log_likelihood`` of the rows ``rows`` (ascending indices) of
+    ``eta`` and ``counts``, with no copy of the two when that is every row."""
+    if len(rows) == len(counts):
+        return _log_likelihood(eta, y, counts)
+    return _log_likelihood(eta[rows], y, counts[rows])
 
 
 def _column_products(X: np.ndarray) -> np.ndarray:
@@ -491,7 +507,7 @@ def _irls(
         unsure = np.flatnonzero(~sure)
         stale = unsure[~known[unsure]]
         if len(stale):
-            ll[stale] = _log_likelihood(eta[stale], y, counts[stale])
+            ll[stale] = _rows_log_likelihood(eta, y, counts, stale)
         del eta
         # relative slack: a log-likelihood summed over many rows carries
         # rounding noise far above any fixed absolute tolerance (the floors
@@ -501,7 +517,7 @@ def _irls(
         eta = candidate @ X.T
         short = np.zeros(len(rows), dtype=bool)
         if len(unsure):
-            ll[unsure] = _log_likelihood(eta[unsure], y, counts[unsure])
+            ll[unsure] = _rows_log_likelihood(eta, y, counts, unsure)
             short[unsure] = ~(ll[unsure] >= floor[unsure])
         for _ in range(39):
             if not short.any():
@@ -510,7 +526,7 @@ def _irls(
             step[h] /= 2
             candidate[h] = beta[h] + step[h, None] * delta[h]
             eta[h] = candidate[h] @ X.T
-            ll[h] = _log_likelihood(eta[h], y, counts[h])
+            ll[h] = _rows_log_likelihood(eta, y, counts, h)
             short[h] = ~(ll[h] >= floor[h])
         beta = candidate
         fits.beta[rows] = beta
@@ -604,6 +620,10 @@ def _weighted_mean(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return (counts * values).sum(axis=1) / values.shape[1]
 
 
+# (attribute, level, estimates, gradients) of one effect, see ``_effects``
+_Effect = tuple[AttributeDef, str | None, np.ndarray, np.ndarray | None]
+
+
 def _effects(
     X: np.ndarray,
     B: np.ndarray,
@@ -611,7 +631,7 @@ def _effects(
     design: DesignMatrix,
     schema: AttributeSchema,
     gradients: bool,
-) -> list[tuple[AttributeDef, str | None, np.ndarray, np.ndarray | None]]:
+) -> list[_Effect]:
     """Mean marginal effects as shifts of one linear predictor per fit.
 
     Each row of ``B`` is a fit's coefficients and the same row of ``counts``
@@ -622,48 +642,61 @@ def _effects(
     continuous attribute. The gradients with respect to the coefficients
     (for the delta method), one row per fit, are computed only when
     ``gradients`` is set, and are None otherwise.
+
+    Every level is written into one buffer of the block's shape, reused
+    across levels and attributes; each attribute's arrays are dropped before
+    the next starts, and the continuous attributes, which share one ``mu``,
+    come after all categorical ones, so that without gradients a block holds
+    at most four arrays of its shape besides ``counts``.
     """
     n = X.shape[0]
     eta = B @ X.T
-    mu = d1 = None  # needed by continuous attributes only
-    out: list[tuple[AttributeDef, str | None, np.ndarray, np.ndarray | None]] = []
+    buf = np.empty_like(eta)
+    found: dict[str, list[_Effect]] = {}
     for attr in schema.attributes:
-        if attr.is_categorical:
-            # every row moved to each level against every row moved to the
-            # reference, which is ``eta`` less the attribute's own terms
-            col_map = design.categorical_columns[attr.name]
-            idxs = list(col_map.values())
-            eta_ref = B[:, idxs] @ X[:, idxs].T
-            np.subtract(eta, eta_ref, out=eta_ref)
-            mu_ref = expit(eta_ref)
-            if gradients:
-                d_ref = mu_ref * (1.0 - mu_ref)
-            for level, j in col_map.items():
-                # in place, so that a block holds few arrays of its shape
-                mu_lvl = eta_ref + B[:, j : j + 1]
-                expit(mu_lvl, out=mu_lvl)
-                grad = None
-                if gradients:
-                    d_lvl = mu_lvl * (1.0 - mu_lvl)
-                    grad = _sum_over_rows(counts * (d_lvl - d_ref), X) / n
-                    grad[:, idxs] = 0.0
-                    grad[:, j] = _weighted_mean(d_lvl, counts)
-                mu_lvl -= mu_ref
-                mu_lvl *= counts
-                out.append((attr, level, mu_lvl.sum(axis=1) / n, grad))
-        else:
-            j = design.continuous_columns[attr.name]
-            _, scale = design.standardization[attr.name]
-            if d1 is None:
-                mu = expit(eta)
-                d1 = mu * (1.0 - mu)
+        if not attr.is_categorical:
+            continue
+        # every row moved to each level against every row moved to the
+        # reference, which is ``eta`` less the attribute's own terms
+        col_map = design.categorical_columns[attr.name]
+        idxs = list(col_map.values())
+        eta_ref = B[:, idxs] @ X[:, idxs].T
+        np.subtract(eta, eta_ref, out=eta_ref)
+        mu_ref = expit(eta_ref)
+        if gradients:
+            d_ref = mu_ref * (1.0 - mu_ref)
+        found[attr.name] = []
+        for level, j in col_map.items():
+            mu_lvl = expit(np.add(eta_ref, B[:, j : j + 1], out=buf), out=buf)
             grad = None
             if gradients:
-                d2 = d1 * (1.0 - 2.0 * mu)
-                grad = B[:, j : j + 1] * _sum_over_rows(counts * d2, X) / n / scale
-                grad[:, j] += _weighted_mean(d1, counts) / scale
-            out.append((attr, None, B[:, j] * _weighted_mean(d1, counts) / scale, grad))
-    return out
+                d_lvl = mu_lvl * (1.0 - mu_lvl)
+                grad = _sum_over_rows(counts * (d_lvl - d_ref), X) / n
+                grad[:, idxs] = 0.0
+                grad[:, j] = _weighted_mean(d_lvl, counts)
+            mu_lvl -= mu_ref
+            mu_lvl *= counts
+            found[attr.name].append((attr, level, mu_lvl.sum(axis=1) / n, grad))
+        del eta_ref, mu_ref
+    continuous = [attr for attr in schema.attributes if not attr.is_categorical]
+    if continuous:
+        # eta is no longer needed as such: mu in its place, d1 in the buffer
+        mu = expit(eta, out=eta)
+        d1 = np.subtract(1.0, mu, out=buf)
+        d1 *= mu
+        mean_d1 = _weighted_mean(d1, counts)
+        if gradients:
+            d2 = d1 * (1.0 - 2.0 * mu)
+            shift = _sum_over_rows(counts * d2, X)
+        for attr in continuous:
+            j = design.continuous_columns[attr.name]
+            _, scale = design.standardization[attr.name]
+            grad = None
+            if gradients:
+                grad = B[:, j : j + 1] * shift / n / scale
+                grad[:, j] += mean_d1 / scale
+            found[attr.name] = [(attr, None, B[:, j] * mean_d1 / scale, grad)]
+    return [entry for attr in schema.attributes for entry in found[attr.name]]
 
 
 def marginal_effects(
@@ -756,8 +789,11 @@ def bootstrap_marginal_effects(
         # of n_boot children, a block's worth held at a time
         draws = seeds.spawn(min(block, n_boot - start))
         counts = np.empty((len(draws), n))
-        for row, child in zip(counts, draws):
-            row[:] = np.bincount(np.random.default_rng(child).integers(0, n, size=n), minlength=n)
+        for r, child in enumerate(draws):
+            # by index: a row view left bound would keep this array alive
+            # after ``counts`` is narrowed to the usable rows
+            drawn = np.random.default_rng(child).integers(0, n, size=n)
+            counts[r] = np.bincount(drawn, minlength=n)
         positives = counts @ y
         usable = (positives > 0) & (positives < n)
         # every dummy level drawn, read off the column sums of all of X: a

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest.mock import patch
@@ -577,6 +578,70 @@ def test_bootstrap_equals_copy_oracle_loop(
     assert ses.keys() == want.keys()
     for key, se in ses.items():
         assert_close(se, want[key], allowances[key])
+
+
+def schema_order(design, schema):
+    """Effect keys in schema order, each categorical's levels in design-column order."""
+    keys = []
+    for attr in schema.attributes:
+        if attr.is_categorical:
+            col_map = design.categorical_columns[attr.name]
+            keys += [(attr.name, level) for level in sorted(col_map, key=col_map.get)]
+        else:
+            keys.append((attr.name, None))
+    return keys
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        ("age", "gender", "ethnicity", "pose"),  # a continuous attribute first
+        ("gender", "age", "ethnicity", "pose"),  # one between two categoricals
+    ],
+)
+def test_effects_keep_schema_order(order):
+    base, pairs, covs = two_cat_two_cont_dataset()
+    schema = AttributeSchema(tuple(base[name] for name in order))
+    design = build_design(*frames(pairs, covs, schema), schema, Subset.POSITIVES)
+    assert design.columns[1] == ("age" if order[0] == "age" else "gender=Female")
+    want = schema_order(design, schema)
+
+    fit = fit_logit(design)
+    effects = marginal_effects(fit, design, schema)
+    assert [effect_key(e) for e in effects] == want
+    oracle = oracles.marginal_effects_copy(design, fit.beta, fit.covariance, schema)
+    for effect, (_, estimate, std_error) in zip(effects, oracle):
+        assert_close(effect.estimate, estimate)
+        assert_close(effect.std_error, std_error)
+
+    ses, used, _ = bootstrap_marginal_effects(fit, design, schema, n_boot=10, seed=5)
+    boot, want_used, allowances = oracles.bootstrap_rowcopy(fit, design, schema, 10, 5)
+    assert used == want_used >= 2
+    assert list(ses) == list(boot) == want
+    for key, se in ses.items():
+        assert_close(se, boot[key], allowances[key])
+
+
+# --- memory of a bootstrap block ---
+
+
+def test_bootstrap_block_memory():
+    # one block of 10 resamples over 6,000 rows, laid out like the FMR model;
+    # besides the column-product table the block holds its counts and at most
+    # four arrays of its shape at once: 5.0 such arrays at the peak here
+    schema, design, _, _ = random_design(7, 6000, 4, 3, 2, 0.5)
+    n, p = design.X.shape
+    assert (p, logit._BOOT_ELEMENTS // n) == (9, 10)
+    fit = fit_logit(design)
+    tracemalloc.start()
+    try:
+        _, used, _ = bootstrap_marginal_effects(fit, design, schema, n_boot=10, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert used == 10
+    table = n * p * (p + 1) // 2 * 8
+    assert (peak - table) / (10 * n * 8) < 6.5
 
 
 def assert_same_error_message(got, want):
