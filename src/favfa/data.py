@@ -29,7 +29,7 @@ from typing import Callable, Container, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import MissingAttribute, ParseError, SchemaInvalid, UnresolvedImage
+from .errors import FavfaError, MissingAttribute, ParseError, SchemaInvalid, UnresolvedImage
 from .schema import AttributeDef, AttributeSchema, Scope
 
 #: Sentinel level assigned to a pair whose two sides disagree on an attribute;
@@ -212,9 +212,6 @@ def _parse_finite(raw: str, context: str) -> ParseError:
 #: it, and the error of a failing row from its index in the block.
 _Check = tuple[np.ndarray, Callable[[int], Exception]]
 
-#: What is done with the checks of a block, all of them at once.
-_Settle = Callable[[Sequence[_Check]], None]
-
 
 def raise_first(checks: Sequence[_Check]) -> None:
     """Raise the error a row-by-row reader meets first.
@@ -246,16 +243,9 @@ def parse_floats(cells: Sequence[str]) -> np.ndarray:
         return np.fromiter(map(_float_or_nan, cells), float, len(cells))
 
 
-#: One column of a block: its stripped cells, or, as numpy's C parser read
-#: it, an object array of its cells as Python strings or a float64 array.
+#: One column of a block: its stripped cells, or, for a column of floats
+#: that numpy's C parser read, a float64 array.
 _Column = list[str] | np.ndarray
-
-
-def _texts(column: _Column) -> list[str]:
-    """The stripped cells of a column of strings."""
-    if isinstance(column, np.ndarray):
-        return list(map(str.strip, column.tolist()))
-    return column
 
 
 def _floats(column: _Column) -> np.ndarray:
@@ -273,22 +263,16 @@ def _filled(column: _Column) -> np.ndarray:
 
 
 def _codes(
-    column: _Column, codes: Mapping[str, int], default: int, dtype: type, fold: bool = False
+    column: list[str], codes: Mapping[str, int], default: int, dtype: type, fold: bool = False
 ) -> np.ndarray:
     """The code of each cell of a column of strings, ``default`` for a cell
-    that is not a key of ``codes``; with ``fold``, a cell in any case.
-
-    An array of cells is compared whole, so a cell with whitespace around it,
-    or, with ``fold``, in another case, takes ``default``: a check flags it,
-    and the block reader reads it.
-    """
-    if isinstance(column, np.ndarray):
-        out = np.full(len(column), default, dtype=dtype)
-        for cell, code in codes.items():
-            out[column == cell] = code
-        return out
-    cells = map(str.lower, column) if fold else column
-    return np.fromiter(map(codes.get, cells, repeat(default)), dtype, len(column))
+    that is not a key of ``codes``; with ``fold``, whose keys are in lower
+    case, a cell in any case."""
+    out = np.fromiter(map(codes.get, column, repeat(default)), dtype, len(column))
+    if fold and (out == default).any():  # lower-casing every cell costs more than the lookup
+        cells = map(str.lower, column)
+        out = np.fromiter(map(codes.get, cells, repeat(default)), dtype, len(column))
+    return out
 
 
 def _cells(rows: list[list[str]], col: int) -> list[str]:
@@ -354,16 +338,15 @@ def _csv_blocks(
 
 
 class _Fallback(Exception):
-    """numpy's C parser might read a block otherwise than the block reader,
-    or a check flags a row of it."""
+    """numpy's C parser might read a block otherwise than the block reader."""
 
 
 def _parsed_blocks(
     path: str | Path, texts: Sequence[int], floats: Sequence[int]
 ) -> Iterator[dict[int, _Column]]:
     """The data rows of a CSV file as numpy's C parser reads them, in blocks
-    of up to ``_BLOCK_ROWS`` lines: an object array of the cells of each of
-    the columns ``texts``, as Python strings, and a float64 array of each of
+    of up to ``_BLOCK_ROWS`` lines: the stripped cells of each of the columns
+    ``texts``, as :func:`_cells` gives them, and a float64 array of each of
     the columns ``floats``.
 
     Raises ``_Fallback`` wherever that read might differ from the block
@@ -395,16 +378,10 @@ def _parsed_blocks(
                     except (ValueError, Warning):
                         raise _Fallback from None
                 # floats copied, so that the columns kept do not hold the table
-                yield {c: table[str(c)] if c in texts else table[str(c)].copy() for c in usecols}
+                yield {c: list(map(str.strip, table[str(c)].tolist())) if c in texts
+                       else table[str(c)].copy() for c in usecols}
     except UnicodeDecodeError:
         raise _Fallback from None
-
-
-def _passed(checks: Sequence[_Check]) -> None:
-    """Fall back to the block reader where any check flags a row: the error
-    is the block reader's to raise."""
-    if any(mask.any() for mask, _ in checks):
-        raise _Fallback
 
 
 def _read(
@@ -412,25 +389,24 @@ def _read(
     path: str | Path,
     texts: Sequence[int],
     floats: Sequence[int],
-    build: Callable[[Iterator[dict[int, _Column]], _Settle], _T],
+    build: Callable[[Iterator[dict[int, _Column]]], _T],
 ) -> _T:
-    """``build(blocks, settle)`` over the data rows of the CSV file whose
-    header the block reader ``blocks`` has read: ``build`` hands the checks
-    of each block of columns to ``settle``.
+    """``build(blocks)`` over the data rows of the CSV file whose header the
+    block reader ``blocks`` has read: ``build`` hands the checks of each
+    block of columns to :func:`raise_first`.
 
-    It runs first over the blocks numpy's C parser reads, every check
-    required to pass. Where that parse might differ from the block reader's,
-    or a check flags a row, all of it is thrown away and ``build`` runs again
-    over the stripped cells of the block reader's rows, the first flagged
-    row raising its error (:func:`raise_first`).
+    It runs first over the blocks numpy's C parser reads. Where that parse
+    might differ from the block reader's, or a check raises, all of it is
+    thrown away and ``build`` runs again over the stripped cells of the block
+    reader's rows, so the error a caller sees is the block reader's.
     """
     with closing(blocks):
         try:
-            return build(_parsed_blocks(path, texts, floats), _passed)
-        except _Fallback:
+            return build(_parsed_blocks(path, texts, floats))
+        except (_Fallback, FavfaError):
             pass  # out of the handler, so what was built is freed first
         cols = [*texts, *floats]
-        return build(({c: _cells(rows, c) for c in cols} for rows in blocks), raise_first)
+        return build({c: _cells(rows, c) for c in cols} for rows in blocks)
 
 
 def _soft_columns(attr: AttributeDef, columns: Mapping[str, int]) -> list[int] | None:
@@ -659,7 +635,7 @@ def load_images(path: str | Path, schema: AttributeSchema) -> ImageFrame:
     floats = [c for spec in plan for c in spec.soft_cols or ()] + (pose_cols or [])
     floats += [spec.col for spec in plan if not spec.attr.is_categorical and spec.col is not None]
 
-    def build(blocks: Iterator[dict[int, _Column]], settle: _Settle) -> ImageFrame:
+    def build(blocks: Iterator[dict[int, _Column]]) -> ImageFrame:
         ids: list[str] = []
         identity_codes: dict[str, int] = {}
         identity: list[np.ndarray] = []
@@ -668,8 +644,8 @@ def load_images(path: str | Path, schema: AttributeSchema) -> ImageFrame:
             spec.attr.name: [] for spec in plan if spec.soft_cols is not None
         }
         for block in blocks:
-            block_ids = _texts(block[id_col])
-            block_identities = _texts(block[identity_col])
+            block_ids = block[id_col]
+            block_identities = block[identity_col]
             m = len(block_ids)
             checks: list[_Check] = [(
                 ~(_filled(block_ids) & _filled(block_identities)),
@@ -684,13 +660,13 @@ def load_images(path: str | Path, schema: AttributeSchema) -> ImageFrame:
                 parts[spec.attr.name].append(values)
                 if matrix is not None:
                     soft_parts[spec.attr.name].append(matrix)
-            settle(checks)
+            raise_first(checks)
             del checks  # free the cells its errors would quote before the next block is read
 
         n = len(ids)
         index = dict(zip(ids, range(n)))
         if len(index) != n:
-            settle([(_repeats(ids), lambda i: ParseError(f"duplicate image_id {ids[i]!r}"))])
+            raise_first([(_repeats(ids), lambda i: ParseError(f"duplicate image_id {ids[i]!r}"))])
 
         categorical: dict[str, LevelCodes] = {}
         continuous: dict[str, np.ndarray] = {}
@@ -752,13 +728,13 @@ def load_pairs(path: str | Path, images: ImageFrame) -> PairFrame:
     pred_col = columns.get("predicted")
     texts = [id_col, a_col, b_col, truth_col] + ([] if pred_col is None else [pred_col])
 
-    def build(blocks: Iterator[dict[int, _Column]], settle: _Settle) -> PairFrame:
+    def build(blocks: Iterator[dict[int, _Column]]) -> PairFrame:
         seen: set[str] = set()
         parts: dict[str, list[np.ndarray]] = {
             k: [] for k in ("image_a", "image_b", "is_pos", "distance", "predicted")
         }
         for block in blocks:
-            pair_ids, cells_a, cells_b = map(_texts, (block[id_col], block[a_col], block[b_col]))
+            pair_ids, cells_a, cells_b = block[id_col], block[a_col], block[b_col]
             m = len(pair_ids)
             before = len(seen)
             if seen.isdisjoint(pair_ids):
@@ -774,7 +750,7 @@ def load_pairs(path: str | Path, images: ImageFrame) -> PairFrame:
                 predicted = np.full(m, NO_PREDICTION, dtype=np.int8)
             else:
                 predicted = _codes(block[pred_col], predicted_codes, -2, np.int8, fold=True)
-            settle([
+            raise_first([
                 (~_filled(pair_ids), lambda i: ParseError(f"{path}: row with empty pair_id")),
                 (repeated, lambda i: ParseError(f"duplicate pair_id {pair_ids[i]!r}")),
                 (image_a < 0, lambda i: _unknown_image(cells_a[i])),

@@ -82,6 +82,12 @@ class AttributeDef:
                 raise SchemaInvalid(f"attribute {self.name!r} declares no levels")
             if len(set(levels)) != len(levels):
                 raise SchemaInvalid(f"attribute {self.name!r} has duplicate levels")
+            for level in levels:  # cells are read stripped, and an empty one holds no value
+                if not level or level != level.strip():
+                    raise SchemaInvalid(
+                        f"attribute {self.name!r}: level {level!r} is empty or has whitespace "
+                        "around it"
+                    )
             if self.kind.reference not in levels:
                 raise SchemaInvalid(
                     f"attribute {self.name!r}: reference level "

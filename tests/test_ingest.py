@@ -257,27 +257,47 @@ def _gen():
 
 def test_clean_files_take_the_parser(tmp_path):
     gen = _gen()
-    (tmp_path / "pairs").mkdir()
-    (tmp_path / "plan").mkdir()
+    for name in ("pairs", "plan", "labels"):
+        (tmp_path / name).mkdir()
     gen.make_pairs(tmp_path / "pairs", 0, 2400)
     gen.make_plan(tmp_path / "plan", 0)
+    # label cells in other cases, which both routes fold
+    demo = demo_texts()
+    (tmp_path / "labels" / "images.csv").write_text(demo["images.csv"], encoding="utf-8")
+    labels = demo["pairs.csv"].replace(",same,", ",Same,").replace(",different,", ",DIFFERENT,")
+    assert labels != demo["pairs.csv"]
+    (tmp_path / "labels" / "pairs.csv").write_text(labels, encoding="utf-8")
+    # level cells with spaces around them, which both routes strip
+    header, rows = _rows((tmp_path / "plan" / "ids.csv").read_text(encoding="utf-8"))
+    levels = {header.split(",").index(c) for c in ("gender", "ethnicity")}
+    padded = [",".join(f" {cell} " if j in levels else cell for j, cell in
+                       enumerate(row.split(","))) for row in rows]
+    (tmp_path / "plan" / "padded.csv").write_text(_joined(header, padded), encoding="utf-8")
+
     sets = [
         (load_schema(tmp_path / "pairs" / "schema.json"), tmp_path / "pairs"),
         (load_schema(DEMO / "schema.json"), DEMO),
+        (load_schema(DEMO / "schema.json"), tmp_path / "labels"),
     ]
+    read = []
     for schema, root in sets:
         with parser_only():
             parsed = ingest(root, schema)
         with block_reader_only():
             assert parsed == ingest(root, schema)
+        read.append(parsed)
+    assert read[2] == read[1]
     schema = load_schema(tmp_path / "plan" / "schema.json")
-    for name in ("ids.csv", "styles.csv"):
+    read = []
+    for name in ("ids.csv", "styles.csv", "padded.csv"):
         path = tmp_path / "plan" / name
         with parser_only():
             parsed = consolidate_identity_attributes(load_images(path, schema), schema)
         with block_reader_only():
-            read = consolidate_identity_attributes(load_images(path, schema), schema)
-        assert frame_values(parsed) == frame_values(read)
+            cells = consolidate_identity_attributes(load_images(path, schema), schema)
+        assert frame_values(parsed) == frame_values(cells)
+        read.append(frame_values(parsed))
+    assert read[2] == read[0]
 
 
 @pytest.mark.parametrize("name", ["parsed", "cells"])

@@ -247,6 +247,19 @@ def test_make_demo_data_defaults_reproduce_data_demo(tmp_path, monkeypatch):
         assert (out / name).read_bytes() == (DEMO / name).read_bytes(), name
 
 
+def test_bias_experiment_recovers_the_injected_effect():
+    run = runpy.run_path(str(REPO / "scripts" / "run_bias_experiment.py"))["run"]
+    _, _, _, effects, table = run(4000, 3, 0.10, "African")
+    _, _, _, _, control = run(4000, 3, 0.0, "African")
+    african = next(e for e in effects if e.level == "African")
+    assert abs(african.estimate - 0.10) <= 1.96 * african.std_error, african
+
+    def eta(anova):
+        return next(f.eta_squared for f in anova.factors if f.name == "ethnicity")
+
+    assert eta(table) > eta(control)
+
+
 #: sha256 of the two bundle files that involve no linear algebra, for
 #: ``favfa analyze`` on data/demo: default flags, and --pair-aggregate absdiff
 #: (which moves only continuous covariates, so neither file changes).

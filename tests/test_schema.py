@@ -93,6 +93,21 @@ def test_duplicate_levels_invalid():
         AttributeDef("gender", Categorical(("Male", "Male"), "Male"), Scope.IDENTITY)
 
 
+@pytest.mark.parametrize("level", ["", " Male", "Male ", "\tMale", "Male\u00a0", " "])
+def test_level_no_cell_can_spell_invalid(level):
+    # cells are read stripped and an empty cell holds no value, so no row
+    # could have such a level
+    with pytest.raises(SchemaInvalid, match="empty or has whitespace around it"):
+        AttributeDef("gender", Categorical((level, "Female"), "Female"), Scope.IDENTITY)
+
+
+def test_level_no_cell_can_spell_invalid_in_file(tmp_path):
+    payload = json.loads(json.dumps(VALID))
+    payload["attributes"][0]["levels"] = [" Male", "Female"]
+    with pytest.raises(SchemaInvalid, match="' Male'"):
+        load_schema(write_schema(tmp_path, payload))
+
+
 def test_noncontiguous_bins_invalid():
     with pytest.raises(SchemaInvalid):
         AttributeDef("age", Continuous("years"), Scope.IMAGE, ((0.0, 10.0), (20.0, 30.0)))
